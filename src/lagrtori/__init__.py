@@ -18,6 +18,7 @@ from .geometry import (
     TangentVector,
     apply_unitary,
     fs_form_value,
+    loop_symplectic_area,
     moment_map,
     normalize_point,
     projective_line_surface,

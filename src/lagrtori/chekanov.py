@@ -21,19 +21,20 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConingDegenerate,
     DegenerateFamily,
-    RootNotBracketed,
+    NonConvergent,
     SingularConic,
 )
 from .geometry import (
+    AreaEstimate,
     HomogeneousPoint,
     ParamSurface,
     QuadSpec,
     _unit_rows,
+    loop_symplectic_area,
     normalize_point,
     surface_symplectic_area,
 )
@@ -182,33 +183,21 @@ class ConicCircle:
                                   inverted=self.anchor is Anchor.NEAR_Z1)
 
 
-def conic_circle(eps: complex, delta: float, anchor: Anchor | str = Anchor.NEAR_Z0,
-                 tol: float = 1e-12) -> ConicCircle:
+def conic_circle(eps: complex, delta: float,
+                 anchor: Anchor | str = Anchor.NEAR_Z0) -> ConicCircle:
     """Orbit whose anchored in-conic disc has area 1 + delta.
 
     The anchor names which pole's disc is measured; the default [1:0:0]
     choice is a convention recorded here and exposed as a flag.  The radius
-    is found by root-finding on the monotone area-level function.
+    is the closed-form :func:`level_radius` of the area level.
     """
     eps = _require_smooth(eps)
     if not -1.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between -1 and 1")
     anchor = Anchor(anchor)
     target = 1.0 + delta if anchor is Anchor.NEAR_Z0 else 1.0 - delta
-    e = abs(eps)
-
-    fn = lambda rho: radial_area(e, rho) - target
-    lo, hi = 1e-9, 1.0
-    expansions = 0
-    while fn(hi) < 0.0:
-        hi *= 4.0
-        expansions += 1
-        if expansions > 200:
-            raise RootNotBracketed("area-level equation could not be bracketed")
-    if fn(lo) > 0.0:
-        raise RootNotBracketed("area-level equation could not be bracketed")
-    rho = float(brentq(fn, lo, hi, xtol=tol, rtol=8.9e-16))
-    return ConicCircle(eps, delta, anchor, rho, float(radial_area(e, rho)))
+    rho = float(level_radius(abs(eps), target))
+    return ConicCircle(eps, delta, anchor, rho, float(radial_area(abs(eps), rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +281,10 @@ def cone_disc(loop_lift: Callable[[np.ndarray], np.ndarray], basepoint: np.ndarr
               check_grid: int = 201, smoothness_step: float = 2.5e-4) -> ParamSurface:
     """Disc bounding a loop by linear coning of its unit lift to a basepoint.
 
-    Raises ConingDegenerate when the chord between the basepoint and the loop
-    passes too close to the origin of coordinate space, which would puncture
-    the disc projectively.
+    Its 2-D area is an independent check of the boundary-rule periods, which
+    do not use it.  Raises ConingDegenerate when the chord between the
+    basepoint and the loop passes too close to the origin of coordinate
+    space, which would puncture the disc projectively.
     """
     base = _unit_rows(np.asarray(basepoint, dtype=complex))
 
@@ -317,53 +307,46 @@ class ChekanovPeriods(NamedTuple):
     p_section: float
     orbit_error: float
     section_error: float
-    basepoint: np.ndarray
+    nodes: int  # finest boundary-rule node count of the two loops
 
 
 def _mod_unit(x: float) -> float:
     return x - math.floor(x)
 
 
+def _loop_period(loop, quad: QuadSpec, name: str, params: ChekanovParams) -> AreaEstimate:
+    try:
+        return loop_symplectic_area(loop, quad)
+    except NonConvergent as exc:
+        raise NonConvergent(
+            f"{name} of the torus at a={params.a!r}, mu={params.mu!r},"
+            f" delta={params.delta!r}: {exc}"
+        ) from exc
+
+
 def torus_periods_chekanov(params: ChekanovParams, quad: QuadSpec = QuadSpec(),
-                           seed: int = 0, retries: int = 8,
                            anchor: Anchor | str = Anchor.NEAR_Z0) -> ChekanovPeriods:
     """Periods of the orbit cycle and a fixed section cycle, mod 1.
 
-    The orbit period is the anchored in-conic disc area (1 + delta reduced);
-    the section loop is the s = 0 curve of the torus, coned linearly to a
-    seeded random basepoint.  Distinct basepoints change the section area by
-    whole numbers only.  The section class is the s = 0 convention; combined
-    classes (section plus or minus the orbit) are reported by the scan.
+    Both are boundary integrals (:func:`loop_symplectic_area`).  The orbit
+    period is the area of the anchored in-conic disc bounded by the orbit at
+    t = 0, which is 1 + delta by construction; the loop bounds the [1:0:0]
+    disc, so the [0:1:0] anchor takes the complement 2 - area.  The section
+    period is the integral around the s = 0 curve of the torus.  The section
+    class is the s = 0 convention; combined classes (section plus or minus
+    the orbit) are reported by the scan.  NonConvergent names the loop and
+    the torus parameters.
     """
     anchor = Anchor(anchor)
     circle0 = conic_circle(complex(params.eps_of(0.0)), params.delta, anchor)
-    orbit_est = surface_symplectic_area(circle0.disc(), quad)
+    orbit = _loop_period(circle0.loop, quad, "orbit loop", params)
+    p_orbit = orbit.value if anchor is Anchor.NEAR_Z0 else 2.0 - orbit.value
 
     torus = chekanov_torus(params, anchor)
-
-    def section_lift(t):
-        return torus._eval(np.asarray(t, dtype=float), np.zeros_like(np.asarray(t, dtype=float)))
-
-    rng = np.random.RandomState(seed)
-    last_exc: Exception | None = None
-    for _ in range(max(1, retries)):
-        base = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        try:
-            disc = cone_disc(section_lift, base)
-        except ConingDegenerate as exc:
-            last_exc = exc
-            continue
-        section_est = surface_symplectic_area(disc, quad)
-        return ChekanovPeriods(
-            _mod_unit(orbit_est.value),
-            _mod_unit(section_est.value),
-            orbit_est.error,
-            section_est.error,
-            _unit_rows(base),
-        )
-    raise ConingDegenerate(
-        f"no usable coning basepoint after {retries} attempts"
-    ) from last_exc
+    section = _loop_period(lambda t: torus._eval(t, np.zeros_like(t)), quad,
+                           "section loop", params)
+    return ChekanovPeriods(_mod_unit(p_orbit), _mod_unit(section.value),
+                           orbit.error, section.error, max(orbit.nodes, section.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +354,37 @@ def torus_periods_chekanov(params: ChekanovParams, quad: QuadSpec = QuadSpec(),
 # ---------------------------------------------------------------------------
 
 
+# Reported periods and defects keep this many decimals: the boundary rule
+# vouches for 1e-12, so the printed digits hold across platforms.
+REPORT_DECIMALS = 10
+
+
 def _lattice_distance(x: float) -> float:
     return abs(x - round(x))
 
 
+def _reported(x: float) -> float:
+    return round(x, REPORT_DECIMALS)
+
+
+# Level disagreements below this are summation noise of a unit-scale FFT sum.
+_ERROR_FLOOR = 1e-14
+
+
+def _reported_error(x: float) -> float:
+    """Error estimate rounded up to a power of ten, at least _ERROR_FLOOR.
+
+    The reported value bounds the measured disagreement; its noise digits,
+    which vary with the FFT and CPU, are not printed.
+    """
+    return 10.0 ** math.ceil(math.log10(max(x, _ERROR_FLOOR)))
+
+
 @dataclass(frozen=True)
 class ScanRow:
+    """One grid torus.  Periods and defects are rounded to REPORT_DECIMALS,
+    error estimates up to a power of ten."""
+
     a: float
     delta: float
     p_orbit: float
@@ -384,6 +392,9 @@ class ScanRow:
     defect: float
     defect_orbit: float
     defect_section: tuple[float, float, float]  # section - orbit, section, section + orbit
+    orbit_error: float
+    section_error: float
+    nodes: int  # finest boundary-rule node count behind the two periods
 
 
 @dataclass(frozen=True)
@@ -413,6 +424,9 @@ class ScanReport:
                     "defect": r.defect,
                     "defect_orbit": r.defect_orbit,
                     "defect_section_combined": list(r.defect_section),
+                    "orbit_error": r.orbit_error,
+                    "section_error": r.section_error,
+                    "nodes": r.nodes,
                 }
                 for r in self.rows
             ],
@@ -421,20 +435,23 @@ class ScanReport:
         }
 
 
-def _scan_point(mu: complex, a: float, delta: float, quad: QuadSpec,
-                seed: int) -> ScanRow:
-    periods = torus_periods_chekanov(ChekanovParams(a, mu, delta), quad, seed=seed)
-    d_orb = _lattice_distance(3.0 * periods.p_orbit)
+def _scan_point(mu: complex, a: float, delta: float, quad: QuadSpec) -> ScanRow:
+    periods = torus_periods_chekanov(ChekanovParams(a, mu, delta), quad)
+    # reduce after rounding, so a period within 5e-11 below 1 reads 0.0
+    p_orb = _mod_unit(_reported(periods.p_orbit))
+    p_sec = _mod_unit(_reported(periods.p_section))
+    d_orb = _reported(_lattice_distance(3.0 * p_orb))
     combos = tuple(
-        _lattice_distance(3.0 * (periods.p_section + m * periods.p_orbit))
-        for m in (-1, 0, 1)
+        _reported(_lattice_distance(3.0 * (p_sec + m * p_orb))) for m in (-1, 0, 1)
     )
     defect = max(d_orb, min(combos))
-    return ScanRow(a, delta, periods.p_orbit, periods.p_section, defect, d_orb, combos)
+    return ScanRow(a, delta, p_orb, p_sec, defect, d_orb, combos,
+                   _reported_error(periods.orbit_error),
+                   _reported_error(periods.section_error), periods.nodes)
 
 
 def canonical_bs_scan(mu: complex, a_grid, delta_grid, quad: QuadSpec = QuadSpec(),
-                      seed: int = 0, workers: int = 1) -> ScanReport:
+                      workers: int = 1) -> ScanReport:
     """Tripled-period integrality defects over an (a, delta) grid.
 
     For each grid torus the defect is max(orbit defect, best combined section
@@ -456,9 +473,9 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid, quad: QuadSpec = QuadSpec
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda ad: _scan_point(mu, ad[0], ad[1], quad, seed), tasks))
+            rows = list(pool.map(lambda ad: _scan_point(mu, ad[0], ad[1], quad), tasks))
     else:
-        rows = [_scan_point(mu, a, d, quad, seed) for a, d in tasks]
+        rows = [_scan_point(mu, a, d, quad) for a, d in tasks]
     best = min(range(len(rows)), key=lambda i: rows[i].defect)
     return ScanReport(
         mu, tuple(rows), rows[best].defect, (rows[best].a, rows[best].delta)

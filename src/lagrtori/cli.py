@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .chekanov import canonical_bs_scan
+from .chekanov import REPORT_DECIMALS, canonical_bs_scan
 from .clifford import ActionCoords, enumerate_bs_fibers, hilbert_dimension, interior_rational_grid
 from .displacement import (
     DisplacementCertificate,
@@ -31,7 +31,7 @@ from .displacement import (
     enc_verdict,
 )
 from .errors import InternalContradiction, LagrtoriError
-from .geometry import QuadSpec
+from .geometry import LOOP_AGREEMENT, LOOP_MAX_NODES, QuadSpec
 from .serialize import rational_pair, stable_dumps
 from .svgplot import render_triangle_plot
 
@@ -158,8 +158,7 @@ def _cmd_chekanov_scan(args, out, err) -> int:
                               args.delta_step)
     quad = QuadSpec(nodes_per_axis=args.quad_nodes)
     threads = _threads()
-    report = canonical_bs_scan(mu, a_grid, delta_grid, quad,
-                               seed=args.seed, workers=threads)
+    report = canonical_bs_scan(mu, a_grid, delta_grid, quad, workers=threads)
 
     issued = inconclusive = 0
     cert_rows = []
@@ -167,15 +166,14 @@ def _cmd_chekanov_scan(args, out, err) -> int:
         for delta in delta_grid:
             res = displace_chekanov(
                 _params_for(mu, a, delta), samples=args.cert_samples)
+            row = {"a": a, "delta": delta,
+                   "separation": round(res.separation, REPORT_DECIMALS)}
             if isinstance(res, DisplacementCertificate):
                 issued += 1
-                cert_rows.append({"a": a, "delta": delta,
-                                  "separation": res.separation})
             else:
                 inconclusive += 1
-                cert_rows.append({"a": a, "delta": delta,
-                                  "separation": res.separation,
-                                  "inconclusive": True})
+                row["inconclusive"] = True
+            cert_rows.append(row)
 
     csv_text = report.to_csv()
     if args.csv_out:
@@ -211,10 +209,13 @@ def _cmd_chekanov_scan(args, out, err) -> int:
         },
         results,
         {"seed": args.seed, "threads": threads,
-         "quadrature": {"nodes_per_axis": quad.nodes_per_axis,
-                        "refinement_levels": quad.refinement_levels,
+         "quadrature": {"method": "boundary-trapezoid",
+                        "nodes_per_axis": quad.nodes_per_axis,
+                        "max_nodes": LOOP_MAX_NODES,
+                        "agreement": LOOP_AGREEMENT,
                         "max_disagreement": quad.max_disagreement},
-         "tolerances": {"certificate_threshold": 1e-3}},
+         "tolerances": {"certificate_threshold": 1e-3,
+                        "report_decimals": REPORT_DECIMALS}},
     ))
     return EXIT_OK
 

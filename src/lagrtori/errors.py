@@ -21,7 +21,7 @@ class GaugeViolation(LagrtoriError):
 
 
 class NonConvergent(LagrtoriError):
-    """Successive quadrature refinements disagree beyond tolerance."""
+    """Successive quadrature levels disagree beyond tolerance."""
 
 
 class NotUnitary(LagrtoriError):
@@ -64,16 +64,12 @@ class SingularConic(LagrtoriError):
     """The requested pencil member is singular (parameter 0 or infinity)."""
 
 
-class RootNotBracketed(LagrtoriError):
-    """The monotone area-level equation could not be bracketed."""
-
-
 class DegenerateFamily(LagrtoriError):
     """The pencil-parameter circle passes through the singular member."""
 
 
 class ConingDegenerate(LagrtoriError):
-    """Every attempted coning basepoint produced a near-vanishing lift."""
+    """A coning chord passes too close to the origin of coordinate space."""
 
 
 class NotHermitian(LagrtoriError):

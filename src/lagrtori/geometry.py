@@ -10,10 +10,17 @@ symplectic area exactly 1, which fixes the coordinate expression
 for unit-norm ``p`` and horizontal ``u``, ``v``.  The sign is pinned by the
 line-area test in the suite, not by an external convention.
 
-Surface areas are computed by pulling the form back through finite
-differences of a parametrized lift and integrating with tensor
-Gauss-Legendre quadrature; two refinement levels give a Richardson-style
-error estimate.
+The form is exact on coordinate space minus the origin, with primitive
+
+    alpha_z(u) = -(FS_SCALE / 2) * Im <u, z> / |z|^2,
+
+so the area of a disc lifted into that space is the integral of ``alpha``
+around its lifted boundary loop.  :func:`loop_symplectic_area` integrates it
+with the trapezoid rule and a spectral derivative, doubling the node count
+until two levels agree.  :func:`surface_symplectic_area` pulls the form back
+through finite differences of a parametrized lift and integrates with tensor
+Gauss-Legendre quadrature; it serves surfaces without a usable boundary loop
+and weighted integrals.
 """
 
 from __future__ import annotations
@@ -184,10 +191,12 @@ class ParamSurface:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tensor Gauss-Legendre quadrature parameters.
+    """Quadrature parameters.
 
     ``nodes_per_axis`` is the base resolution; each refinement level doubles
-    it, and the last two levels provide the error estimate.
+    it, and the last two levels provide the error estimate.  The boundary
+    rule starts its loop at ``nodes_per_axis`` nodes and ignores
+    ``refinement_levels``.
     """
 
     nodes_per_axis: int = 32
@@ -204,6 +213,7 @@ class QuadSpec:
 class AreaEstimate(NamedTuple):
     value: float
     error: float
+    nodes: int  # finest node count per axis (per loop for the boundary rule)
 
 
 def _gl_nodes_01(n: int):
@@ -232,19 +242,6 @@ def surface_lift_partial(surface: ParamSurface, s, t, axis: int) -> np.ndarray:
 
     hh = h[..., None]
     return (8.0 * (ev(h) - ev(-h)) - (ev(2.0 * h) - ev(-2.0 * h))) / (12.0 * hh)
-
-
-def central_difference(surface: ParamSurface, s, t, axis: int, h: float) -> np.ndarray:
-    """Plain second-order central difference (used by smoothness tests)."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-
-    def ev(off):
-        if axis == 0:
-            return surface._eval(s + off, t)
-        return surface._eval(s, t + off)
-
-    return (ev(h) - ev(-h)) / (2.0 * h)
 
 
 def surface_form_grid(surface: ParamSurface, s, t) -> np.ndarray:
@@ -285,19 +282,65 @@ def surface_symplectic_area(surface: ParamSurface, quad: QuadSpec = QuadSpec(),
         disagreement.  Raises NonConvergent when the disagreement exceeds
         ``quad.max_disagreement``.
     """
-    values = [
-        _area_once(surface, quad.nodes_per_axis * (2 ** lvl), weight_fn)
-        for lvl in range(quad.refinement_levels)
-    ]
+    sizes = [quad.nodes_per_axis * (2 ** lvl) for lvl in range(quad.refinement_levels)]
+    values = [_area_once(surface, n, weight_fn) for n in sizes]
     value = values[-1]
     if len(values) == 1:
-        return AreaEstimate(value, math.inf)
+        return AreaEstimate(value, math.inf, sizes[-1])
     err = abs(values[-1] - values[-2])
     if err > quad.max_disagreement:
         raise NonConvergent(
             f"refinements disagree by {err:.3e} > {quad.max_disagreement:.1e}"
         )
-    return AreaEstimate(value, err)
+    return AreaEstimate(value, err, sizes[-1])
+
+
+# The boundary rule stops doubling once two levels agree this closely, and
+# never goes past the cap; at the cap it falls back to quad.max_disagreement.
+LOOP_AGREEMENT = 1e-12
+LOOP_MAX_NODES = 2 ** 18
+
+
+def _loop_area_once(loop: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    z = _unit_rows(loop(np.arange(n) / n))
+    k = np.fft.fftfreq(n, 1.0 / n)
+    if n % 2 == 0:
+        k[n // 2] = 0.0  # the unpaired Nyquist mode has no real derivative
+    dz = np.fft.ifft((2j * math.pi * k)[:, None] * np.fft.fft(z, axis=0), axis=0)
+    return -0.5 * FS_SCALE * float(np.mean(np.imag(hermdot(dz, z))))
+
+
+def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
+                         quad: QuadSpec = QuadSpec()) -> AreaEstimate:
+    """Integral of the primitive of the form around a closed lifted loop.
+
+    ``loop(t)`` maps an array of t in [0, 1) to lifts along the last axis and
+    must be smooth and 1-periodic in coordinate space, not only projectively.
+    By Stokes the result is the area of any disc whose lift in coordinate
+    space minus the origin has this loop as its boundary; a different lift of
+    the same projective loop changes it by a whole number.
+
+    The trapezoid rule on equispaced samples, with the derivative taken
+    spectrally, converges exponentially on smooth periodic loops.  The node
+    count starts at ``quad.nodes_per_axis`` and doubles until two levels agree
+    to LOOP_AGREEMENT.  At LOOP_MAX_NODES the value is returned if the levels
+    agree to ``quad.max_disagreement``, with that error; otherwise
+    NonConvergent is raised.
+    """
+    n = quad.nodes_per_axis
+    prev = _loop_area_once(loop, n)
+    while True:
+        n *= 2
+        value = _loop_area_once(loop, n)
+        err = abs(value - prev)
+        if err <= LOOP_AGREEMENT or (n >= LOOP_MAX_NODES and err <= quad.max_disagreement):
+            return AreaEstimate(value, err, n)
+        if n >= LOOP_MAX_NODES:
+            raise NonConvergent(
+                f"boundary rule at n = {n} nodes: levels disagree by {err:.3e}"
+                f" > {quad.max_disagreement:.1e}"
+            )
+        prev = value
 
 
 # ---------------------------------------------------------------------------

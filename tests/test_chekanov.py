@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrtori.chekanov import (
     Anchor,
@@ -23,12 +25,16 @@ from lagrtori.chekanov import (
 from lagrtori.errors import (
     ConingDegenerate,
     DegenerateFamily,
+    NonConvergent,
     SingularConic,
 )
 from lagrtori.geometry import (
     QuadSpec,
     _unit_rows,
     chordal_distance,
+    loop_symplectic_area,
+    projective_line_surface,
+    random_unitary,
     surface_form_grid,
     surface_symplectic_area,
 )
@@ -167,26 +173,102 @@ def test_torus_is_lagrangian_and_on_the_conics(a, mu, delta):
 # ---------------------------------------------------------------------------
 
 
+def _mod1_distance(x, y):
+    d = (x - y) % 1.0
+    return min(d, 1.0 - d)
+
+
+def _coned_section_area(params, seed, quad):
+    """2-D area of the s = 0 loop coned to the first usable seeded basepoint."""
+    torus = chekanov_torus(params)
+    rng = np.random.RandomState(seed)
+    for _ in range(8):
+        base = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        try:
+            disc = cone_disc(lambda t: torus._eval(t, np.zeros_like(t)), base)
+        except ConingDegenerate:
+            continue
+        return surface_symplectic_area(disc, quad).value
+    raise AssertionError("no usable coning basepoint")
+
+
 def test_orbit_period_recovers_delta():
     p = torus_periods_chekanov(ChekanovParams(0.5, 1.0, 0.25), QUAD)
-    assert p.p_orbit == pytest.approx(0.25, abs=1e-6)
-    assert p.orbit_error < 1e-6
+    assert p.p_orbit == pytest.approx(0.25, abs=1e-12)
+    assert p.orbit_error < 1e-12
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 0.5])
+def test_boundary_periods_match_the_coned_disc_oracle(a, delta):
+    params = ChekanovParams(a, 1.0, delta)
+    p = torus_periods_chekanov(params)
+    oracle = _coned_section_area(params, 0, QuadSpec(48))
+    assert _mod1_distance(p.p_section, oracle) <= 1e-8
+    assert _mod1_distance(p.p_orbit, delta) <= 1e-12
+    assert p.section_error <= 1e-12
+
+
+def test_orbit_period_near_z1_anchor():
+    p = torus_periods_chekanov(ChekanovParams(0.5, 1.0, 0.3), anchor=Anchor.NEAR_Z1)
+    assert _mod1_distance(p.p_orbit, 0.3) <= 1e-12
 
 
 def test_section_period_independent_of_basepoint():
-    a = torus_periods_chekanov(ChekanovParams(0.5, 1.0, 0.2), QUAD, seed=0)
-    b = torus_periods_chekanov(ChekanovParams(0.5, 1.0, 0.2), QUAD, seed=3)
-    assert a.p_section == pytest.approx(b.p_section, abs=2e-6)
+    params = ChekanovParams(0.5, 1.0, 0.2)
+    p = torus_periods_chekanov(params, QUAD)
+    for seed in (0, 3):
+        assert _mod1_distance(p.p_section, _coned_section_area(params, seed, QUAD)) <= 2e-6
 
 
 def test_section_period_continuous_in_a():
     quad = QuadSpec(nodes_per_axis=32, max_disagreement=1e-5)
     vals = [
-        torus_periods_chekanov(ChekanovParams(a, 1.0, 0.2), quad, seed=0).p_section
+        torus_periods_chekanov(ChekanovParams(a, 1.0, 0.2), quad).p_section
         for a in np.arange(0.30, 0.901, 0.02)
     ]
     jumps = np.abs(np.diff(vals))
     assert np.max(jumps) < 0.01
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    e=st.floats(0.2, 3.0),
+    arg=st.floats(0.0, 2.0 * math.pi),
+    rho=st.floats(0.2, 3.0),
+    inverted=st.booleans(),
+)
+def test_boundary_area_matches_2d_area_on_conic_discs(e, arg, rho, inverted):
+    disc = conic_disc_surface(e * np.exp(1j * arg), rho, inverted)
+    # the s = 0 edge is a constant lift, so only the s = 1 loop contributes
+    loop = loop_symplectic_area(lambda t: disc._eval(np.ones_like(t), t))
+    assert loop.value == pytest.approx(surface_symplectic_area(disc, QUAD).value, abs=1e-7)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_boundary_area_matches_2d_area_on_moved_lines(seed):
+    line = projective_line_surface(random_unitary(np.random.RandomState(seed)))
+    loop = loop_symplectic_area(lambda t: line._eval(np.ones_like(t), t))
+    assert loop.value == pytest.approx(surface_symplectic_area(line, QUAD).value, abs=1e-7)
+    assert loop.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_edge_regime_converges_with_more_nodes():
+    p = torus_periods_chekanov(ChekanovParams(0.99, 1.0, 0.2))
+    assert p.nodes >= 8192
+    assert p.section_error <= 1e-12
+
+
+def test_past_the_node_cap_raises_naming_the_point():
+    # delta > 0: the orbit radius blows up as the circle nears eps = 0
+    params = ChekanovParams(0.99999, 1.0 + 0j, 0.25)
+    with pytest.raises(NonConvergent) as exc:
+        torus_periods_chekanov(params)
+    msg = str(exc.value)
+    assert "section loop" in msg
+    for part in ("a=0.99999", f"mu={params.mu!r}", "delta=0.25"):
+        assert part in msg
 
 
 def test_coning_degenerates_on_antipodal_basepoint():
@@ -206,7 +288,7 @@ def test_coning_degenerates_on_antipodal_basepoint():
 
 def test_scan_small_grid_values():
     report = canonical_bs_scan(1.0, [0.3, 0.5], [-0.2, 0.0, 0.2],
-                               QuadSpec(nodes_per_axis=24), seed=0)
+                               QuadSpec(nodes_per_axis=24))
     assert len(report.rows) == 6
     by_key = {(r.a, r.delta): r for r in report.rows}
     # nonzero delta rows are rejected by the orbit period alone
@@ -220,19 +302,29 @@ def test_scan_small_grid_values():
 
 
 def test_scan_workers_agree_with_serial():
-    serial = canonical_bs_scan(1.0, [0.4], [-0.5, 0.0, 0.5], CHEAP, seed=0)
-    threaded = canonical_bs_scan(1.0, [0.4], [-0.5, 0.0, 0.5], CHEAP, seed=0,
-                                 workers=3)
+    serial = canonical_bs_scan(1.0, [0.4], [-0.5, 0.0, 0.5], CHEAP)
+    threaded = canonical_bs_scan(1.0, [0.4], [-0.5, 0.0, 0.5], CHEAP, workers=3)
     for r1, r2 in zip(serial.rows, threaded.rows):
         assert r1 == r2
 
 
 def test_scan_csv_layout():
-    report = canonical_bs_scan(1.0, [0.4], [0.0], CHEAP, seed=0)
+    report = canonical_bs_scan(1.0, [0.4], [0.0], CHEAP)
     lines = report.to_csv().splitlines()
     assert lines[0] == "a,delta,p_orbit,p_section,defect"
     assert len(lines) == 2
     assert lines[1].startswith("0.4,0.0,")
+
+
+def test_scan_rows_carry_their_evidence():
+    row = canonical_bs_scan(1.0, [0.4], [0.0], CHEAP).rows[0]
+    # reduced after rounding: delta = 0 reads exactly 0, not 0.9999999999999996
+    assert row.p_orbit == 0.0
+    assert row.defect_orbit == 0.0
+    assert row.p_section == round(row.p_section, 10)
+    assert 0.0 <= row.orbit_error <= 1e-12
+    assert 0.0 <= row.section_error <= 1e-12
+    assert row.nodes >= 2 * CHEAP.nodes_per_axis
 
 
 def test_scan_validates_regime():

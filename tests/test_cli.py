@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -65,6 +67,20 @@ def test_envelopes_validate_against_schema(name):
     )
     payload = json.loads(read_golden(name))
     jsonschema.validate(payload, schema)
+
+
+def test_scan_bytes_do_not_depend_on_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagrtori.cli"] + GOLDEN_CASES["chekanov_scan_small.json"],
+            env=env, capture_output=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["command"] == "chekanov-scan"
+    assert outputs[0] == outputs[1]
 
 
 def test_json_output_round_trips():

@@ -22,15 +22,17 @@ from lagrtori.displacement import (
     symbol_flow,
     HermitianSymbol,
 )
-from lagrtori.chekanov import ChekanovParams
+from lagrtori.chekanov import ChekanovParams, chekanov_torus
 from lagrtori.errors import (
     InternalContradiction,
     NormalizationFailure,
     NotChekanovType,
     NotHermitian,
 )
+from lagrtori.displacement import _min_pairwise_chordal
 from lagrtori.geometry import (
     QuadSpec,
+    _unit_rows,
     apply_unitary,
     surface_symplectic_area,
 )
@@ -160,6 +162,19 @@ def test_displace_chekanov_threshold_yields_inconclusive():
     assert isinstance(out, Inconclusive)
     assert out.samples == 32 * 32
     assert 0.0 < out.separation < 1.0
+
+
+@pytest.mark.parametrize("samples", [8, 24])
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_reduced_certificate_search_equals_brute_force(samples, a):
+    params = ChekanovParams(a, 1.0, 0.3)
+    g = (np.arange(samples) + 0.5) / samples
+    uu, vv = np.meshgrid(g, g, indexing="ij")
+    src = _unit_rows(chekanov_torus(params)._eval(uu, vv)).reshape(-1, 3)
+    img = src @ symbol_flow(diagonal_symbol(0.0, 0.0, 1.0), math.pi / 2.0).T
+    cert = displace_chekanov(params, samples=samples)
+    assert cert.separation == pytest.approx(_min_pairwise_chordal(src, img), abs=1e-14)
+    assert cert.detail["pairs_examined"] == samples ** 3
 
 
 def test_displace_chekanov_rejects_wide_circles():
