@@ -16,6 +16,7 @@ the global circle-action moment, the assembled torus is lagrangian.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -36,7 +37,6 @@ from .geometry import (
     _unit_rows,
     loop_symplectic_area,
     normalize_point,
-    surface_symplectic_area,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -149,12 +149,18 @@ def conic_disc_surface(eps: complex, rho: float, inverted: bool = False) -> Para
 
 
 def conic_total_area(eps: complex, quad: QuadSpec = QuadSpec()) -> tuple[float, float]:
-    """Total symplectic area of a smooth member, by two-chart quadrature."""
+    """Total symplectic area of a smooth member and its error estimate.
+
+    The member is the union of the two anchored discs bounded by the
+    area-bisecting orbit.  Each disc's lift is nonvanishing, so by Stokes its
+    area is the boundary integral around its s = 1 edge.
+    """
     eps = _require_smooth(eps)
     mid = 1.0 / math.sqrt(abs(eps))  # the area-bisecting orbit
-    a1 = surface_symplectic_area(conic_disc_surface(eps, mid), quad)
-    a2 = surface_symplectic_area(conic_disc_surface(eps, mid, inverted=True), quad)
-    return (a1.value + a2.value, a1.error + a2.error)
+    ests = [loop_symplectic_area(functools.partial(disc._eval, 1.0), quad)
+            for disc in (conic_disc_surface(eps, mid),
+                         conic_disc_surface(eps, mid, inverted=True))]
+    return (ests[0].value + ests[1].value, ests[0].error + ests[1].error)
 
 
 class Anchor(str, enum.Enum):

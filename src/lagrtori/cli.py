@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import __version__
 from .chekanov import REPORT_DECIMALS, canonical_bs_scan
-from .clifford import ActionCoords, enumerate_bs_fibers, hilbert_dimension, interior_rational_grid
+from .clifford import ActionCoords, enumerate_bs_fibers, interior_rational_grid
 from .displacement import (
     DisplacementCertificate,
     Inconclusive,
@@ -72,7 +72,7 @@ def _emit(out_stream, text: str) -> None:
 
 def _cmd_bs_count(args, out) -> int:
     fibers = enumerate_bs_fibers(args.level, closed=args.closed)
-    comparison = hilbert_dimension(args.level, closed=args.closed)
+    comparison = fibers.comparison()
     if args.format == "csv":
         lines = ["r0_num,r0_den,r1_num,r1_den"]
         for f in fibers.fibers:

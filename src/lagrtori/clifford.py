@@ -8,7 +8,8 @@ The fiber over an interior point is the torus
     (theta0, theta1) |-> [sqrt(r0) e^{i theta0} : sqrt(r1) e^{i theta1} : sqrt(1 - r0 - r1)]
 
 whose basis cycles d1, d2 (and their sum d3 = d1 + d2) bound standard discs
-with symplectic areas r0, r1 and r0 + r1.
+with symplectic areas r0, r1 and r0 + r1.  Periods are boundary integrals
+(:func:`lagrtori.geometry.loop_symplectic_area`) around these cycles.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from .geometry import (
     HomogeneousPoint,
     ParamSurface,
     QuadSpec,
-    hermdot,
+    loop_symplectic_area,
     normalize_point,
-    surface_symplectic_area,
 )
 from .maslov import DiscWithBoundary
 
@@ -47,6 +47,9 @@ class ActionCoords:
     r1: float | Fraction
 
     def __post_init__(self):
+        # exact test first: it needs no float conversion of Fraction inputs
+        if self.r0 >= 0 and self.r1 >= 0 and self.r0 + self.r1 <= 1:
+            return
         eps = 1e-12
         if self.r0 < -eps or self.r1 < -eps or self.r0 + self.r1 > 1 + eps:
             raise ValueError(f"({self.r0}, {self.r1}) is outside the moment triangle")
@@ -140,6 +143,10 @@ def standard_disc(fiber: CliffordFiber, cls: HomologyClass) -> DiscWithBoundary:
     mirrors it with area r1.  For d3 the disc lives in the affine chart around
     [0:0:1] with the diagonal boundary cycle theta0 = theta1; its area is
     r0 + r1 and its index is 2.  All three stay inside the chart {z2 != 0}.
+
+    Each lift is nonvanishing on the whole disc and its s = 1 edge is the
+    boundary loop (for d3 a positive multiple of it), so by Stokes the disc
+    area is the boundary integral of ``boundary_loop``.
     """
     r0, r1 = fiber.base.as_floats()
     r2 = 1.0 - r0 - r1
@@ -204,28 +211,33 @@ def _mod_unit(x: float) -> float:
     return x - math.floor(x)
 
 
+def _loop_periods(loops, quad: QuadSpec, level: int) -> FiberPeriods:
+    """``level`` times the boundary integrals around the d1 and d2 loops,
+    mod 1, with ``level`` times their errors."""
+    ests = [loop_symplectic_area(loop, quad) for loop in loops]
+    return FiberPeriods(*(_mod_unit(level * e.value) for e in ests),
+                        *(level * e.error for e in ests))
+
+
 def fiber_periods(base: ActionCoords | tuple, quad: QuadSpec = QuadSpec(),
                   level: int = 1) -> FiberPeriods:
     """Periods of the fiber's basis cycles at integrality level ``level``.
 
     Each period is ``level`` times the standard-disc area, reduced mod 1 to
-    [0, 1); at level 1 they recover the action coordinates of the base.
+    [0, 1); at level 1 they recover the action coordinates of the base.  The
+    areas are boundary integrals around the standard discs' boundary loops;
+    the errors are ``level`` times the boundary rule's level disagreement.
     """
     fiber = clifford_fiber(base)
-    out = []
-    errs = []
-    for cls in (D1, D2):
-        est = surface_symplectic_area(standard_disc(fiber, cls).disc, quad)
-        out.append(_mod_unit(level * est.value))
-        errs.append(level * est.error)
-    return FiberPeriods(out[0], out[1], errs[0], errs[1])
+    return _loop_periods([standard_disc(fiber, cls).boundary_loop for cls in (D1, D2)],
+                         quad, level)
 
 
 def diagonal_period(base: ActionCoords | tuple, quad: QuadSpec = QuadSpec(),
                     level: int = 1) -> tuple[float, float]:
     """Period of the diagonal cycle d3 (sum of the basis periods mod 1)."""
     fiber = clifford_fiber(base)
-    est = surface_symplectic_area(standard_disc(fiber, D3).disc, quad)
+    est = loop_symplectic_area(standard_disc(fiber, D3).boundary_loop, quad)
     return (_mod_unit(level * est.value), level * est.error)
 
 
@@ -245,6 +257,21 @@ class BSFiberSet:
     @property
     def count(self) -> int:
         return len(self.fibers)
+
+    @property
+    def dimension(self) -> int:
+        """Dimension of the matching space of plane sections, in closed form.
+
+        Interior fibers at level k match degree-(k-3) homogeneous polynomials
+        in three variables; closed fibers match degree k.  Dimensions below
+        degree 0 are 0.
+        """
+        deg = self.level if self.closed else self.level - 3
+        return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
+
+    def comparison(self) -> "HilbertComparison":
+        """The enumerated count against :attr:`dimension`."""
+        return HilbertComparison(self.count, self.dimension, self.count == self.dimension)
 
     def to_json(self) -> dict:
         return {
@@ -285,16 +312,9 @@ class HilbertComparison(NamedTuple):
 
 
 def hilbert_dimension(level: int, closed: bool = False) -> HilbertComparison:
-    """Compare the fiber count with the matching space of plane sections.
-
-    Interior fibers at level k are as many as degree-(k-3) homogeneous
-    polynomials in three variables; closed fibers match degree k.  Dimensions
-    below degree 0 are 0.
-    """
-    fibers = enumerate_bs_fibers(level, closed)
-    deg = level if closed else level - 3
-    dim = (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
-    return HilbertComparison(fibers.count, dim, fibers.count == dim)
+    """Compare the enumerated fiber count with the matching space of plane
+    sections (:attr:`BSFiberSet.dimension`)."""
+    return enumerate_bs_fibers(level, closed).comparison()
 
 
 def interior_rational_grid(n: int) -> list[tuple[Fraction, Fraction]]:
@@ -373,14 +393,18 @@ class DeformationSpec:
     ``c1``, ``c2`` are the closed-form class in area units: moving along the
     deformation shifts the d1/d2 periods by exactly (s*c1, s*c2).  ``f`` is a
     smooth real function of the two angle parameters (radians, 2pi-periodic);
-    its differential is the exact part and moves no period.
+    its differential is the exact part and moves no period.  ``fd_step`` is
+    the step of the difference stencil for that differential; the default is
+    a power of two, so the stencil angles theta +- k h are exact for almost
+    every sample angle.  A step such as 1e-3 rounds them and leaves a bias
+    of a few 1e-15 in the periods.
     """
 
     c1: float
     c2: float
     f: Callable | None = None
     scale: float = 1.0
-    fd_step: float = 1e-3
+    fd_step: float = 2.0 ** -10
 
 
 def _angle_gradient(f: Callable, theta0, theta1, h: float):
@@ -422,6 +446,15 @@ def _check_stays_inside(fiber: CliffordFiber, spec: DeformationSpec,
         raise LeavesTriangle("deformed action values exit the open moment triangle")
 
 
+def _deformed_lift(fiber: CliffordFiber, spec: DeformationSpec, theta0, theta1):
+    """Coordinate lift of the graph torus at angle parameters (radians)."""
+    i0, i1 = _deformed_actions(fiber, spec, theta0, theta1)
+    z0 = np.sqrt(i0) * np.exp(1j * theta0)
+    z1 = np.sqrt(i1) * np.exp(1j * theta1)
+    z2 = np.sqrt(1.0 - i0 - i1) * np.ones_like(z0)
+    return np.stack([z0, z1, z2], axis=-1)
+
+
 def deform_fiber(fiber: CliffordFiber, spec: DeformationSpec,
                  check_grid: int = 64) -> ParamSurface:
     """Graph torus of the deformation one-form over the fiber.
@@ -432,57 +465,39 @@ def deform_fiber(fiber: CliffordFiber, spec: DeformationSpec,
     value exits the open triangle.
     """
     _check_stays_inside(fiber, spec, check_grid)
-
-    def lift(s, t):
-        theta0 = _TWO_PI * np.asarray(s, dtype=float)
-        theta1 = _TWO_PI * np.asarray(t, dtype=float)
-        i0, i1 = _deformed_actions(fiber, spec, theta0, theta1)
-        z0 = np.sqrt(i0) * np.exp(1j * theta0)
-        z1 = np.sqrt(i1) * np.exp(1j * theta1)
-        z2 = np.sqrt(1.0 - i0 - i1) * np.ones_like(z0)
-        return np.stack([z0, z1, z2], axis=-1)
-
-    return ParamSurface(lift, periodic=(True, True))
+    return ParamSurface(
+        lambda s, t: _deformed_lift(fiber, spec, _TWO_PI * np.asarray(s, dtype=float),
+                                    _TWO_PI * np.asarray(t, dtype=float)),
+        periodic=(True, True),
+    )
 
 
-def _deformation_tube(fiber: CliffordFiber, spec: DeformationSpec,
-                      cls: HomologyClass) -> ParamSurface:
-    """Tube between the base cycle and the deformed cycle, angle fixed."""
-    r0, r1 = fiber.base.as_floats()
+def _deformed_cycle(fiber: CliffordFiber, spec: DeformationSpec, cls: HomologyClass):
+    """Lifted loop of the deformed d1 or d2 cycle (the other angle fixed at 0)."""
 
-    def lift(s, t):
-        tau = np.asarray(s, dtype=float)
+    def loop(t):
         theta = _TWO_PI * np.asarray(t, dtype=float)
+        zero = np.zeros_like(theta)
         if cls == D1:
-            th0, th1 = theta, np.zeros_like(theta)
-        else:
-            th0, th1 = np.zeros_like(theta), theta
-        i0_full, i1_full = _deformed_actions(fiber, spec, th0, th1)
-        i0 = r0 + tau * (i0_full - r0)
-        i1 = r1 + tau * (i1_full - r1)
-        z0 = np.sqrt(i0) * np.exp(1j * th0)
-        z1 = np.sqrt(i1) * np.exp(1j * th1)
-        z2 = np.sqrt(1.0 - i0 - i1) * np.ones_like(z0)
-        return np.stack([z0, z1, z2], axis=-1)
+            return _deformed_lift(fiber, spec, theta, zero)
+        return _deformed_lift(fiber, spec, zero, theta)
 
-    return ParamSurface(lift, periodic=(False, True))
+    return loop
 
 
 def deformed_fiber_periods(fiber: CliffordFiber, spec: DeformationSpec,
                            quad: QuadSpec = QuadSpec(), level: int = 1
                            ) -> FiberPeriods:
-    """Periods of the deformed torus: standard-disc area plus tube area.
+    """Periods of the deformed torus: one boundary integral per deformed cycle.
 
-    The bounding chain for the deformed d_i cycle is the fiber's standard
-    disc glued to the action-interpolation tube; areas add under quadrature.
+    The deformed d_i cycle bounds the fiber's standard disc glued to the tube
+    that interpolates the action values between the two cycles at fixed
+    angle.  That chain has a nonvanishing lift (the interpolated actions stay
+    in the open triangle), so by Stokes its area is the boundary integral
+    around the deformed cycle alone.
     """
     if level < 1:
         raise ValueError("level must be positive")
     _check_stays_inside(fiber, spec)
-    out, errs = [], []
-    for cls in (D1, D2):
-        disc_est = surface_symplectic_area(standard_disc(fiber, cls).disc, quad)
-        tube_est = surface_symplectic_area(_deformation_tube(fiber, spec, cls), quad)
-        out.append(_mod_unit(level * (disc_est.value + tube_est.value)))
-        errs.append(level * (disc_est.error + tube_est.error))
-    return FiberPeriods(out[0], out[1], errs[0], errs[1])
+    return _loop_periods([_deformed_cycle(fiber, spec, cls) for cls in (D1, D2)],
+                         quad, level)

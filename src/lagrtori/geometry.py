@@ -17,10 +17,12 @@ The form is exact on coordinate space minus the origin, with primitive
 so the area of a disc lifted into that space is the integral of ``alpha``
 around its lifted boundary loop.  :func:`loop_symplectic_area` integrates it
 with the trapezoid rule and a spectral derivative, doubling the node count
-until two levels agree.  :func:`surface_symplectic_area` pulls the form back
-through finite differences of a parametrized lift and integrates with tensor
-Gauss-Legendre quadrature; it serves surfaces without a usable boundary loop
-and weighted integrals.
+until two levels agree; every period and disc area in the package goes
+through it.  :func:`surface_symplectic_area` pulls the form back through
+finite differences of a parametrized lift and integrates with tensor
+Gauss-Legendre quadrature; it serves the section area and the weighted
+integral of the diagonal rotation, and is the independent oracle for the
+boundary rule in the tests.
 """
 
 from __future__ import annotations

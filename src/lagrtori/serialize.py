@@ -1,8 +1,7 @@
 """Versioned JSON serialization helpers shared by the modules and the CLI.
 
-Complex numbers are [re, im] pairs, exact rationals are [numerator,
-denominator] pairs, and surfaces serialize as row-major sample grids of
-homogeneous lifts.  Dumps are byte-stable: keys sorted, fixed separators,
+Complex numbers are [re, im] pairs and exact rationals are [numerator,
+denominator] pairs.  Dumps are byte-stable: keys sorted, fixed separators,
 floats through repr (shortest round-trip).
 """
 
@@ -10,8 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-
-import numpy as np
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -31,32 +28,6 @@ def number_or_rational(x):
     if isinstance(x, Fraction):
         return rational_pair(x)
     return float(x)
-
-
-def point_to_json(point) -> dict:
-    z = point.canonical().z
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "point",
-        "z": [complex_pair(c) for c in z],
-    }
-
-
-def surface_to_json(surface, grid: int = 16) -> dict:
-    """Row-major grid of unit homogeneous lifts sampling the surface."""
-    g = np.linspace(0.0, 1.0, grid)
-    uu, vv = np.meshgrid(g, g, indexing="ij")
-    z = surface._eval(uu, vv)
-    z = z / np.linalg.norm(z, axis=-1, keepdims=True)
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "surface",
-        "grid": [grid, grid],
-        "periodic": list(surface.periodic),
-        "samples": [
-            [complex_pair(c) for c in row] for row in z.reshape(-1, 3)
-        ],
-    }
 
 
 def stable_dumps(payload) -> str:

@@ -103,6 +103,13 @@ def test_total_conic_area_is_two():
         assert err < 1e-6
 
 
+@pytest.mark.parametrize("eps", [1.0, 0.3 + 0.4j, 5.0, 0.01j, 100.0])
+def test_total_conic_area_by_boundary_rule_is_exact(eps):
+    total, err = conic_total_area(eps, QuadSpec(nodes_per_axis=64))
+    assert total == pytest.approx(2.0, abs=1e-12)
+    assert abs(total - 2.0) <= err + 1e-15
+
+
 @pytest.mark.parametrize("delta", [-0.35, 0.0, 0.2, 0.8])
 @pytest.mark.parametrize("anchor", [Anchor.NEAR_Z0, Anchor.NEAR_Z1])
 def test_delta_label_round_trip(delta, anchor):

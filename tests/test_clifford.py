@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lagrtori.clifford import (
     ActionCoords,
@@ -11,6 +13,7 @@ from lagrtori.clifford import (
     D3,
     DeformationSpec,
     HomologyClass,
+    _deformed_cycle,
     clifford_fiber,
     deform_fiber,
     deformed_fiber_periods,
@@ -29,7 +32,13 @@ from lagrtori.errors import (
     StencilOutOfDomain,
     UnsupportedClass,
 )
-from lagrtori.geometry import QuadSpec, surface_form_grid, surface_symplectic_area
+from lagrtori.geometry import (
+    ParamSurface,
+    QuadSpec,
+    loop_symplectic_area,
+    surface_form_grid,
+    surface_symplectic_area,
+)
 
 QUAD = QuadSpec()
 
@@ -47,6 +56,22 @@ def test_action_coords_validation():
         ActionCoords(0.7, 0.4)
     with pytest.raises(ValueError):
         ActionCoords(-0.1, 0.5)
+
+
+def test_action_coords_exact_test_keeps_the_tolerance():
+    # the exact fast path must not change which points are accepted
+    ActionCoords(Fraction(-1, 10**13), Fraction(1, 2))
+    ActionCoords(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**13))
+    with pytest.raises(ValueError):
+        ActionCoords(Fraction(-1, 10**11), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        ActionCoords(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**11))
+    ActionCoords(-1e-13, 0.5)
+    ActionCoords(0.5, 0.5 + 1e-13)
+    with pytest.raises(ValueError):
+        ActionCoords(-1e-11, 0.5)
+    with pytest.raises(ValueError):
+        ActionCoords(0.5, 0.5 + 1e-11)
 
 
 def test_boundary_fiber_rejected():
@@ -116,6 +141,36 @@ def test_periods_scale_with_level():
     assert p3.p2 == pytest.approx((3 * 0.3) % 1.0, abs=1e-6)
 
 
+def _mod1_gap(x, y):
+    gap = abs(x - y) % 1.0
+    return min(gap, 1.0 - gap)
+
+
+BASES = [(0.15, 0.15), (0.3, 0.45), (0.45, 0.3)]
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("cls", [D1, D2, D3])
+def test_boundary_loop_matches_2d_disc_area(base, cls):
+    disc = standard_disc(clifford_fiber(base), cls)
+    loop = loop_symplectic_area(disc.boundary_loop, QUAD)
+    assert loop.value == pytest.approx(surface_symplectic_area(disc.disc, QUAD).value,
+                                       abs=1e-7)
+
+
+@pytest.mark.parametrize("base", BASES + [(1 / 3, 1 / 3)])
+@pytest.mark.parametrize("level", [1, 3])
+def test_periods_match_closed_forms_within_their_errors(base, level):
+    r0, r1 = base
+    p = fiber_periods(base, QUAD, level=level)
+    d3, d3_error = diagonal_period(base, QUAD, level=level)
+    for got, err, want in ((p.p1, p.p1_error, r0), (p.p2, p.p2_error, r1),
+                           (d3, d3_error, r0 + r1)):
+        gap = _mod1_gap(got, level * want)
+        assert gap <= 1e-12
+        assert gap <= err + 1e-15
+
+
 # ---------------------------------------------------------------------------
 # integral fiber enumeration
 # ---------------------------------------------------------------------------
@@ -139,6 +194,17 @@ def test_level3_unique_interior_fiber():
 @pytest.mark.parametrize("level,want", [(1, 3), (2, 6), (3, 10)])
 def test_closed_counts_small_levels(level, want):
     assert enumerate_bs_fibers(level, closed=True).count == want
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_fiber_set_dimension_is_closed_form(closed):
+    for level in range(1, 31):
+        fibers = enumerate_bs_fibers(level, closed)
+        deg = level if closed else level - 3
+        want = math.comb(deg + 2, 2) if deg >= 0 else 0
+        assert fibers.dimension == want
+        assert fibers.comparison() == (len(fibers.fibers), want, len(fibers.fibers) == want)
+        assert hilbert_dimension(level, closed) == fibers.comparison()
 
 
 @pytest.mark.parametrize("level", range(3, 31))
@@ -250,3 +316,67 @@ def test_deformation_leaving_triangle_rejected():
         deform_fiber(fiber, DeformationSpec(-0.2, 0.0))
     with pytest.raises(LeavesTriangle):
         deformed_fiber_periods(fiber, DeformationSpec(-0.2, 0.0), QUAD)
+
+
+def _tube(inner, outer) -> ParamSurface:
+    """Surface from loop ``inner`` (s = 0) to loop ``outer`` (s = 1) that
+    interpolates the squared moduli and keeps the phases of ``inner``."""
+
+    def lift(s, t):
+        s = np.asarray(s, dtype=float)[..., None]
+        zi, zo = inner(t), outer(t)
+        moduli = (1.0 - s) * np.abs(zi) ** 2 + s * np.abs(zo) ** 2
+        return np.sqrt(moduli) * np.exp(1j * np.angle(zi))
+
+    return ParamSurface(lift, periodic=(False, True))
+
+
+def _small_exact_part(theta0, theta1):
+    return 0.01 * np.sin(theta0) * np.cos(theta1)
+
+
+# bases and deformation classes of the toric benchmark (its seed 0)
+TORIC_DEFORMATIONS = [((1 / 3, 1 / 3), (0.034, 0.026)),
+                      ((0.2, 0.4), (-0.008, -0.024)),
+                      ((0.4, 0.2), (0.001, -0.01))]
+
+
+@pytest.mark.parametrize("base,cls_shift", TORIC_DEFORMATIONS)
+def test_deformed_cycle_matches_disc_plus_tube(base, cls_shift):
+    fiber = clifford_fiber(base)
+    spec = DeformationSpec(*cls_shift, f=_small_exact_part)
+    got = deformed_fiber_periods(fiber, spec, QUAD)
+    for cls, period in ((D1, got.p1), (D2, got.p2)):
+        disc = standard_disc(fiber, cls)
+        tube = _tube(disc.boundary_loop, _deformed_cycle(fiber, spec, cls))
+        oracle = (surface_symplectic_area(disc.disc, QUAD).value
+                  + surface_symplectic_area(tube, QUAD).value)
+        assert period == pytest.approx(oracle, abs=1e-7)
+
+
+@pytest.mark.parametrize("base,cls_shift", TORIC_DEFORMATIONS)
+@pytest.mark.parametrize("scale,level", [(1.0, 1), (0.5, 3)])
+def test_deformed_periods_match_closed_forms_within_their_errors(base, cls_shift,
+                                                                 scale, level):
+    spec = DeformationSpec(*cls_shift, f=_bump, scale=scale)
+    got = deformed_fiber_periods(clifford_fiber(base), spec, QUAD, level=level)
+    for period, err, r, c in ((got.p1, got.p1_error, base[0], cls_shift[0]),
+                              (got.p2, got.p2_error, base[1], cls_shift[1])):
+        gap = _mod1_gap(period, level * (r + scale * c))
+        assert gap <= 1e-12
+        assert gap <= err + 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r0=st.floats(0.1, 0.75),
+    r1=st.floats(0.1, 0.75),
+    c1=st.floats(-0.05, 0.05),
+    c2=st.floats(-0.05, 0.05),
+)
+def test_deformed_periods_shift_by_the_class(r0, r1, c1, c2):
+    assume(r0 + r1 <= 0.85)
+    spec = DeformationSpec(c1, c2, f=_small_exact_part)
+    got = deformed_fiber_periods(clifford_fiber((r0, r1)), spec, QUAD)
+    assert _mod1_gap(got.p1, r0 + c1) <= 1e-12
+    assert _mod1_gap(got.p2, r1 + c2) <= 1e-12
