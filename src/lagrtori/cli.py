@@ -82,7 +82,7 @@ def _cmd_bs_count(args, out) -> int:
         return EXIT_OK
     results = {
         "count": fibers.count,
-        "fibers": [[rational_pair(f.r0), rational_pair(f.r1)] for f in fibers.fibers],
+        "fibers": fibers.to_json()["fibers"],
         "hilbert_dimension": comparison.dimension,
         "match": comparison.match,
     }

@@ -35,6 +35,7 @@ from .geometry import (
     normalize_point,
 )
 from .maslov import DiscWithBoundary
+from .serialize import rational_pair
 
 _TWO_PI = 2.0 * math.pi
 
@@ -278,10 +279,7 @@ class BSFiberSet:
             "level": self.level,
             "closed": self.closed,
             "count": self.count,
-            "fibers": [
-                [[f.r0.numerator, f.r0.denominator], [f.r1.numerator, f.r1.denominator]]
-                for f in self.fibers
-            ],
+            "fibers": [[rational_pair(f.r0), rational_pair(f.r1)] for f in self.fibers],
         }
 
 
@@ -297,8 +295,9 @@ def enumerate_bs_fibers(level: int, closed: bool = False) -> BSFiberSet:
         raise ValueError("level must be a positive integer")
     lo = 0 if closed else 1
     hi = level if closed else level - 1
+    vals = [Fraction(i, level) for i in range(level + 1)]
     fibers = [
-        ActionCoords(Fraction(i, level), Fraction(j, level))
+        ActionCoords(vals[i], vals[j])
         for i in range(lo, hi + 1)
         for j in range(lo, hi - i + 1)
     ]
@@ -325,12 +324,8 @@ def interior_rational_grid(n: int) -> list[tuple[Fraction, Fraction]]:
     """
     if n < 1:
         raise ValueError("grid size must be positive")
-    den = n + 2
-    return [
-        (Fraction(i, den), Fraction(j, den))
-        for i in range(1, n + 1)
-        for j in range(1, n + 2 - i)
-    ]
+    vals = [Fraction(i, n + 2) for i in range(n + 1)]
+    return [(vals[i], vals[j]) for i in range(1, n + 1) for j in range(1, n + 2 - i)]
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,10 @@ class HermitianSymbol:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
+        # a private read-only copy: a later write by the caller, or to a
+        # shared symbol, cannot undo the validation below
+        a = np.array(self.matrix, dtype=complex)
+        a.flags.writeable = False
         if a.shape != (3, 3):
             raise NotHermitian(f"expected a 3x3 matrix, got {a.shape}")
         if np.max(np.abs(a - a.conj().T)) > _HERM_TOL:
@@ -85,6 +88,10 @@ def swap_symbol(j: int, k: int) -> HermitianSymbol:
     a = np.zeros((3, 3), dtype=complex)
     a[j, k] = a[k, j] = 1.0
     return HermitianSymbol(a)
+
+
+# the swaps that can come first in _swap_displacement
+_SWAPS = {jk: swap_symbol(*jk) for jk in ((0, 1), (1, 2))}
 
 
 def symbol_flow(symbol: HermitianSymbol, t: float) -> np.ndarray:
@@ -149,28 +156,37 @@ def displace_clifford(base: ActionCoords):
     """
     if not base.is_interior():
         raise ValueError("displacement test expects an interior fiber")
-    r = (base.r0, base.r1, base.r2)
-    images = {
-        (0, 1): (r[1], r[0]),
-        (1, 2): (r[0], r[2]),
-        (0, 2): (r[2], r[1]),
-    }
-    for (j, k), img in images.items():
-        if img != (r[0], r[1]):
-            gap = math.hypot(float(img[0] - r[0]), float(img[1] - r[1]))
-            return DisplacementCertificate(
-                symbol=swap_symbol(j, k),
-                time=math.pi / 2.0,
-                separation=gap,
-                method=CertificateMethod.MOMENT_IMAGE_DISJOINT,
-                samples=0,
-                detail={
-                    "source_moment": [number_or_rational(r[0]), number_or_rational(r[1])],
-                    "image_moment": [number_or_rational(img[0]), number_or_rational(img[1])],
-                    "swap": [j, k],
-                },
-            )
-    return NotDisplacedByTheseFlows(base=(r[0], r[1]))
+    return _swap_displacement(base)
+
+
+def _swap_displacement(base: ActionCoords):
+    """:func:`displace_clifford` for a base already known to be interior.
+
+    The swaps are tried in the order (0, 1), (1, 2), (0, 2).  (0, 1) moves
+    every point off the diagonal r0 = r1; on it, (1, 2) and (0, 2) both move
+    exactly the points with r2 != r0, so (0, 2) is never the first to move.
+    """
+    r0, r1 = base.r0, base.r1
+    if r0 != r1:
+        jk, img = (0, 1), (r1, r0)
+    else:
+        r2 = base.r2
+        if r2 == r0:
+            return NotDisplacedByTheseFlows(base=(r0, r1))
+        jk, img = (1, 2), (r0, r2)
+    gap = math.hypot(float(img[0] - r0), float(img[1] - r1))
+    return DisplacementCertificate(
+        symbol=_SWAPS[jk],
+        time=math.pi / 2.0,
+        separation=gap,
+        method=CertificateMethod.MOMENT_IMAGE_DISJOINT,
+        samples=0,
+        detail={
+            "source_moment": [number_or_rational(r0), number_or_rational(r1)],
+            "image_moment": [number_or_rational(img[0]), number_or_rational(img[1])],
+            "swap": list(jk),
+        },
+    )
 
 
 def _min_pairwise_chordal(a: np.ndarray, b: np.ndarray, block: int = 2048) -> float:
@@ -466,7 +482,7 @@ class Monotone:
 def _exact_canonical_bs(base: ActionCoords, tol: float) -> bool:
     vals = (base.r0, base.r1)
     if all(isinstance(v, Fraction) for v in vals):
-        return all((3 * v).denominator == 1 for v in vals)
+        return all(3 * v.numerator % v.denominator == 0 for v in vals)
     return all(abs(3 * float(v) - round(3 * float(v))) <= tol for v in vals)
 
 
@@ -479,7 +495,7 @@ def enc_verdict(base: ActionCoords, tol: float = 1e-9):
     """
     if not base.is_interior():
         raise ValueError("verdict expects an interior fiber")
-    outcome = displace_clifford(base)
+    outcome = _swap_displacement(base)
     displaced = isinstance(outcome, DisplacementCertificate)
 
     canonical = _exact_canonical_bs(base, tol)

@@ -1,16 +1,31 @@
 """Versioned JSON serialization helpers shared by the modules and the CLI.
 
 Complex numbers are [re, im] pairs and exact rationals are [numerator,
-denominator] pairs.  Dumps are byte-stable: keys sorted, fixed separators,
-floats through repr (shortest round-trip).
+denominator] pairs.
+
+Byte contract: :func:`stable_dumps` returns exactly the text of
+``json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "),
+allow_nan=False)``: keys sorted, two-space indent, floats through
+``float.__repr__`` (shortest round-trip), strings ASCII-escaped.  NaN and
+infinities raise ValueError, a circular container raises ValueError, and
+any other type raises TypeError, as in :mod:`json`.  It differs only in
+speed.  ``json`` (CPython 3.11) uses its C encoder only when ``indent`` is
+None and its pure-Python one otherwise; this writer renders each list
+whose items are all exactly ``int`` (the [num, den] pairs, swap indices)
+once per indent depth and reuses the text.  That memo lives for one call
+and keys on the item tuple, holding ints only (``type(x) is int``):
+bools, and floats equal to an int, never share an entry.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA_VERSION = "1.0.0"
+
+_INDENT = "  "
 
 
 def complex_pair(z) -> list[float]:
@@ -19,7 +34,8 @@ def complex_pair(z) -> list[float]:
 
 
 def rational_pair(x: Fraction) -> list[int]:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return [x.numerator, x.denominator]
 
 
@@ -30,7 +46,108 @@ def number_or_rational(x):
     return float(x)
 
 
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """Dict keys as ``json`` converts them, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
 def stable_dumps(payload) -> str:
-    """Deterministic JSON text: sorted keys, no trailing whitespace drift."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "),
-                      indent=2, allow_nan=False)
+    """Deterministic JSON text; see the module docstring for the contract."""
+    chunks: list[str] = []
+    # The writers are module functions, not closures: nested functions that
+    # call each other form a reference cycle, which would keep every chunk
+    # alive after return until the cyclic collector runs.  The two state
+    # arguments are the int-list memo, (depth, items) -> text, and the ids
+    # of the containers being written, for cycle detection.
+    _write(payload, 0, chunks.append, {}, set())
+    return "".join(chunks)
+
+
+def _write(o, depth: int, emit, int_lists: dict, open_ids: set) -> None:
+    if isinstance(o, str):
+        emit(_quote(o))
+    elif o is None:
+        emit("null")
+    elif o is True:
+        emit("true")
+    elif o is False:
+        emit("false")
+    elif isinstance(o, int):
+        emit(int.__repr__(o))
+    elif isinstance(o, float):
+        emit(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        _write_list(o, depth, emit, int_lists, open_ids)
+    elif isinstance(o, dict):
+        _write_dict(o, depth, emit, int_lists, open_ids)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
+def _enter(o, open_ids: set) -> None:
+    if id(o) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(o))
+
+
+def _write_list(o, depth: int, emit, int_lists: dict, open_ids: set) -> None:
+    if not o:
+        emit("[]")
+        return
+    for x in o:
+        if type(x) is not int:
+            break
+    else:
+        key = (depth, tuple(o))
+        text = int_lists.get(key)
+        if text is None:
+            sep = ",\n" + _INDENT * (depth + 1)
+            text = int_lists[key] = (
+                "[" + sep[1:] + sep.join(map(int.__repr__, o))
+                + "\n" + _INDENT * depth + "]")
+        emit(text)
+        return
+    _enter(o, open_ids)
+    inner = "\n" + _INDENT * (depth + 1)
+    sep = "[" + inner
+    for x in o:
+        emit(sep)
+        sep = "," + inner
+        _write(x, depth + 1, emit, int_lists, open_ids)
+    emit("\n" + _INDENT * depth + "]")
+    open_ids.discard(id(o))
+
+
+def _write_dict(o, depth: int, emit, int_lists: dict, open_ids: set) -> None:
+    if not o:
+        emit("{}")
+        return
+    _enter(o, open_ids)
+    inner = "\n" + _INDENT * (depth + 1)
+    sep = "{" + inner
+    for k, v in sorted(o.items()):
+        emit(sep + _quote(_key_text(k)) + ": ")
+        sep = "," + inner
+        _write(v, depth + 1, emit, int_lists, open_ids)
+    emit("\n" + _INDENT * depth + "}")
+    open_ids.discard(id(o))

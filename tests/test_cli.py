@@ -1,8 +1,10 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -89,6 +91,33 @@ def test_json_output_round_trips():
     assert payload["command"] == "bs-count"
     assert payload["results"]["count"] == 6
     assert payload["results"]["match"] is True
+
+
+def _reference_enc_row(r0, r1):
+    """The first coordinate swap that moves (r0, r1), in plain Fractions."""
+    r = (r0, r1, 1 - r0 - r1)
+    if r0 == r1 == r[2]:
+        return {"verdict": "monotone"}
+    for (j, k) in ((0, 1), (1, 2), (0, 2)):
+        img = list(r)
+        img[j], img[k] = img[k], img[j]
+        if (img[0], img[1]) != (r0, r1):
+            return {"verdict": "displaceable", "swap": [j, k],
+                    "separation": math.hypot(float(img[0] - r0), float(img[1] - r1))}
+
+
+def test_enc_report_rows_match_fraction_reference():
+    _, out, _ = run_cli(["enc-report", "--grid", "40"])
+    rows = json.loads(out)["results"]["rows"]
+    points = [(Fraction(i, 42), Fraction(j, 42))
+              for i in range(1, 41) for j in range(1, 42 - i)]
+    assert [(Fraction(*row["base"][0]), Fraction(*row["base"][1])) for row in rows] == points
+    for row, (r0, r1) in zip(rows, points):
+        want = _reference_enc_row(r0, r1)
+        got = {key: row[key] for key in want}
+        assert got == want, (r0, r1)
+        if "separation" in want:
+            assert got["separation"].hex() == want["separation"].hex()
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,22 @@ def test_bs_fiber_set_json_round_trip():
     assert payload["fibers"] == [[[1, 3], [1, 3]]]
 
 
+@pytest.mark.parametrize("closed", [False, True])
+def test_enumeration_matches_pointwise_construction(closed):
+    for level in range(1, 31):
+        lo, hi = (0, level) if closed else (1, level - 1)
+        want = [ActionCoords(Fraction(i, level), Fraction(j, level))
+                for i in range(lo, hi + 1) for j in range(lo, hi - i + 1)]
+        assert list(enumerate_bs_fibers(level, closed).fibers) == want
+
+
+def test_interior_grid_matches_pointwise_construction():
+    for n in range(1, 31):
+        want = [(Fraction(i, n + 2), Fraction(j, n + 2))
+                for i in range(1, n + 1) for j in range(1, n + 2 - i)]
+        assert interior_rational_grid(n) == want
+
+
 def test_interior_grid_contains_centroid_when_divisible():
     grid19 = interior_rational_grid(19)
     assert len(grid19) == 190

@@ -51,6 +51,25 @@ def test_symbol_requires_hermitian_matrix():
                                   [0.0, 0.0, 0.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_symbol_keeps_a_private_read_only_matrix(dtype):
+    src = np.zeros((3, 3), dtype=dtype)
+    src[0, 1] = src[1, 0] = 1.0
+    sym = HermitianSymbol(src)
+    with pytest.raises(ValueError):
+        sym.matrix[0, 0] = 5.0
+    src[0, 1] = 7.0  # would make the validated symbol non-Hermitian if shared
+    assert sym.matrix[0, 1] == 1.0
+    assert np.array_equal(sym.matrix, sym.matrix.conj().T)
+
+
+def test_certificate_swap_symbols_are_read_only():
+    cert = enc_verdict(ActionCoords(Fraction(1, 5), Fraction(1, 2))).certificate
+    with pytest.raises(ValueError):
+        cert.symbol.matrix[2, 2] = 1.0
+    assert np.array_equal(cert.symbol.matrix, swap_symbol(0, 1).matrix)
+
+
 def test_symbol_value_is_rayleigh_quotient():
     sym = diagonal_symbol(2.0, -1.0, 0.5)
     e0 = np.array([1.0, 0.0, 0.0], dtype=complex)

@@ -1,0 +1,96 @@
+import gc
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lagrtori import cli
+from lagrtori.serialize import stable_dumps
+
+
+def reference_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "),
+                      allow_nan=False)
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-09, 1e300, 1, 1.0, True]),
+    st.text(),
+)
+payloads = st.recursive(
+    scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_stable_dumps_matches_json_bytes(payload):
+    assert stable_dumps(payload) == reference_dumps(payload)
+
+
+def test_int_list_memo_keeps_equal_values_of_other_types_apart():
+    payload = {"a": [[1, 0], [True, False], [1.0, 0.0], [1, -0.0], (1, 0)],
+               "b": [1, 0], "c": {"d": [[1, 0]], "é": [1, 0]}}
+    assert stable_dumps(payload) == reference_dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [{1: "a", -2: "b"}, {2.5: 1, -0.0: 2}, {None: 0},
+                                     {True: 0}, {"x": {False: [1, 2]}}])
+def test_non_string_keys_convert_as_in_json(payload):
+    assert stable_dumps(payload) == reference_dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), [1.0, -float("inf")],
+                                 {"x": [float("nan")]}])
+def test_out_of_range_floats_raise_value_error(bad):
+    with pytest.raises(ValueError):
+        stable_dumps(bad)
+
+
+@pytest.mark.parametrize("bad", [object(), [1, object()], {"x": {1, 2}},
+                                 {(1, 2): 3}])
+def test_unsupported_types_raise_type_error(bad):
+    with pytest.raises(TypeError):
+        stable_dumps(bad)
+
+
+def test_circular_container_raises_value_error():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError):
+        stable_dumps({"a": loop})
+
+
+def test_stable_dumps_leaves_no_reference_cycles():
+    # a cycle would hold the written chunks until the cyclic collector runs
+    payload = {"a": [[1, 2], [3, 4]], "b": [{"c": 1.5}], "d": "e"}
+    gc.collect()
+    stable_dumps(payload)
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bs-count", "--level", "40"],
+    ["bs-count", "--level", "40", "--closed"],
+    ["enc-report", "--grid", "40"],
+    ["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
+     "--a-step", "0.1", "--delta-step", "0.5", "--quad-nodes", "24"],
+])
+def test_cli_payloads_reencode_to_identical_bytes(argv):
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == cli.EXIT_OK
+    payload = json.loads(out.getvalue())
+    assert stable_dumps(payload) + "\n" == out.getvalue()
+    assert reference_dumps(payload) + "\n" == out.getvalue()
