@@ -3,87 +3,83 @@
 Fiber tori over the moment triangle, their bounding discs, periods and
 indices; integral-level fiber enumeration; the bitangent conic pencil family;
 and Hamiltonian displacement certificates, with a reporting CLI.
+
+The exact layer (:mod:`lagrtori.lattice`) is imported with the package; the
+numeric modules, which need numpy, are imported on first access to one of
+their names.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import errors
-from .geometry import (
-    AreaEstimate,
-    HomogeneousPoint,
-    ParamSurface,
-    QuadSpec,
-    TangentVector,
-    apply_unitary,
-    fs_form_value,
-    loop_symplectic_area,
-    moment_map,
-    normalize_point,
-    projective_line_surface,
-    surface_symplectic_area,
-)
-from .clifford import (
+from . import errors, lattice, serialize
+from .lattice import (
     ActionCoords,
     BSFiberSet,
-    CliffordFiber,
-    D1,
-    D2,
-    D3,
-    DeformationSpec,
-    HomologyClass,
-    clifford_fiber,
-    deform_fiber,
-    deformed_fiber_periods,
-    diagonal_period,
-    enumerate_bs_fibers,
-    fiber_periods,
-    hilbert_dimension,
-    interior_rational_grid,
-    ks_jacobian,
-    lifted_period_map,
-    standard_disc,
-)
-from .maslov import (
-    DiscWithBoundary,
-    MaslovResult,
     MonotoneWitness,
     canonical_bs_defect,
-    disc_difference_check,
+    enumerate_bs_fibers,
+    hilbert_dimension,
+    interior_rational_grid,
     is_monotone,
-    maslov_index,
     universal_maslov_class,
 )
-from .chekanov import (
-    Anchor,
-    ChekanovParams,
-    ConicCircle,
-    ScanReport,
-    TorusType,
-    canonical_bs_scan,
-    chekanov_torus,
-    classify_type,
-    cone_disc,
-    conic_circle,
-    conic_parametrize,
-    conic_total_area,
-    torus_periods_chekanov,
-)
-from .displacement import (
-    DisplacementCertificate,
-    Displaceable,
-    HermitianSymbol,
-    Inconclusive,
-    Monotone,
-    NotDisplacedByTheseFlows,
-    RotationReport,
-    build_diagonal_rotation,
-    displace_chekanov,
-    displace_clifford,
-    enc_verdict,
-    swap_symbol,
-    symbol_flow,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# numeric module -> the names the package exports from it
+_NUMERIC = {
+    "geometry": (
+        "AreaEstimate", "HomogeneousPoint", "ParamSurface", "QuadSpec",
+        "TangentVector", "apply_unitary", "fs_form_value", "loop_symplectic_area",
+        "moment_map", "normalize_point", "projective_line_surface",
+        "surface_symplectic_area",
+    ),
+    "clifford": (
+        "CliffordFiber", "D1", "D2", "D3", "DeformationSpec", "HomologyClass",
+        "clifford_fiber", "deform_fiber", "deformed_fiber_periods",
+        "diagonal_period", "fiber_periods", "ks_jacobian", "lifted_period_map",
+        "standard_disc",
+    ),
+    "maslov": (
+        "DiscWithBoundary", "MaslovResult", "disc_difference_check", "maslov_index",
+    ),
+    "chekanov": (
+        "Anchor", "ChekanovParams", "ConicCircle", "ScanReport", "TorusType",
+        "canonical_bs_scan", "chekanov_torus", "classify_type", "cone_disc",
+        "conic_circle", "conic_parametrize", "conic_total_area",
+        "torus_periods_chekanov",
+    ),
+    "displacement": (
+        "DisplacementCertificate", "Displaceable", "HermitianSymbol", "Inconclusive",
+        "Monotone", "NotDisplacedByTheseFlows", "RotationReport",
+        "build_diagonal_rotation", "displace_chekanov", "displace_clifford",
+        "enc_verdict", "swap_symbol", "symbol_flow",
+    ),
+}
+_LAZY = {module: module for module in _NUMERIC}
+_LAZY.update((name, module) for module, names in _NUMERIC.items() for name in names)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
+
+__all__ = sorted([
+    "annotations", "errors", "serialize", "ActionCoords", "BSFiberSet",
+    "MonotoneWitness", "canonical_bs_defect", "enumerate_bs_fibers",
+    "hilbert_dimension", "interior_rational_grid", "is_monotone",
+    "universal_maslov_class", *_LAZY,
+])

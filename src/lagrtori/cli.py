@@ -11,6 +11,11 @@ All reports are wrapped in a versioned JSON envelope with the parameters and
 the diagnostics (tolerances, quadrature settings, seed, threads) actually
 used; identical inputs produce byte-identical output.  Exit codes: 0 success,
 2 usage, 3 dichotomy contradiction, 4 scan failure, 5 IO error.
+
+``bs-count``, ``enc-report`` and ``plot`` use only the exact layer
+(:mod:`lagrtori.lattice`, :mod:`lagrtori.serialize`, :mod:`lagrtori.svgplot`)
+and run without importing numpy; ``chekanov-scan`` imports the numeric
+modules when it runs.
 """
 
 from __future__ import annotations
@@ -18,20 +23,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .chekanov import REPORT_DECIMALS, canonical_bs_scan
-from .clifford import ActionCoords, enumerate_bs_fibers, interior_rational_grid
-from .displacement import (
-    DisplacementCertificate,
-    Inconclusive,
-    Monotone,
-    displace_chekanov,
-    enc_verdict,
-)
 from .errors import InternalContradiction, LagrtoriError
-from .geometry import LOOP_AGREEMENT, LOOP_MAX_NODES, QuadSpec
+from .lattice import (
+    ActionCoords,
+    MonotoneWitness,
+    dichotomy,
+    enumerate_bs_fibers,
+    interior_rational_grid,
+)
 from .serialize import rational_pair, stable_dumps
 from .svgplot import render_triangle_plot
 
@@ -102,23 +103,22 @@ def _cmd_enc_report(args, out) -> int:
     monotone_points = []
     displaceable = 0
     for r0, r1 in grid:
-        verdict = enc_verdict(ActionCoords(r0, r1))
-        if isinstance(verdict, Monotone):
+        outcome = dichotomy(ActionCoords(r0, r1))
+        if isinstance(outcome, MonotoneWitness):
             monotone_points.append([rational_pair(r0), rational_pair(r1)])
             rows.append({
                 "base": [rational_pair(r0), rational_pair(r1)],
                 "verdict": "monotone",
-                "bs_defect": verdict.witness.bs_defect,
-                "universal_class": list(verdict.witness.universal_class),
+                "bs_defect": outcome.bs_defect,
+                "universal_class": list(outcome.universal_class),
             })
         else:
             displaceable += 1
-            cert = verdict.certificate
             rows.append({
                 "base": [rational_pair(r0), rational_pair(r1)],
                 "verdict": "displaceable",
-                "swap": cert.detail["swap"],
-                "separation": cert.separation,
+                "swap": list(outcome.swap),
+                "separation": outcome.separation,
             })
     results = {
         "grid": args.grid,
@@ -152,6 +152,10 @@ def _float_range(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _cmd_chekanov_scan(args, out, err) -> int:
+    from .chekanov import REPORT_DECIMALS, canonical_bs_scan
+    from .displacement import DisplacementCertificate, displace_chekanov
+    from .geometry import LOOP_AGREEMENT, LOOP_MAX_NODES, QuadSpec
+
     mu = complex(args.mu[0], args.mu[1])
     a_grid = _float_range(args.a_min, args.a_max, args.a_step)
     delta_grid = _float_range(-1.0 + args.delta_step, 1.0 - args.delta_step,

@@ -1,5 +1,5 @@
 """The torus fibration of the plane by moduli levels: fibers, discs, periods,
-integral-level enumeration, and the lifted period map.
+and the lifted period map.
 
 Action coordinates are the squared moduli (r0, r1) = (|z0|^2, |z1|^2) of the
 unit representative; the moment triangle is {r0 >= 0, r1 >= 0, r0 + r1 <= 1}.
@@ -10,14 +10,16 @@ The fiber over an interior point is the torus
 whose basis cycles d1, d2 (and their sum d3 = d1 + d2) bound standard discs
 with symplectic areas r0, r1 and r0 + r1.  Periods are boundary integrals
 (:func:`lagrtori.geometry.loop_symplectic_area`) around these cycles.
+
+Action coordinates and the exact integral-level enumeration live in
+:mod:`lagrtori.lattice` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,36 +36,17 @@ from .geometry import (
     loop_symplectic_area,
     normalize_point,
 )
+from .lattice import (  # re-exported: the exact layer lives in lattice
+    ActionCoords,
+    BSFiberSet,
+    HilbertComparison,
+    enumerate_bs_fibers,
+    hilbert_dimension,
+    interior_rational_grid,
+)
 from .maslov import DiscWithBoundary
-from .serialize import rational_pair
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ActionCoords:
-    """A point of the closed moment triangle; floats or exact Fractions."""
-
-    r0: float | Fraction
-    r1: float | Fraction
-
-    def __post_init__(self):
-        # exact test first: it needs no float conversion of Fraction inputs
-        if self.r0 >= 0 and self.r1 >= 0 and self.r0 + self.r1 <= 1:
-            return
-        eps = 1e-12
-        if self.r0 < -eps or self.r1 < -eps or self.r0 + self.r1 > 1 + eps:
-            raise ValueError(f"({self.r0}, {self.r1}) is outside the moment triangle")
-
-    @property
-    def r2(self):
-        return 1 - self.r0 - self.r1
-
-    def is_interior(self) -> bool:
-        return self.r0 > 0 and self.r1 > 0 and self.r0 + self.r1 < 1
-
-    def as_floats(self) -> tuple[float, float]:
-        return (float(self.r0), float(self.r1))
 
 
 @dataclass(frozen=True)
@@ -240,92 +223,6 @@ def diagonal_period(base: ActionCoords | tuple, quad: QuadSpec = QuadSpec(),
     fiber = clifford_fiber(base)
     est = loop_symplectic_area(standard_disc(fiber, D3).boundary_loop, quad)
     return (_mod_unit(level * est.value), level * est.error)
-
-
-# ---------------------------------------------------------------------------
-# integral-level fibers: exact enumeration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BSFiberSet:
-    """Exact rational enumeration of integral fibers at a given level."""
-
-    level: int
-    closed: bool
-    fibers: tuple[ActionCoords, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.fibers)
-
-    @property
-    def dimension(self) -> int:
-        """Dimension of the matching space of plane sections, in closed form.
-
-        Interior fibers at level k match degree-(k-3) homogeneous polynomials
-        in three variables; closed fibers match degree k.  Dimensions below
-        degree 0 are 0.
-        """
-        deg = self.level if self.closed else self.level - 3
-        return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
-
-    def comparison(self) -> "HilbertComparison":
-        """The enumerated count against :attr:`dimension`."""
-        return HilbertComparison(self.count, self.dimension, self.count == self.dimension)
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "closed": self.closed,
-            "count": self.count,
-            "fibers": [[rational_pair(f.r0), rational_pair(f.r1)] for f in self.fibers],
-        }
-
-
-def enumerate_bs_fibers(level: int, closed: bool = False) -> BSFiberSet:
-    """All fibers whose level-scaled periods are integers, exactly.
-
-    Interior ('open') fibers at level k are the lattice points (i/k, j/k)
-    with i, j >= 1 and i + j <= k - 1; the closed count adds the boundary
-    lattice (degenerate fibers), enumerated combinatorially without building
-    torus parametrizations.  Everything is Fraction arithmetic -- no floats.
-    """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    lo = 0 if closed else 1
-    hi = level if closed else level - 1
-    vals = [Fraction(i, level) for i in range(level + 1)]
-    fibers = [
-        ActionCoords(vals[i], vals[j])
-        for i in range(lo, hi + 1)
-        for j in range(lo, hi - i + 1)
-    ]
-    return BSFiberSet(level, closed, tuple(fibers))
-
-
-class HilbertComparison(NamedTuple):
-    count: int
-    dimension: int
-    match: bool
-
-
-def hilbert_dimension(level: int, closed: bool = False) -> HilbertComparison:
-    """Compare the enumerated fiber count with the matching space of plane
-    sections (:attr:`BSFiberSet.dimension`)."""
-    return enumerate_bs_fibers(level, closed).comparison()
-
-
-def interior_rational_grid(n: int) -> list[tuple[Fraction, Fraction]]:
-    """The n-by-n interior rational grid of the triangle: (i/(n+2), j/(n+2)).
-
-    Each axis index runs over 1..n, constrained to the open triangle.  When
-    n + 2 is divisible by 3 the centroid (1/3, 1/3) is a grid point.
-    """
-    if n < 1:
-        raise ValueError("grid size must be positive")
-    vals = [Fraction(i, n + 2) for i in range(n + 1)]
-    return [(vals[i], vals[j]) for i in range(1, n + 1) for j in range(1, n + 2 - i)]
 
 
 # ---------------------------------------------------------------------------

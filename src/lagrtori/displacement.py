@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,6 @@ from .chekanov import Anchor, ChekanovParams, TorusType, chekanov_torus, classif
 from .clifford import ActionCoords, CliffordFiber, clifford_fiber
 from .errors import (
     CriticalPointMiscount,
-    InternalContradiction,
     NormalizationFailure,
     NotChekanovType,
     NotHermitian,
@@ -37,7 +35,7 @@ from .geometry import (
     phase_aligned_residual,
     surface_symplectic_area,
 )
-from .maslov import MonotoneWitness, is_monotone
+from .lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
 from .serialize import complex_pair, number_or_rational
 
 _HERM_TOL = 1e-12
@@ -90,7 +88,7 @@ def swap_symbol(j: int, k: int) -> HermitianSymbol:
     return HermitianSymbol(a)
 
 
-# the swaps that can come first in _swap_displacement
+# the swaps that lattice.swap_image can choose
 _SWAPS = {jk: swap_symbol(*jk) for jk in ((0, 1), (1, 2))}
 
 
@@ -151,40 +149,30 @@ def displace_clifford(base: ActionCoords):
     Each swap (j, k) at time pi/2 induces the exact exchange of the j-th and
     k-th coordinates, carrying the fiber over (r0, r1) to the fiber over the
     swapped action value; fibers over distinct base points are disjoint, so
-    inequality of the two moment values is an exact certificate.  All three
-    swaps fix the moment value only at the symmetric point (1/3, 1/3).
+    inequality of the two moment values is an exact certificate.  The swap
+    is the choice of :func:`lagrtori.lattice.swap_image`; all three swaps fix
+    the moment value only at the symmetric point (1/3, 1/3).
     """
     if not base.is_interior():
         raise ValueError("displacement test expects an interior fiber")
-    return _swap_displacement(base)
+    move = swap_image(base)
+    if move is None:
+        return NotDisplacedByTheseFlows(base=(base.r0, base.r1))
+    return _swap_certificate(base, move)
 
 
-def _swap_displacement(base: ActionCoords):
-    """:func:`displace_clifford` for a base already known to be interior.
-
-    The swaps are tried in the order (0, 1), (1, 2), (0, 2).  (0, 1) moves
-    every point off the diagonal r0 = r1; on it, (1, 2) and (0, 2) both move
-    exactly the points with r2 != r0, so (0, 2) is never the first to move.
-    """
-    r0, r1 = base.r0, base.r1
-    if r0 != r1:
-        jk, img = (0, 1), (r1, r0)
-    else:
-        r2 = base.r2
-        if r2 == r0:
-            return NotDisplacedByTheseFlows(base=(r0, r1))
-        jk, img = (1, 2), (r0, r2)
-    gap = math.hypot(float(img[0] - r0), float(img[1] - r1))
+def _swap_certificate(base: ActionCoords, move: SwapImage) -> DisplacementCertificate:
+    """The exact certificate of a swap that moves the fiber."""
     return DisplacementCertificate(
-        symbol=_SWAPS[jk],
+        symbol=_SWAPS[move.swap],
         time=math.pi / 2.0,
-        separation=gap,
+        separation=move.separation,
         method=CertificateMethod.MOMENT_IMAGE_DISJOINT,
         samples=0,
         detail={
-            "source_moment": [number_or_rational(r0), number_or_rational(r1)],
-            "image_moment": [number_or_rational(img[0]), number_or_rational(img[1])],
-            "swap": list(jk),
+            "source_moment": [number_or_rational(base.r0), number_or_rational(base.r1)],
+            "image_moment": [number_or_rational(v) for v in move.image],
+            "swap": list(move.swap),
         },
     )
 
@@ -479,36 +467,14 @@ class Monotone:
         }
 
 
-def _exact_canonical_bs(base: ActionCoords, tol: float) -> bool:
-    vals = (base.r0, base.r1)
-    if all(isinstance(v, Fraction) for v in vals):
-        return all(3 * v.numerator % v.denominator == 0 for v in vals)
-    return all(abs(3 * float(v) - round(3 * float(v))) <= tol for v in vals)
-
-
 def enc_verdict(base: ActionCoords, tol: float = 1e-9):
     """Displaceable-or-monotone dichotomy for an interior toric fiber.
 
-    Combines the exact swap-displacement test, the exact tripled-period
-    integrality test, and the universal-class witness.  Exactly one verdict
-    must fire; both diagonals of the dichotomy meet only at (1/3, 1/3).
+    The decision is :func:`lagrtori.lattice.dichotomy`; this wraps its swap
+    in a :class:`DisplacementCertificate` or its witness in a
+    :class:`Monotone` verdict.
     """
-    if not base.is_interior():
-        raise ValueError("verdict expects an interior fiber")
-    outcome = _swap_displacement(base)
-    displaced = isinstance(outcome, DisplacementCertificate)
-
-    canonical = _exact_canonical_bs(base, tol)
-    witness = None
-    if canonical:
-        r0, r1 = float(base.r0), float(base.r1)
-        witness = is_monotone((r0, r1, r0 + r1), (1, 1, 2))
-    monotone = witness is not None and witness.monotone
-
-    if displaced and not monotone:
-        return Displaceable((base.r0, base.r1), outcome)
-    if monotone and not displaced:
-        return Monotone((base.r0, base.r1), witness)
-    raise InternalContradiction(
-        f"fiber ({base.r0}, {base.r1}): displaced={displaced}, monotone={monotone}"
-    )
+    outcome = dichotomy(base, tol)
+    if isinstance(outcome, MonotoneWitness):
+        return Monotone((base.r0, base.r1), outcome)
+    return Displaceable((base.r0, base.r1), _swap_certificate(base, outcome))

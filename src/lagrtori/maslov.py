@@ -17,13 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BoundaryMismatch,
-    ChartEscape,
-    DeterminantVanishes,
-    NotCanonicalBS,
-)
+from .errors import BoundaryMismatch, ChartEscape, DeterminantVanishes
 from .geometry import ParamSurface, _unit_rows, hermdot
+from .lattice import (  # re-exported: the exact monotonicity test lives in lattice
+    MonotoneWitness,
+    canonical_bs_defect,
+    is_monotone,
+    universal_maslov_class,
+)
 
 _DET_FLOOR = 1e-10
 _CHART_FLOOR = 1e-8
@@ -157,61 +158,3 @@ def disc_difference_check(d: DiscWithBoundary, d_prime: DiscWithBoundary,
     mu = maslov_index(d).mu
     mu_prime = maslov_index(d_prime).mu
     return mu_prime - mu == 3 * sphere_degree
-
-
-def canonical_bs_defect(periods, multiple: int = 3) -> float:
-    """Distance of ``multiple * p_i`` from the integer lattice, worst case."""
-    vals = [float(p) * multiple for p in periods]
-    return max(abs(v - round(v)) for v in vals)
-
-
-def universal_maslov_class(fiber_periods, mus, tol: float = 1e-5) -> tuple[int, ...]:
-    """Integers mu_i - 3 * p_i for a torus whose tripled periods are integral.
-
-    Raises NotCanonicalBS when some 3 * p_i is farther than ``tol`` from an
-    integer -- the class is well defined exactly on that locus.
-    """
-    defect = canonical_bs_defect(fiber_periods)
-    if defect > tol:
-        raise NotCanonicalBS(
-            f"3*periods miss the integer lattice by {defect:.3e} > {tol:.1e}"
-        )
-    out = []
-    for p, m in zip(fiber_periods, mus):
-        mu = m.mu if isinstance(m, MaslovResult) else int(m)
-        val = mu - 3.0 * float(p)
-        nearest = round(val)
-        if abs(val - nearest) > 1e-4:
-            raise ArithmeticError(
-                f"universal class value {val} is not integral within 1e-4"
-            )
-        out.append(int(nearest))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class MonotoneWitness:
-    monotone: bool
-    canonical_bs: bool
-    bs_defect: float
-    universal_class: tuple[int, ...] | None
-
-    def to_json(self) -> dict:
-        return {
-            "monotone": self.monotone,
-            "canonical_bs": self.canonical_bs,
-            "bs_defect": self.bs_defect,
-            "universal_class": list(self.universal_class)
-            if self.universal_class is not None
-            else None,
-        }
-
-
-def is_monotone(fiber_periods, mus, tol: float = 1e-5) -> MonotoneWitness:
-    """Monotonicity test: tripled periods integral and universal class zero."""
-    defect = canonical_bs_defect(fiber_periods)
-    try:
-        cls = universal_maslov_class(fiber_periods, mus, tol)
-    except NotCanonicalBS:
-        return MonotoneWitness(False, False, defect, None)
-    return MonotoneWitness(all(c == 0 for c in cls), True, defect, cls)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .clifford import enumerate_bs_fibers
+from .lattice import enumerate_bs_fibers
 
 _W, _H, _PAD = 480, 440, 48
 _SCALE = 360.0

@@ -275,13 +275,13 @@ def test_criterion_11_cli_contract(tmp_path, monkeypatch):
     code, _ = run(["plot", "--level", "3", "--out", str(tmp_path / "no" / "x.svg")])
     ok = ok and code == cli.EXIT_IO
 
-    monkeypatch.setattr(cli, "enc_verdict",
+    monkeypatch.setattr(cli, "dichotomy",
                         lambda base, tol=1e-9: (_ for _ in ()).throw(InternalContradiction("x")))
     code, _ = run(["enc-report", "--grid", "7"])
     ok = ok and code == cli.EXIT_CONTRADICTION
     monkeypatch.undo()
 
-    monkeypatch.setattr(cli, "canonical_bs_scan",
+    monkeypatch.setattr("lagrtori.chekanov.canonical_bs_scan",
                         lambda *a, **k: (_ for _ in ()).throw(NonConvergent("x")))
     code, _ = run(["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
                    "--a-step", "0.1", "--delta-step", "0.5"])

@@ -162,7 +162,7 @@ def test_contradiction_exits_3(monkeypatch):
     def boom(base, tol=1e-9):
         raise InternalContradiction("forced for the exit-code check")
 
-    monkeypatch.setattr(cli, "enc_verdict", boom)
+    monkeypatch.setattr(cli, "dichotomy", boom)
     code, out, err = run_cli(["enc-report", "--grid", "7"])
     assert code == cli.EXIT_CONTRADICTION
     assert "contradiction" in err
@@ -172,7 +172,7 @@ def test_scan_failure_exits_4(monkeypatch):
     def boom(*args, **kwargs):
         raise NonConvergent("forced for the exit-code check")
 
-    monkeypatch.setattr(cli, "canonical_bs_scan", boom)
+    monkeypatch.setattr("lagrtori.chekanov.canonical_bs_scan", boom)
     code, out, err = run_cli(["chekanov-scan", "--mu", "1,0", "--a-min", "0.3",
                               "--a-max", "0.3", "--a-step", "0.1",
                               "--delta-step", "0.5"])
