@@ -34,7 +34,6 @@ _NUMERIC = {
         "AreaEstimate", "HomogeneousPoint", "ParamSurface", "QuadSpec",
         "TangentVector", "apply_unitary", "fs_form_value", "loop_symplectic_area",
         "moment_map", "normalize_point", "projective_line_surface",
-        "surface_symplectic_area",
     ),
     "clifford": (
         "CliffordFiber", "D1", "D2", "D3", "DeformationSpec", "HomologyClass",
@@ -47,9 +46,8 @@ _NUMERIC = {
     ),
     "chekanov": (
         "Anchor", "ChekanovParams", "ConicCircle", "ScanReport", "TorusType",
-        "canonical_bs_scan", "chekanov_torus", "classify_type", "cone_disc",
-        "conic_circle", "conic_parametrize", "conic_total_area",
-        "torus_periods_chekanov",
+        "canonical_bs_scan", "chekanov_torus", "classify_type", "conic_circle",
+        "conic_parametrize", "conic_total_area", "torus_periods_chekanov",
     ),
     "displacement": (
         "DisplacementCertificate", "Displaceable", "HermitianSymbol", "Inconclusive",

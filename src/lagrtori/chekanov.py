@@ -19,12 +19,11 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    ConingDegenerate,
     DegenerateFamily,
     NonConvergent,
     SingularConic,
@@ -41,7 +40,6 @@ from .geometry import (
 
 _TWO_PI = 2.0 * math.pi
 _EPS_FLOOR = 1e-12
-_CONE_FLOOR = 1e-2
 
 
 def _require_smooth(eps: complex) -> complex:
@@ -281,31 +279,6 @@ def chekanov_torus(params: ChekanovParams, anchor: Anchor | str = Anchor.NEAR_Z0
 # ---------------------------------------------------------------------------
 # periods of the two torus cycles
 # ---------------------------------------------------------------------------
-
-
-def cone_disc(loop_lift: Callable[[np.ndarray], np.ndarray], basepoint: np.ndarray,
-              check_grid: int = 201, smoothness_step: float = 2.5e-4) -> ParamSurface:
-    """Disc bounding a loop by linear coning of its unit lift to a basepoint.
-
-    Its 2-D area is an independent check of the boundary-rule periods, which
-    do not use it.  Raises ConingDegenerate when the chord between the
-    basepoint and the loop passes too close to the origin of coordinate
-    space, which would puncture the disc projectively.
-    """
-    base = _unit_rows(np.asarray(basepoint, dtype=complex))
-
-    def lift(s, t):
-        s = np.asarray(s, dtype=float)
-        loop = _unit_rows(np.asarray(loop_lift(np.asarray(t, dtype=float)), dtype=complex))
-        return (1.0 - s[..., None]) * base + s[..., None] * loop
-
-    surf = ParamSurface(lift, periodic=(False, True), smoothness_step=smoothness_step)
-    g = np.linspace(0.0, 1.0, check_grid)
-    mesh_s, mesh_t = np.meshgrid(g, g, indexing="ij")
-    low = float(np.min(np.linalg.norm(surf._eval(mesh_s, mesh_t), axis=-1)))
-    if low < _CONE_FLOOR:
-        raise ConingDegenerate(f"coning chord norm drops to {low:.3e}")
-    return surf
 
 
 class ChekanovPeriods(NamedTuple):

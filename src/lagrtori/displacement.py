@@ -11,11 +11,14 @@ the sampled checks honest elsewhere.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .chekanov import Anchor, ChekanovParams, TorusType, chekanov_torus, classify_type
 from .clifford import ActionCoords, CliffordFiber, clifford_fiber
@@ -29,11 +32,12 @@ from .geometry import (
     ParamSurface,
     QuadSpec,
     _unit_rows,
+    canonical_gauge,
     chordal_distance,
     hermdot,
+    loop_symplectic_area,
     moment_map,
     phase_aligned_residual,
-    surface_symplectic_area,
 )
 from .lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
 from .serialize import complex_pair, number_or_rational
@@ -276,28 +280,50 @@ def _sphere_section(alpha: float) -> ParamSurface:
     return ParamSurface(lift, periodic=(False, True))
 
 
-def _rqi_critical_points(symbol: HermitianSymbol, seed: int, starts: int,
-                         residual_tol: float = 1e-10) -> list[np.ndarray]:
-    """Distinct projective critical points found by Rayleigh iteration."""
-    rng = np.random.RandomState(seed)
-    found: list[np.ndarray] = []
-    eye = np.eye(3, dtype=complex)
-    for _ in range(starts):
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        z = z / np.linalg.norm(z)
-        for _ in range(60):
-            if symbol.gradient_residual(z) < residual_tol:
-                break
-            lam = float(symbol.value(z))
-            try:
-                step = np.linalg.solve(symbol.matrix - lam * eye, z)
-            except np.linalg.LinAlgError:
-                break
-            z = step / np.linalg.norm(step)
-        if symbol.gradient_residual(z) < residual_tol:
-            if all(chordal_distance(z, p) > 1e-6 for p in found):
-                found.append(z)
-    return found
+# Duistermaat-Heckman node levels: (Gauss-Legendre nodes in p, orbit points)
+_DH_LEVELS = ((8, 32), (16, 64))
+_leggauss = functools.cache(leggauss)
+_ULP = 2.0 ** -53
+
+
+def _weighted_integral(symbol: HermitianSymbol, alpha: float) -> tuple[float, float]:
+    """Integral of the symbol against the form on the reduced sphere, and its error.
+
+    The phase rotation of z1 acts on the reduced sphere of {p1 + p2 = alpha}
+    with moment p = |z1|^2, which pushes the form forward to Lebesgue measure
+    on [0, alpha] (Duistermaat-Heckman); so the integral is that of the orbit
+    mean over p.  The error is the gap between the two node levels plus a
+    rounding floor of nodes * 2^-53 * max|H| * alpha, so it is never 0.
+    """
+    values = []
+    for n_p, n_orbit in _DH_LEVELS:
+        x, w = _leggauss(n_p)
+        p = 0.5 * alpha * (x[:, None] + 1.0)
+        phase = np.exp(2j * math.pi * np.arange(n_orbit) / n_orbit)
+        h = symbol.value(np.stack(np.broadcast_arrays(
+            np.sqrt(alpha - p), np.sqrt(p) * phase, math.sqrt(1.0 - alpha)), axis=-1))
+        values.append(0.5 * alpha * float(w @ h.mean(axis=1)))
+    floor = n_p * n_orbit * _ULP * float(np.max(np.abs(h))) * alpha
+    return values[-1], abs(values[-1] - values[-2]) + floor
+
+
+def _critical_points(symbol: HermitianSymbol) -> list[np.ndarray]:
+    """The projective critical points of the symbol function, by eigh.
+
+    For a Hermitian form with distinct eigenvalues the critical points of
+    its Rayleigh quotient on the plane are exactly the three eigenlines.
+    Raises CriticalPointMiscount when the least eigenvalue gap is at most
+    1e-6 (a repeated eigenvalue makes a whole critical line) or when an
+    eigenline misses gradient_residual < 1e-10.
+    """
+    w, v = np.linalg.eigh(symbol.matrix)
+    points = [canonical_gauge(v[:, k]) for k in range(3)]
+    gaps, residuals = np.diff(w), symbol.gradient_residual(np.array(points))
+    if np.min(gaps) <= 1e-6 or np.max(residuals) >= 1e-10:
+        raise CriticalPointMiscount(
+            f"eigenvalue gaps {gaps.tolist()}, eigenline residuals"
+            f" {residuals.tolist()}: not exactly 3 critical points")
+    return points
 
 
 class AlphaReport(NamedTuple):
@@ -348,8 +374,7 @@ class RotationReport:
 
 
 def build_diagonal_rotation(alpha_samples, grid: int = 64,
-                            quad: QuadSpec = QuadSpec(), seed: int = 0,
-                            area_tol: float = 1e-6,
+                            quad: QuadSpec = QuadSpec(), area_tol: float = 1e-6,
                             period_tol: float = 1e-8) -> RotationReport:
     """Assemble and validate the rotation flow on diagonal level sets.
 
@@ -360,6 +385,15 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64,
     Globally the function must have exactly three critical points, and the
     exact swap flow realizing the same rotation must exchange fiber moment
     values and be 2 pi periodic.
+
+    Three exact reductions do the work: the sphere area is, by Stokes, the
+    boundary rule on the one edge of the section not collapsed to a point;
+    the weighted integral is, by Duistermaat-Heckman, the integral over
+    p in [0, alpha] of the symbol's z1-orbit mean; the critical points are
+    the eigenlines of the symbol matrix.  Each reported error is a level gap
+    plus a rounding floor, never 0, and each NormalizationFailure gate tests
+    |value - target| + error against ``area_tol``.  The check points are
+    fixed, so the report is deterministic.
     """
     if grid < 32:
         raise ValueError("grid resolution must be at least 32")
@@ -371,69 +405,59 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64,
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha values must lie strictly inside (0, 1)")
         section = _sphere_section(alpha)
-        area = surface_symplectic_area(section, quad)
-        if abs(area.value - alpha) > area_tol:
-            raise NormalizationFailure(
-                f"reduced area {area.value!r} differs from alpha = {alpha}"
-            )
-        norm = surface_symplectic_area(
-            section, quad,
-            weight_fn=lambda surf, s, t: symbol.value(surf._eval(s, t)))
-        if abs(norm.value - alpha * alpha) > area_tol:
-            raise NormalizationFailure(
-                f"rotation function integrates to {norm.value!r}, want alpha^2"
-            )
+        # the u = 0 edge of the section is a point, so the u = 1 edge bounds it
+        area = loop_symplectic_area(lambda t: section._eval(np.ones_like(t), t), quad)
+        area_err = area.error + area.nodes * _ULP * abs(area.value)
+        if abs(area.value - alpha) + area_err > area_tol:
+            raise NormalizationFailure(f"reduced area {area.value!r} (error {area_err:.1e})"
+                                       f" differs from alpha = {alpha}")
+        norm, norm_err = _weighted_integral(symbol, alpha)
+        if abs(norm - alpha * alpha) + norm_err > area_tol:
+            raise NormalizationFailure(f"rotation function integrates to {norm!r}"
+                                       f" (error {norm_err:.1e}), want alpha^2")
 
         g = (np.arange(grid) + 0.5) / grid
         uu, tt = np.meshgrid(g, g, indexing="ij")
         pts = _unit_rows(section._eval(uu, tt)).reshape(-1, 3)
         vals = symbol.value(pts)
         hi, lo = int(np.argmax(vals)), int(np.argmin(vals))
-        marked_hi = _unit_rows(np.array(
-            [math.sqrt(alpha / 2), math.sqrt(alpha / 2), math.sqrt(1 - alpha)],
-            dtype=complex))
-        marked_lo = _unit_rows(np.array(
-            [math.sqrt(alpha / 2), -math.sqrt(alpha / 2), math.sqrt(1 - alpha)],
-            dtype=complex))
+        half, rest = math.sqrt(alpha / 2), math.sqrt(1 - alpha)
+        marked_hi, marked_lo = (_unit_rows(np.array([half, sign * half, rest], dtype=complex))
+                                for sign in (1.0, -1.0))
         gap = max(float(chordal_distance(pts[hi], marked_hi)),
                   float(chordal_distance(pts[lo], marked_lo)))
         m_hi = moment_map(marked_hi)
         reports.append(AlphaReport(
-            alpha, area.value, area.error, norm.value, norm.error,
+            alpha, area.value, area_err, norm, norm_err,
             (float(m_hi[..., 0]), float(m_hi[..., 1])),
             (float(vals[hi]), float(vals[lo])), gap,
         ))
 
-    crits = _rqi_critical_points(symbol, seed=seed, starts=120)
-    if len(crits) != 3:
-        raise CriticalPointMiscount(
-            f"found {len(crits)} critical points, expected exactly 3"
-        )
+    crits = _critical_points(symbol)
     crit_vals = tuple(float(symbol.value(p)) for p in crits)
+
+    # fixed check points: the interior lattice fibers (i/10, j/10), i <= j,
+    # at angles off the axes; none lies on a coordinate plane
+    th = 2.0 * math.pi * (np.arange(8) + 0.5) / 8.0
+    th0, th1 = np.meshgrid(th, th, indexing="ij")
+    bases = [ActionCoords(Fraction(i, 10), Fraction(j, 10))
+             for i in range(1, 5) for j in range(i, 5)]
+    zs = np.concatenate([CliffordFiber(b).lift(th0, th1).reshape(-1, 3) for b in bases])
+    swapped = np.repeat([b.as_floats()[::-1] for b in bases], th0.size, axis=0)
 
     # the exact swap flow realizes the same rotation on fibers
     swap_u = symbol_flow(swap_symbol(0, 1), math.pi / 2.0)
-    dev = 0.0
-    rng = np.random.RandomState(seed + 1)
-    for _ in range(12):
-        c1, c2 = sorted(rng.uniform(0.05, 0.45, size=2))
-        fiber = CliffordFiber(ActionCoords(c1, c2))
-        th = rng.uniform(0.0, 2.0 * math.pi, size=(40, 2))
-        z = fiber.lift(th[:, 0], th[:, 1]) @ swap_u.T
-        m = moment_map(z)
-        dev = max(dev, float(np.max(np.abs(m - np.array([c2, c1])))))
+    dev = float(np.max(np.abs(moment_map(zs @ swap_u.T) - swapped)))
 
     # integer eigenvalue gaps make the rotation flow 2 pi periodic
     full_turn = symbol_flow(symbol, 2.0 * math.pi)
-    zs = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
     per_dev = float(np.max(phase_aligned_residual(zs, zs @ full_turn.T)))
     if per_dev > period_tol:
         raise NormalizationFailure(
             f"rotation flow misses 2 pi periodicity by {per_dev:.3e}"
         )
 
-    return RotationReport(symbol, tuple(reports), tuple(crits), crit_vals,
-                          dev, per_dev)
+    return RotationReport(symbol, tuple(reports), tuple(crits), crit_vals, dev, per_dev)
 
 
 # ---------------------------------------------------------------------------

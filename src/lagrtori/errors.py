@@ -68,10 +68,6 @@ class DegenerateFamily(LagrtoriError):
     """The pencil-parameter circle passes through the singular member."""
 
 
-class ConingDegenerate(LagrtoriError):
-    """A coning chord passes too close to the origin of coordinate space."""
-
-
 class NotHermitian(LagrtoriError):
     """A flow generator is not self-adjoint within tolerance."""
 

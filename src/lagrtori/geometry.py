@@ -17,12 +17,10 @@ The form is exact on coordinate space minus the origin, with primitive
 so the area of a disc lifted into that space is the integral of ``alpha``
 around its lifted boundary loop.  :func:`loop_symplectic_area` integrates it
 with the trapezoid rule and a spectral derivative, doubling the node count
-until two levels agree; every period and disc area in the package goes
-through it.  :func:`surface_symplectic_area` pulls the form back through
-finite differences of a parametrized lift and integrates with tensor
-Gauss-Legendre quadrature; it serves the section area and the weighted
-integral of the diagonal rotation, and is the independent oracle for the
-boundary rule in the tests.
+until two levels agree; it is the one area primitive of the package, and
+every period, disc area and reduced-sphere area goes through it.
+:class:`ParamSurface` describes the discs themselves, for sampling,
+unitary motion and independent checks.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import GaugeViolation, NonConvergent, NotUnitary, ZeroVector
 
@@ -164,7 +161,7 @@ def moment_map(p):
 
 
 # ---------------------------------------------------------------------------
-# parametrized surfaces and quadrature
+# parametrized surfaces and the boundary rule
 # ---------------------------------------------------------------------------
 
 
@@ -175,9 +172,10 @@ class ParamSurface:
     ``lift(s, t)`` must accept broadcasting numpy arrays and return an array
     of homogeneous coordinate triples along the last axis.  The lift need not
     be unit-norm but must be smooth (no phase jumps between neighboring
-    samples).  Axes flagged periodic are evaluated outside [0, 1] by the same
-    formula; non-periodic axes are differenced with a stencil clamped inside
-    the domain.
+    samples).  Axes flagged periodic may be evaluated outside [0, 1] by the
+    same formula.  ``smoothness_step`` is the finite-difference step for
+    callers that differentiate the lift, such as the 2-D area oracle of the
+    test suite; nothing in the package does.
     """
 
     lift: Callable[..., np.ndarray]
@@ -195,106 +193,23 @@ class ParamSurface:
 class QuadSpec:
     """Quadrature parameters.
 
-    ``nodes_per_axis`` is the base resolution; each refinement level doubles
-    it, and the last two levels provide the error estimate.  The boundary
-    rule starts its loop at ``nodes_per_axis`` nodes and ignores
-    ``refinement_levels``.
+    The boundary rule starts its loop at ``nodes_per_axis`` nodes and
+    doubles from there; ``max_disagreement`` is the level gap it accepts at
+    its node cap.
     """
 
     nodes_per_axis: int = 32
-    refinement_levels: int = 2
     max_disagreement: float = 1e-6
 
     def __post_init__(self):
         if self.nodes_per_axis < 4:
             raise ValueError("nodes_per_axis must be at least 4")
-        if self.refinement_levels < 1:
-            raise ValueError("refinement_levels must be positive")
 
 
 class AreaEstimate(NamedTuple):
     value: float
     error: float
     nodes: int  # finest node count per axis (per loop for the boundary rule)
-
-
-def _gl_nodes_01(n: int):
-    x, w = leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-def surface_lift_partial(surface: ParamSurface, s, t, axis: int) -> np.ndarray:
-    """Fourth-order central difference of the lift along one axis."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x = s if axis == 0 else t
-    h0 = surface.smoothness_step
-    if surface.periodic[axis]:
-        h = np.full(x.shape, h0)
-    else:
-        margin = np.minimum(x, 1.0 - x)
-        h = np.minimum(h0, margin * 0.4999)
-        if np.any(h <= 1e-12):
-            raise ValueError("finite-difference stencil pinched at the domain edge")
-
-    def ev(off):
-        if axis == 0:
-            return surface._eval(s + off, t)
-        return surface._eval(s, t + off)
-
-    hh = h[..., None]
-    return (8.0 * (ev(h) - ev(-h)) - (ev(2.0 * h) - ev(-2.0 * h))) / (12.0 * hh)
-
-
-def surface_form_grid(surface: ParamSurface, s, t) -> np.ndarray:
-    """Pullback of the form onto parameter space, sampled on arrays."""
-    z = surface._eval(s, t)
-    u = surface_lift_partial(surface, s, t, 0)
-    v = surface_lift_partial(surface, s, t, 1)
-    return fs_pullback_raw(z, u, v)
-
-
-def _area_once(surface: ParamSurface, n: int, weight_fn=None) -> float:
-    xs, ws = _gl_nodes_01(n)
-    mesh_s, mesh_t = np.meshgrid(xs, xs, indexing="ij")
-    k = surface_form_grid(surface, mesh_s, mesh_t)
-    if weight_fn is not None:
-        k = k * weight_fn(surface, mesh_s, mesh_t)
-    return float(np.einsum("i,j,ij->", ws, ws, k))
-
-
-def surface_symplectic_area(surface: ParamSurface, quad: QuadSpec = QuadSpec(),
-                            weight_fn=None) -> AreaEstimate:
-    """Symplectic area of a parametrized surface.
-
-    Parameters
-    ----------
-    surface : ParamSurface
-        Surface whose lift is smooth on (a neighborhood of) the unit square.
-    quad : QuadSpec
-        Quadrature resolution and refinement policy.
-    weight_fn : callable, optional
-        Extra scalar factor ``weight_fn(surface, s, t)`` multiplied into the
-        integrand (used for weighted integrals of functions against the form).
-
-    Returns
-    -------
-    AreaEstimate
-        ``value`` from the finest level and ``error`` as the last two levels'
-        disagreement.  Raises NonConvergent when the disagreement exceeds
-        ``quad.max_disagreement``.
-    """
-    sizes = [quad.nodes_per_axis * (2 ** lvl) for lvl in range(quad.refinement_levels)]
-    values = [_area_once(surface, n, weight_fn) for n in sizes]
-    value = values[-1]
-    if len(values) == 1:
-        return AreaEstimate(value, math.inf, sizes[-1])
-    err = abs(values[-1] - values[-2])
-    if err > quad.max_disagreement:
-        raise NonConvergent(
-            f"refinements disagree by {err:.3e} > {quad.max_disagreement:.1e}"
-        )
-    return AreaEstimate(value, err, sizes[-1])
 
 
 # The boundary rule stops doubling once two levels agree this closely, and
@@ -417,10 +332,3 @@ def phase_aligned_residual(z, w) -> np.ndarray:
     mag = np.abs(pairing)
     phase = np.where(mag > 0, pairing / np.where(mag > 0, mag, 1.0), 1.0 + 0j)
     return np.linalg.norm(z - w * np.conj(phase)[..., None], axis=-1)
-
-
-def random_unitary(rng: np.random.RandomState) -> np.ndarray:
-    """Haar-ish random unitary from a QR factorization (for tests)."""
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

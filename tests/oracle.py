@@ -1,0 +1,127 @@
+"""Independent 2-D oracle for the areas the package computes by Stokes.
+
+Every area in ``lagrtori`` is a 1-D boundary integral of the primitive of
+the form.  This module integrates the form itself over a parametrized
+surface: it pulls the form back through fourth-order central differences of
+the lift and integrates with tensor Gauss-Legendre quadrature, refining once
+to estimate the error.  It also holds the linear coning of a loop to a
+basepoint and a random unitary, which only the tests use.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from lagrtori.errors import LagrtoriError, NonConvergent
+from lagrtori.geometry import (
+    AreaEstimate,
+    ParamSurface,
+    QuadSpec,
+    _unit_rows,
+    fs_pullback_raw,
+)
+
+_CONE_FLOOR = 1e-2
+
+
+class ConingDegenerate(LagrtoriError):
+    """A coning chord passes too close to the origin of coordinate space."""
+
+
+def _gl_nodes_01(n: int):
+    x, w = leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def surface_lift_partial(surface: ParamSurface, s, t, axis: int) -> np.ndarray:
+    """Fourth-order central difference of the lift along one axis."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x = s if axis == 0 else t
+    h0 = surface.smoothness_step
+    if surface.periodic[axis]:
+        h = np.full(x.shape, h0)
+    else:
+        margin = np.minimum(x, 1.0 - x)
+        h = np.minimum(h0, margin * 0.4999)
+        if np.any(h <= 1e-12):
+            raise ValueError("finite-difference stencil pinched at the domain edge")
+
+    def ev(off):
+        if axis == 0:
+            return surface._eval(s + off, t)
+        return surface._eval(s, t + off)
+
+    hh = h[..., None]
+    return (8.0 * (ev(h) - ev(-h)) - (ev(2.0 * h) - ev(-2.0 * h))) / (12.0 * hh)
+
+
+def surface_form_grid(surface: ParamSurface, s, t) -> np.ndarray:
+    """Pullback of the form onto parameter space, sampled on arrays."""
+    z = surface._eval(s, t)
+    u = surface_lift_partial(surface, s, t, 0)
+    v = surface_lift_partial(surface, s, t, 1)
+    return fs_pullback_raw(z, u, v)
+
+
+def _area_once(surface: ParamSurface, n: int, weight_fn=None) -> float:
+    xs, ws = _gl_nodes_01(n)
+    mesh_s, mesh_t = np.meshgrid(xs, xs, indexing="ij")
+    k = surface_form_grid(surface, mesh_s, mesh_t)
+    if weight_fn is not None:
+        k = k * weight_fn(surface, mesh_s, mesh_t)
+    return float(np.einsum("i,j,ij->", ws, ws, k))
+
+
+def surface_symplectic_area(surface: ParamSurface, quad: QuadSpec = QuadSpec(),
+                            weight_fn=None) -> AreaEstimate:
+    """Symplectic area of a parametrized surface by the 2-D rule.
+
+    ``weight_fn(surface, s, t)``, if given, multiplies the integrand (for
+    weighted integrals of functions against the form).  The value is the
+    level at ``2 * quad.nodes_per_axis`` nodes per axis and the error its
+    disagreement with ``quad.nodes_per_axis``; NonConvergent is raised when
+    that exceeds ``quad.max_disagreement``.
+    """
+    n = quad.nodes_per_axis
+    coarse, fine = (_area_once(surface, m, weight_fn) for m in (n, 2 * n))
+    err = abs(fine - coarse)
+    if err > quad.max_disagreement:
+        raise NonConvergent(
+            f"refinements disagree by {err:.3e} > {quad.max_disagreement:.1e}"
+        )
+    return AreaEstimate(fine, err, 2 * n)
+
+
+def cone_disc(loop_lift: Callable[[np.ndarray], np.ndarray], basepoint: np.ndarray,
+              check_grid: int = 201, smoothness_step: float = 2.5e-4) -> ParamSurface:
+    """Disc bounding a loop by linear coning of its unit lift to a basepoint.
+
+    Raises ConingDegenerate when the chord between the basepoint and the
+    loop passes too close to the origin of coordinate space, which would
+    puncture the disc projectively.
+    """
+    base = _unit_rows(np.asarray(basepoint, dtype=complex))
+
+    def lift(s, t):
+        s = np.asarray(s, dtype=float)
+        loop = _unit_rows(np.asarray(loop_lift(np.asarray(t, dtype=float)), dtype=complex))
+        return (1.0 - s[..., None]) * base + s[..., None] * loop
+
+    surf = ParamSurface(lift, periodic=(False, True), smoothness_step=smoothness_step)
+    g = np.linspace(0.0, 1.0, check_grid)
+    mesh_s, mesh_t = np.meshgrid(g, g, indexing="ij")
+    low = float(np.min(np.linalg.norm(surf._eval(mesh_s, mesh_t), axis=-1)))
+    if low < _CONE_FLOOR:
+        raise ConingDegenerate(f"coning chord norm drops to {low:.3e}")
+    return surf
+
+
+def random_unitary(rng: np.random.RandomState) -> np.ndarray:
+    """Haar-ish random unitary from a QR factorization."""
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

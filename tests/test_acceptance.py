@@ -52,8 +52,6 @@ from lagrtori.geometry import (
     ParamSurface,
     QuadSpec,
     projective_line_surface,
-    surface_form_grid,
-    surface_symplectic_area,
 )
 from lagrtori.maslov import (
     DiscWithBoundary,
@@ -61,6 +59,7 @@ from lagrtori.maslov import (
     is_monotone,
     maslov_index,
 )
+from oracle import surface_form_grid, surface_symplectic_area
 
 QUAD = QuadSpec()
 

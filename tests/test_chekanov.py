@@ -12,7 +12,6 @@ from lagrtori.chekanov import (
     canonical_bs_scan,
     chekanov_torus,
     classify_type,
-    cone_disc,
     conic_circle,
     conic_disc_surface,
     conic_equation_residual,
@@ -23,7 +22,6 @@ from lagrtori.chekanov import (
     torus_periods_chekanov,
 )
 from lagrtori.errors import (
-    ConingDegenerate,
     DegenerateFamily,
     NonConvergent,
     SingularConic,
@@ -34,6 +32,10 @@ from lagrtori.geometry import (
     chordal_distance,
     loop_symplectic_area,
     projective_line_surface,
+)
+from oracle import (
+    ConingDegenerate,
+    cone_disc,
     random_unitary,
     surface_form_grid,
     surface_symplectic_area,

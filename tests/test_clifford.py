@@ -36,9 +36,8 @@ from lagrtori.geometry import (
     ParamSurface,
     QuadSpec,
     loop_symplectic_area,
-    surface_form_grid,
-    surface_symplectic_area,
 )
+from oracle import surface_form_grid, surface_symplectic_area
 
 QUAD = QuadSpec()
 

@@ -34,9 +34,9 @@ from lagrtori.geometry import (
     QuadSpec,
     _unit_rows,
     apply_unitary,
-    surface_symplectic_area,
 )
 from lagrtori.serialize import stable_dumps
+from oracle import surface_symplectic_area
 
 
 # ---------------------------------------------------------------------------

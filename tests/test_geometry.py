@@ -24,10 +24,8 @@ from lagrtori.geometry import (
     normalize_point,
     phase_aligned_residual,
     projective_line_surface,
-    random_unitary,
-    surface_form_grid,
-    surface_symplectic_area,
 )
+from oracle import random_unitary, surface_form_grid, surface_symplectic_area
 
 QUAD = QuadSpec()
 

@@ -80,7 +80,7 @@ PUBLIC = [
     "RotationReport", "ScanReport", "TangentVector", "TorusType", "annotations",
     "apply_unitary", "build_diagonal_rotation", "canonical_bs_defect",
     "canonical_bs_scan", "chekanov", "chekanov_torus", "classify_type", "clifford",
-    "clifford_fiber", "cone_disc", "conic_circle", "conic_parametrize",
+    "clifford_fiber", "conic_circle", "conic_parametrize",
     "conic_total_area", "deform_fiber", "deformed_fiber_periods", "diagonal_period",
     "disc_difference_check", "displace_chekanov", "displace_clifford",
     "displacement", "enc_verdict", "enumerate_bs_fibers", "errors", "fiber_periods",
@@ -88,7 +88,7 @@ PUBLIC = [
     "is_monotone", "ks_jacobian", "lifted_period_map", "loop_symplectic_area",
     "maslov", "maslov_index", "moment_map", "normalize_point",
     "projective_line_surface", "serialize", "standard_disc",
-    "surface_symplectic_area", "swap_symbol", "symbol_flow",
+    "swap_symbol", "symbol_flow",
     "torus_periods_chekanov", "universal_maslov_class",
 ]
 

@@ -10,7 +10,7 @@ from lagrtori.errors import (
     ChartEscape,
     NotCanonicalBS,
 )
-from lagrtori.geometry import ParamSurface, QuadSpec, surface_symplectic_area
+from lagrtori.geometry import ParamSurface, QuadSpec
 from lagrtori.maslov import (
     DiscWithBoundary,
     canonical_bs_defect,
@@ -19,6 +19,7 @@ from lagrtori.maslov import (
     maslov_index,
     universal_maslov_class,
 )
+from oracle import surface_symplectic_area
 
 _TWO_PI = 2.0 * math.pi
 
