@@ -33,7 +33,7 @@ from .lattice import (
     enumerate_bs_fibers,
     interior_rational_grid,
 )
-from .serialize import rational_pair, stable_dumps
+from .serialize import rational_pair, stable_dump
 from .svgplot import render_triangle_plot
 
 EXIT_OK = 0
@@ -51,7 +51,7 @@ def _threads() -> int:
         return 1
 
 
-def _envelope(command: str, params: dict, results: dict, diagnostics: dict) -> str:
+def _envelope(out, command: str, params: dict, results: dict, diagnostics: dict) -> None:
     body = {
         "command": command,
         "version": __version__,
@@ -59,11 +59,8 @@ def _envelope(command: str, params: dict, results: dict, diagnostics: dict) -> s
         "results": results,
         "diagnostics": diagnostics,
     }
-    return stable_dumps(body) + "\n"
-
-
-def _emit(out_stream, text: str) -> None:
-    out_stream.write(text)
+    stable_dump(body, out.write)
+    out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +76,7 @@ def _cmd_bs_count(args, out) -> int:
         for f in fibers.fibers:
             lines.append(f"{f.r0.numerator},{f.r0.denominator},"
                          f"{f.r1.numerator},{f.r1.denominator}")
-        _emit(out, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
         return EXIT_OK
     results = {
         "count": fibers.count,
@@ -87,13 +84,13 @@ def _cmd_bs_count(args, out) -> int:
         "hilbert_dimension": comparison.dimension,
         "match": comparison.match,
     }
-    _emit(out, _envelope(
-        "bs-count",
+    _envelope(
+        out, "bs-count",
         {"level": args.level, "closed": args.closed, "format": args.format},
         results,
         {"seed": args.seed, "threads": _threads(),
          "tolerances": {"arithmetic": "exact rational"}},
-    ))
+    )
     return EXIT_OK
 
 
@@ -129,13 +126,13 @@ def _cmd_enc_report(args, out) -> int:
         "displaceable_count": displaceable,
         "rows": rows,
     }
-    _emit(out, _envelope(
-        "enc-report",
+    _envelope(
+        out, "enc-report",
         {"grid": args.grid},
         results,
         {"seed": args.seed, "threads": _threads(),
          "tolerances": {"arithmetic": "exact rational", "bs_tol": 1e-9}},
-    ))
+    )
     return EXIT_OK
 
 
@@ -188,7 +185,7 @@ def _cmd_chekanov_scan(args, out, err) -> int:
             print(f"error: cannot write CSV: {exc}", file=err)
             return EXIT_IO
     if args.format == "csv":
-        _emit(out, csv_text)
+        out.write(csv_text)
         return EXIT_OK
     results = {
         "summary": {
@@ -203,8 +200,8 @@ def _cmd_chekanov_scan(args, out, err) -> int:
         "scan": report.to_json(),
         "certificate_rows": cert_rows,
     }
-    _emit(out, _envelope(
-        "chekanov-scan",
+    _envelope(
+        out, "chekanov-scan",
         {
             "mu": [mu.real, mu.imag],
             "a_min": args.a_min, "a_max": args.a_max, "a_step": args.a_step,
@@ -220,7 +217,7 @@ def _cmd_chekanov_scan(args, out, err) -> int:
                         "max_disagreement": quad.max_disagreement},
          "tolerances": {"certificate_threshold": 1e-3,
                         "report_decimals": REPORT_DECIMALS}},
-    ))
+    )
     return EXIT_OK
 
 
@@ -233,7 +230,7 @@ def _params_for(mu: complex, a: float, delta: float):
 def _cmd_plot(args, out, err) -> int:
     svg = render_triangle_plot(args.level)
     if args.out is None:
-        _emit(out, svg)
+        out.write(svg)
         return EXIT_OK
     try:
         with open(args.out, "w") as fh:

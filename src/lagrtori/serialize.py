@@ -15,6 +15,11 @@ whose items are all exactly ``int`` (the [num, den] pairs, swap indices)
 once per indent depth and reuses the text.  That memo lives for one call
 and keys on the item tuple, holding ints only (``type(x) is int``):
 bools, and floats equal to an int, never share an entry.
+
+:func:`stable_dump` passes the same text to ``write`` in pieces of about
+``_PIECE`` chunks (like :func:`json.dump`, a call that raises may have
+written a prefix): one string per report, plus the list of its chunks,
+fragments the heap, so peak memory grows with the number of reports run.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from json.encoder import encode_basestring_ascii as _quote
 SCHEMA_VERSION = "1.0.0"
 
 _INDENT = "  "
+_PIECE = 2048
 
 
 def complex_pair(z) -> list[float]:
@@ -72,33 +78,40 @@ def _key_text(key) -> str:
 
 def stable_dumps(payload) -> str:
     """Deterministic JSON text; see the module docstring for the contract."""
+    pieces: list[str] = []
+    stable_dump(payload, pieces.append)
+    return "".join(pieces)
+
+
+def stable_dump(payload, write) -> None:
+    """Passes the text of :func:`stable_dumps` to ``write`` in pieces."""
     chunks: list[str] = []
     # The writers are module functions, not closures: nested functions that
     # call each other form a reference cycle, which would keep every chunk
     # alive after return until the cyclic collector runs.  The two state
     # arguments are the int-list memo, (depth, items) -> text, and the ids
     # of the containers being written, for cycle detection.
-    _write(payload, 0, chunks.append, {}, set())
-    return "".join(chunks)
+    _write(payload, 0, chunks, write, {}, set())
+    write("".join(chunks))
 
 
-def _write(o, depth: int, emit, int_lists: dict, open_ids: set) -> None:
+def _write(o, depth: int, chunks: list, write, int_lists: dict, open_ids: set) -> None:
     if isinstance(o, str):
-        emit(_quote(o))
+        chunks.append(_quote(o))
     elif o is None:
-        emit("null")
+        chunks.append("null")
     elif o is True:
-        emit("true")
+        chunks.append("true")
     elif o is False:
-        emit("false")
+        chunks.append("false")
     elif isinstance(o, int):
-        emit(int.__repr__(o))
+        chunks.append(int.__repr__(o))
     elif isinstance(o, float):
-        emit(_float_text(o))
+        chunks.append(_float_text(o))
     elif isinstance(o, (list, tuple)):
-        _write_list(o, depth, emit, int_lists, open_ids)
+        _write_list(o, depth, chunks, write, int_lists, open_ids)
     elif isinstance(o, dict):
-        _write_dict(o, depth, emit, int_lists, open_ids)
+        _write_dict(o, depth, chunks, write, int_lists, open_ids)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} "
                         f"is not JSON serializable")
@@ -110,9 +123,9 @@ def _enter(o, open_ids: set) -> None:
     open_ids.add(id(o))
 
 
-def _write_list(o, depth: int, emit, int_lists: dict, open_ids: set) -> None:
+def _write_list(o, depth: int, chunks: list, write, int_lists: dict, open_ids: set) -> None:
     if not o:
-        emit("[]")
+        chunks.append("[]")
         return
     for x in o:
         if type(x) is not int:
@@ -125,29 +138,32 @@ def _write_list(o, depth: int, emit, int_lists: dict, open_ids: set) -> None:
             text = int_lists[key] = (
                 "[" + sep[1:] + sep.join(map(int.__repr__, o))
                 + "\n" + _INDENT * depth + "]")
-        emit(text)
+        chunks.append(text)
         return
     _enter(o, open_ids)
     inner = "\n" + _INDENT * (depth + 1)
     sep = "[" + inner
     for x in o:
-        emit(sep)
+        chunks.append(sep)
         sep = "," + inner
-        _write(x, depth + 1, emit, int_lists, open_ids)
-    emit("\n" + _INDENT * depth + "]")
+        _write(x, depth + 1, chunks, write, int_lists, open_ids)
+        if len(chunks) >= _PIECE:  # a list is where a large report is long
+            write("".join(chunks))
+            chunks.clear()
+    chunks.append("\n" + _INDENT * depth + "]")
     open_ids.discard(id(o))
 
 
-def _write_dict(o, depth: int, emit, int_lists: dict, open_ids: set) -> None:
+def _write_dict(o, depth: int, chunks: list, write, int_lists: dict, open_ids: set) -> None:
     if not o:
-        emit("{}")
+        chunks.append("{}")
         return
     _enter(o, open_ids)
     inner = "\n" + _INDENT * (depth + 1)
     sep = "{" + inner
     for k, v in sorted(o.items()):
-        emit(sep + _quote(_key_text(k)) + ": ")
+        chunks.append(sep + _quote(_key_text(k)) + ": ")
         sep = "," + inner
-        _write(v, depth + 1, emit, int_lists, open_ids)
-    emit("\n" + _INDENT * depth + "}")
+        _write(v, depth + 1, chunks, write, int_lists, open_ids)
+    chunks.append("\n" + _INDENT * depth + "}")
     open_ids.discard(id(o))

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrtori import cli
-from lagrtori.serialize import stable_dumps
+from lagrtori import serialize
+from lagrtori.serialize import stable_dump, stable_dumps
 
 
 def reference_dumps(payload):
@@ -38,6 +39,31 @@ payloads = st.recursive(
 @given(payloads)
 def test_stable_dumps_matches_json_bytes(payload):
     assert stable_dumps(payload) == reference_dumps(payload)
+
+
+class _Pieces(list):
+    """A text stream that keeps every written piece."""
+
+    write = list.append
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads)
+def test_stable_dump_writes_the_stable_dumps_text(payload):
+    pieces = []
+    stable_dump(payload, pieces.append)
+    assert "".join(pieces) == stable_dumps(payload)
+
+
+def test_stable_dump_spills_large_payloads_in_pieces():
+    payload = {"rows": [{"base": [[i, 7], [1, i + 2]], "swap": [0, 1], "s": i / 7}
+                        for i in range(5000)]}
+    pieces = []
+    stable_dump(payload, pieces.append)
+    text = "".join(pieces)
+    assert text == reference_dumps(payload)
+    assert len(pieces) > 10
+    assert max(map(len, pieces)) < len(text) // 10
 
 
 def test_int_list_memo_keeps_equal_values_of_other_types_apart():
@@ -81,6 +107,13 @@ def test_stable_dumps_leaves_no_reference_cycles():
     assert gc.collect() == 0
 
 
+def test_stable_dump_leaves_no_reference_cycles():
+    payload = {"a": [[1, 2], [3, 4]], "b": [{"c": 1.5}], "d": "e"}
+    gc.collect()
+    stable_dump(payload, io.StringIO().write)
+    assert gc.collect() == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["bs-count", "--level", "40"],
     ["bs-count", "--level", "40", "--closed"],
@@ -94,3 +127,13 @@ def test_cli_payloads_reencode_to_identical_bytes(argv):
     payload = json.loads(out.getvalue())
     assert stable_dumps(payload) + "\n" == out.getvalue()
     assert reference_dumps(payload) + "\n" == out.getvalue()
+
+
+def test_cli_writes_a_large_report_in_bounded_pieces():
+    # no string of the report's size is built, so heap peaks stay flat
+    out = _Pieces()
+    assert cli.main(["enc-report", "--grid", "60"], out=out) == cli.EXIT_OK
+    text = "".join(out)
+    assert len(text) > 400_000
+    assert max(map(len, out)) <= 64 * serialize._PIECE
+    assert reference_dumps(json.loads(text)) + "\n" == text
