@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import errors, lattice, serialize
 from .lattice import (
@@ -38,8 +38,7 @@ _NUMERIC = {
     "clifford": (
         "CliffordFiber", "D1", "D2", "D3", "DeformationSpec", "HomologyClass",
         "clifford_fiber", "deform_fiber", "deformed_fiber_periods",
-        "diagonal_period", "fiber_periods", "ks_jacobian", "lifted_period_map",
-        "standard_disc",
+        "diagonal_period", "fiber_periods", "ks_jacobian", "standard_disc",
     ),
     "maslov": (
         "DiscWithBoundary", "MaslovResult", "disc_difference_check", "maslov_index",
@@ -76,8 +75,7 @@ def __dir__() -> list[str]:
 
 
 __all__ = sorted([
-    "annotations", "errors", "serialize", "ActionCoords", "BSFiberSet",
-    "MonotoneWitness", "canonical_bs_defect", "enumerate_bs_fibers",
-    "hilbert_dimension", "interior_rational_grid", "is_monotone",
-    "universal_maslov_class", *_LAZY,
+    "errors", "serialize", "ActionCoords", "BSFiberSet", "MonotoneWitness",
+    "canonical_bs_defect", "enumerate_bs_fibers", "hilbert_dimension",
+    "interior_rational_grid", "is_monotone", "universal_maslov_class", *_LAZY,
 ])

@@ -246,16 +246,15 @@ def classify_type(params: ChekanovParams) -> TorusType:
     return TorusType.CLIFFORD if gap > 0 else TorusType.CHEKANOV
 
 
-def chekanov_torus(params: ChekanovParams, anchor: Anchor | str = Anchor.NEAR_Z0,
-                   smoothness_step: float = 3e-5) -> ParamSurface:
+def chekanov_torus(params: ChekanovParams,
+                   anchor: Anchor | str = Anchor.NEAR_Z0) -> ParamSurface:
     """The lagrangian torus over the pencil-parameter circle.
 
     For each t the fiber circle is the conic_circle of the member at
     eps(t) = a e^{2 pi i t} - mu, with the orbit radius obtained from the
     closed-form level_radius inverse.  Raises DegenerateFamily when the
     parameter circle passes through the singular member (a = |mu| within
-    1e-9).  The differencing step is kept small because the radius varies
-    steeply in t when the parameter circle passes near the singular member.
+    1e-9).
     """
     if classify_type(params) is TorusType.BOUNDARY:
         raise DegenerateFamily("parameter circle passes through the singular member")
@@ -272,8 +271,7 @@ def chekanov_torus(params: ChekanovParams, anchor: Anchor | str = Anchor.NEAR_Z0
         return np.stack([one, eps * lam * lam, lam], axis=-1)
 
     # axis 0 is the pencil-circle angle t, axis 1 the orbit angle s
-    return ParamSurface(lambda u, v: lift(v, u), periodic=(True, True),
-                        smoothness_step=smoothness_step)
+    return ParamSurface(lambda u, v: lift(v, u), periodic=(True, True))
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +427,14 @@ def _scan_point(mu: complex, a: float, delta: float, quad: QuadSpec) -> ScanRow:
                    _reported_error(periods.section_error), periods.nodes)
 
 
-def canonical_bs_scan(mu: complex, a_grid, delta_grid, quad: QuadSpec = QuadSpec(),
-                      workers: int = 1) -> ScanReport:
+def canonical_bs_scan(mu: complex, a_grid, delta_grid,
+                      quad: QuadSpec = QuadSpec()) -> ScanReport:
     """Tripled-period integrality defects over an (a, delta) grid.
 
     For each grid torus the defect is max(orbit defect, best combined section
     defect); the report carries the grid minimum and its location.  The grid
-    must stay in the a < |mu| regime.  Rows are computed in grid order
-    (optionally by a thread pool) so reports are deterministic.
+    must stay in the a < |mu| regime.  Rows are computed in grid order so
+    reports are deterministic.
     """
     mu = complex(mu)
     a_grid = [float(a) for a in a_grid]
@@ -447,14 +445,7 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid, quad: QuadSpec = QuadSpec
         raise ValueError("a_grid must stay strictly inside (0, |mu|)")
     if min(a_grid) <= 0:
         raise ValueError("a_grid must be positive")
-    tasks = [(a, d) for a in a_grid for d in delta_grid]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda ad: _scan_point(mu, ad[0], ad[1], quad), tasks))
-    else:
-        rows = [_scan_point(mu, a, d, quad) for a, d in tasks]
+    rows = [_scan_point(mu, a, d, quad) for a in a_grid for d in delta_grid]
     best = min(range(len(rows)), key=lambda i: rows[i].defect)
     return ScanReport(
         mu, tuple(rows), rows[best].defect, (rows[best].a, rows[best].delta)

@@ -8,8 +8,8 @@ chekanov-scan  tripled-period integrality scan of the conic-pencil family
 plot           SVG of the moment triangle and fiber lattices
 
 All reports are wrapped in a versioned JSON envelope with the parameters and
-the diagnostics (tolerances, quadrature settings, seed, threads) actually
-used; identical inputs produce byte-identical output.  Exit codes: 0 success,
+the diagnostics (tolerances, quadrature settings) actually used; identical
+inputs produce byte-identical output.  Exit codes: 0 success,
 2 usage, 3 dichotomy contradiction, 4 scan failure, 5 IO error.
 
 ``bs-count``, ``enc-report`` and ``plot`` use only the exact layer
@@ -21,7 +21,6 @@ modules when it runs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -41,14 +40,6 @@ EXIT_USAGE = 2
 EXIT_CONTRADICTION = 3
 EXIT_SCAN = 4
 EXIT_IO = 5
-
-
-def _threads() -> int:
-    raw = os.environ.get("LAGRTORI_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _envelope(out, command: str, params: dict, results: dict, diagnostics: dict) -> None:
@@ -88,8 +79,7 @@ def _cmd_bs_count(args, out) -> int:
         out, "bs-count",
         {"level": args.level, "closed": args.closed, "format": args.format},
         results,
-        {"seed": args.seed, "threads": _threads(),
-         "tolerances": {"arithmetic": "exact rational"}},
+        {"tolerances": {"arithmetic": "exact rational"}},
     )
     return EXIT_OK
 
@@ -130,8 +120,7 @@ def _cmd_enc_report(args, out) -> int:
         out, "enc-report",
         {"grid": args.grid},
         results,
-        {"seed": args.seed, "threads": _threads(),
-         "tolerances": {"arithmetic": "exact rational", "bs_tol": 1e-9}},
+        {"tolerances": {"arithmetic": "exact rational", "bs_tol": 1e-9}},
     )
     return EXIT_OK
 
@@ -158,8 +147,7 @@ def _cmd_chekanov_scan(args, out, err) -> int:
     delta_grid = _float_range(-1.0 + args.delta_step, 1.0 - args.delta_step,
                               args.delta_step)
     quad = QuadSpec(nodes_per_axis=args.quad_nodes)
-    threads = _threads()
-    report = canonical_bs_scan(mu, a_grid, delta_grid, quad, workers=threads)
+    report = canonical_bs_scan(mu, a_grid, delta_grid, quad)
 
     issued = inconclusive = 0
     cert_rows = []
@@ -209,8 +197,7 @@ def _cmd_chekanov_scan(args, out, err) -> int:
             "format": args.format,
         },
         results,
-        {"seed": args.seed, "threads": threads,
-         "quadrature": {"method": "boundary-trapezoid",
+        {"quadrature": {"method": "boundary-trapezoid",
                         "nodes_per_axis": quad.nodes_per_axis,
                         "max_nodes": LOOP_MAX_NODES,
                         "agreement": LOOP_AGREEMENT,
@@ -273,12 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bs.add_argument("--closed", action="store_true",
                       help="count the closed-triangle lattice instead of the interior")
     p_bs.add_argument("--format", choices=("json", "csv"), default="json")
-    p_bs.add_argument("--seed", type=int, default=0)
 
     p_enc = sub.add_parser("enc-report", help="displaceable-or-monotone dichotomy")
     p_enc.add_argument("--grid", type=int, required=True,
                        help="interior grid size N (N >= 3)")
-    p_enc.add_argument("--seed", type=int, default=0)
 
     p_scan = sub.add_parser("chekanov-scan",
                             help="integrality scan of the conic-pencil family")
@@ -293,12 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-axis sample count for displacement certificates")
     p_scan.add_argument("--csv-out", default=None)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
-    p_scan.add_argument("--seed", type=int, default=0)
 
     p_plot = sub.add_parser("plot", help="SVG of the triangle and fiber lattices")
     p_plot.add_argument("--level", type=_positive_int, required=True)
     p_plot.add_argument("--out", default=None, help="output path (default stdout)")
-    p_plot.add_argument("--seed", type=int, default=0)
 
     return parser
 

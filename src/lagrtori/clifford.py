@@ -226,20 +226,8 @@ def diagonal_period(base: ActionCoords | tuple, quad: QuadSpec = QuadSpec(),
 
 
 # ---------------------------------------------------------------------------
-# lifted period map and its Jacobian
+# Jacobian of the lifted period map
 # ---------------------------------------------------------------------------
-
-
-def lifted_period_map(base: ActionCoords | tuple) -> tuple[float, float]:
-    """Continuous lift of the periods over the closed triangle.
-
-    The lift is fixed by requiring both components nonnegative and vanishing
-    on the edges where their cycles collapse; in action coordinates it is the
-    identity, sending the corners to (0,0), (0,1), (1,0).
-    """
-    if not isinstance(base, ActionCoords):
-        base = ActionCoords(*base)
-    return base.as_floats()
 
 
 class KSResult(NamedTuple):
@@ -251,10 +239,12 @@ def ks_jacobian(base: ActionCoords | tuple, step: float = 1e-4,
                 period_fn: Callable | None = None) -> KSResult:
     """Central finite-difference Jacobian of the lifted period map.
 
-    ``period_fn`` defaults to :func:`lifted_period_map`; passing a
-    quadrature-backed period function gives an independent (slower, noisier)
-    version of the same derivative.  Raises StencilOutOfDomain when the
-    stencil would leave the open triangle.
+    The lift is fixed by requiring both periods nonnegative and vanishing on
+    the edges where their cycles collapse; in action coordinates it is the
+    identity, which ``period_fn`` defaults to.  Passing a quadrature-backed
+    period function gives an independent (slower, noisier) version of the
+    same derivative.  Raises StencilOutOfDomain when the stencil would leave
+    the open triangle.
     """
     if not isinstance(base, ActionCoords):
         base = ActionCoords(*base)
@@ -265,7 +255,7 @@ def ks_jacobian(base: ActionCoords | tuple, step: float = 1e-4,
             raise StencilOutOfDomain(
                 f"stencil point ({a}, {b}) leaves the open triangle"
             )
-    fn = period_fn if period_fn is not None else lifted_period_map
+    fn = period_fn if period_fn is not None else (lambda ab: ab)
     vals = [np.asarray(fn((a, b)), dtype=float) for (a, b) in pts]
     col0 = (vals[0] - vals[1]) / (2.0 * step)
     col1 = (vals[2] - vals[3]) / (2.0 * step)

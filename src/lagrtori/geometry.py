@@ -173,14 +173,11 @@ class ParamSurface:
     of homogeneous coordinate triples along the last axis.  The lift need not
     be unit-norm but must be smooth (no phase jumps between neighboring
     samples).  Axes flagged periodic may be evaluated outside [0, 1] by the
-    same formula.  ``smoothness_step`` is the finite-difference step for
-    callers that differentiate the lift, such as the 2-D area oracle of the
-    test suite; nothing in the package does.
+    same formula.
     """
 
     lift: Callable[..., np.ndarray]
     periodic: tuple[bool, bool] = (False, False)
-    smoothness_step: float = 1e-3
 
     def point_at(self, s: float, t: float) -> HomogeneousPoint:
         return normalize_point(np.asarray(self.lift(np.float64(s), np.float64(t)), dtype=complex))
@@ -291,7 +288,7 @@ def apply_unitary(mat, target):
         def moved(s, t):
             return np.einsum("ij,...j->...i", mat, np.asarray(inner(s, t), dtype=complex))
 
-        return ParamSurface(moved, target.periodic, target.smoothness_step)
+        return ParamSurface(moved, target.periodic)
     raise TypeError("apply_unitary acts on HomogeneousPoint or ParamSurface")
 
 

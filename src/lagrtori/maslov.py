@@ -47,25 +47,6 @@ class DiscWithBoundary:
     frame: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     chart: int
 
-    def validate(self, samples: int = 48) -> None:
-        """Check boundary agreement, chart containment and frame usability."""
-        t = np.linspace(0.0, 1.0, samples, endpoint=False)
-        edge = _unit_rows(self.disc._eval(np.ones_like(t), t))
-        loop = _unit_rows(np.asarray(self.boundary_loop(t), dtype=complex))
-        agree = np.abs(np.abs(hermdot(edge, loop)) - 1.0)
-        if np.max(agree) > 1e-10:
-            raise BoundaryMismatch(
-                f"disc edge differs from boundary loop by {np.max(agree):.3e}"
-            )
-        grid = np.linspace(0.0, 1.0, samples)
-        mesh_s, mesh_t = np.meshgrid(grid, grid, indexing="ij")
-        z = _unit_rows(self.disc._eval(mesh_s, mesh_t))
-        low = np.min(np.abs(z[..., self.chart]))
-        if low < _CHART_FLOOR:
-            raise ChartEscape(
-                f"disc sample has |z_{self.chart}| = {low:.3e} < {_CHART_FLOOR:.1e}"
-            )
-
 
 @dataclass(frozen=True)
 class MaslovResult:

@@ -28,8 +28,6 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-SCHEMA_VERSION = "1.0.0"
-
 _INDENT = "  "
 _PIECE = 2048
 

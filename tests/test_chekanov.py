@@ -172,7 +172,7 @@ def test_torus_is_lagrangian_and_on_the_conics(a, mu, delta):
     torus = chekanov_torus(params)
     g = (np.arange(16) + 0.37) / 16
     uu, vv = np.meshgrid(g, g, indexing="ij")
-    assert np.max(np.abs(surface_form_grid(torus, uu, vv))) <= 1e-8
+    assert np.max(np.abs(surface_form_grid(torus, uu, vv, step=3e-5))) <= 1e-8
     eps = params.eps_of(uu)
     assert np.max(conic_equation_residual(eps, torus._eval(uu, vv))) <= 1e-10
 
@@ -197,7 +197,7 @@ def _coned_section_area(params, seed, quad):
             disc = cone_disc(lambda t: torus._eval(t, np.zeros_like(t)), base)
         except ConingDegenerate:
             continue
-        return surface_symplectic_area(disc, quad).value
+        return surface_symplectic_area(disc, quad, step=2.5e-4).value
     raise AssertionError("no usable coning basepoint")
 
 
@@ -308,13 +308,6 @@ def test_scan_small_grid_values():
     assert report.min_defect == pytest.approx(0.0158922, abs=1e-4)
     assert report.argmin == (0.3, 0.0)
     assert report.min_defect > 1e-4
-
-
-def test_scan_workers_agree_with_serial():
-    serial = canonical_bs_scan(1.0, [0.4], [-0.5, 0.0, 0.5], CHEAP)
-    threaded = canonical_bs_scan(1.0, [0.4], [-0.5, 0.0, 0.5], CHEAP, workers=3)
-    for r1, r2 in zip(serial.rows, threaded.rows):
-        assert r1 == r2
 
 
 def test_scan_csv_layout():

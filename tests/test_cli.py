@@ -144,6 +144,15 @@ def test_usage_errors_exit_2(args, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["bs_count_level3.json", "enc_report_grid7.json",
+                                  "chekanov_scan_small.json", "plot_level3.svg"])
+def test_seed_flag_is_rejected(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(GOLDEN_CASES[name] + ["--seed", "0"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_version_flag_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
@@ -181,7 +190,7 @@ def test_scan_failure_exits_4(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# file outputs and environment knobs
+# file outputs
 # ---------------------------------------------------------------------------
 
 
@@ -199,15 +208,3 @@ def test_scan_csv_out_writes_file(tmp_path):
     assert code == cli.EXIT_OK
     assert json.loads(out)["command"] == "chekanov-scan"
     assert target.read_text() == read_golden("chekanov_scan_small.csv")
-
-
-def test_thread_env_is_reported(monkeypatch):
-    monkeypatch.setenv("LAGRTORI_THREADS", "3")
-    _, out, _ = run_cli(["bs-count", "--level", "4"])
-    assert json.loads(out)["diagnostics"]["threads"] == 3
-
-
-def test_bad_thread_env_falls_back(monkeypatch):
-    monkeypatch.setenv("LAGRTORI_THREADS", "many")
-    _, out, _ = run_cli(["bs-count", "--level", "4"])
-    assert json.loads(out)["diagnostics"]["threads"] == 1

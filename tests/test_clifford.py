@@ -23,7 +23,6 @@ from lagrtori.clifford import (
     hilbert_dimension,
     interior_rational_grid,
     ks_jacobian,
-    lifted_period_map,
     standard_disc,
 )
 from lagrtori.errors import (
@@ -37,7 +36,7 @@ from lagrtori.geometry import (
     QuadSpec,
     loop_symplectic_area,
 )
-from oracle import surface_form_grid, surface_symplectic_area
+from oracle import surface_form_grid, surface_symplectic_area, validate_disc
 
 QUAD = QuadSpec()
 
@@ -108,7 +107,7 @@ def test_standard_disc_areas_match_actions():
 def test_standard_disc_validates():
     fiber = clifford_fiber((0.2, 0.3))
     for cls in (D1, D2, D3):
-        standard_disc(fiber, cls).validate()
+        validate_disc(standard_disc(fiber, cls))
 
 
 def test_unsupported_class_rejected():
@@ -276,12 +275,6 @@ def test_ks_jacobian_quadrature_backed():
 def test_ks_jacobian_stencil_guard():
     with pytest.raises(StencilOutOfDomain):
         ks_jacobian((0.5, 0.49999), step=1e-3)
-
-
-def test_lifted_period_map_fixes_corners_continuously():
-    assert lifted_period_map((0.0, 0.0)) == (0.0, 0.0)
-    assert lifted_period_map((1.0, 0.0)) == (1.0, 0.0)
-    assert lifted_period_map((0.2, 0.3)) == (0.2, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ must run without importing numpy; each case runs in a fresh interpreter
 with the package imported from ``src/``.
 """
 
-import __future__
 import importlib
 import json
 import os
@@ -77,7 +76,7 @@ PUBLIC = [
     "DiscWithBoundary", "Displaceable", "DisplacementCertificate", "HermitianSymbol",
     "HomogeneousPoint", "HomologyClass", "Inconclusive", "MaslovResult", "Monotone",
     "MonotoneWitness", "NotDisplacedByTheseFlows", "ParamSurface", "QuadSpec",
-    "RotationReport", "ScanReport", "TangentVector", "TorusType", "annotations",
+    "RotationReport", "ScanReport", "TangentVector", "TorusType",
     "apply_unitary", "build_diagonal_rotation", "canonical_bs_defect",
     "canonical_bs_scan", "chekanov", "chekanov_torus", "classify_type", "clifford",
     "clifford_fiber", "conic_circle", "conic_parametrize",
@@ -85,7 +84,7 @@ PUBLIC = [
     "disc_difference_check", "displace_chekanov", "displace_clifford",
     "displacement", "enc_verdict", "enumerate_bs_fibers", "errors", "fiber_periods",
     "fs_form_value", "geometry", "hilbert_dimension", "interior_rational_grid",
-    "is_monotone", "ks_jacobian", "lifted_period_map", "loop_symplectic_area",
+    "is_monotone", "ks_jacobian", "loop_symplectic_area",
     "maslov", "maslov_index", "moment_map", "normalize_point",
     "projective_line_surface", "serialize", "standard_disc",
     "swap_symbol", "symbol_flow",
@@ -103,8 +102,6 @@ MOVED = {
 
 
 def _defining_object(name: str, value):
-    if name == "annotations":
-        return __future__.annotations
     if isinstance(value, types.ModuleType):
         return sys.modules[f"lagrtori.{name}"]
     return getattr(importlib.import_module(value.__module__), name)

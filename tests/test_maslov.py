@@ -19,7 +19,7 @@ from lagrtori.maslov import (
     maslov_index,
     universal_maslov_class,
 )
-from oracle import surface_symplectic_area
+from oracle import surface_symplectic_area, validate_disc
 
 _TWO_PI = 2.0 * math.pi
 
@@ -86,7 +86,7 @@ def test_index_is_chart_independent():
 def test_companion_disc_index_and_area():
     base = (0.2, 0.3)
     comp = companion_disc_chart0(base)
-    comp.validate()
+    validate_disc(comp)
     assert maslov_index(comp).mu == -2
     est = surface_symplectic_area(comp.disc, QuadSpec())
     assert est.value == pytest.approx(0.2 - 1.0, abs=1e-7)
@@ -116,10 +116,10 @@ def test_validate_rejects_wrong_boundary_and_chart():
     other_loop = standard_disc(fiber, D2).boundary_loop
     broken = dataclasses.replace(d1, boundary_loop=other_loop)
     with pytest.raises(BoundaryMismatch):
-        broken.validate()
+        validate_disc(broken)
     # the d1 disc passes through z0 = 0 at its center, so chart 0 fails
     with pytest.raises(ChartEscape):
-        dataclasses.replace(d1, chart=0).validate()
+        validate_disc(dataclasses.replace(d1, chart=0))
 
 
 def test_result_serializes():
