@@ -31,9 +31,8 @@ from .lattice import (
 # numeric module -> the names the package exports from it
 _NUMERIC = {
     "geometry": (
-        "AreaEstimate", "HomogeneousPoint", "ParamSurface", "QuadSpec",
-        "TangentVector", "apply_unitary", "fs_form_value", "loop_symplectic_area",
-        "moment_map", "normalize_point", "projective_line_surface",
+        "AreaEstimate", "ParamSurface", "apply_unitary", "loop_symplectic_area",
+        "moment_map", "projective_line_surface",
     ),
     "clifford": (
         "CliffordFiber", "D1", "D2", "D3", "DeformationSpec", "HomologyClass",

@@ -29,13 +29,11 @@ from .errors import (
     SingularConic,
 )
 from .geometry import (
+    LOOP_NODES,
     AreaEstimate,
-    HomogeneousPoint,
     ParamSurface,
-    QuadSpec,
     _unit_rows,
     loop_symplectic_area,
-    normalize_point,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -108,9 +106,6 @@ class ConicParametrization:
         one = np.ones_like(lam)
         return np.stack([one, self.eps * lam * lam, lam], axis=-1)
 
-    def point_at(self, level: float, s: float) -> HomogeneousPoint:
-        return normalize_point(self.lift(level, s))
-
 
 def conic_parametrize(eps: complex) -> ConicParametrization:
     """Parametrization of {z0 z1 = eps z2^2}; SingularConic for eps ~ 0."""
@@ -146,7 +141,7 @@ def conic_disc_surface(eps: complex, rho: float, inverted: bool = False) -> Para
     return ParamSurface(lift, periodic=(False, True))
 
 
-def conic_total_area(eps: complex, quad: QuadSpec = QuadSpec()) -> tuple[float, float]:
+def conic_total_area(eps: complex) -> tuple[float, float]:
     """Total symplectic area of a smooth member and its error estimate.
 
     The member is the union of the two anchored discs bounded by the
@@ -155,7 +150,7 @@ def conic_total_area(eps: complex, quad: QuadSpec = QuadSpec()) -> tuple[float, 
     """
     eps = _require_smooth(eps)
     mid = 1.0 / math.sqrt(abs(eps))  # the area-bisecting orbit
-    ests = [loop_symplectic_area(functools.partial(disc._eval, 1.0), quad)
+    ests = [loop_symplectic_area(functools.partial(disc._eval, 1.0))
             for disc in (conic_disc_surface(eps, mid),
                          conic_disc_surface(eps, mid, inverted=True))]
     return (ests[0].value + ests[1].value, ests[0].error + ests[1].error)
@@ -291,9 +286,9 @@ def _mod_unit(x: float) -> float:
     return x - math.floor(x)
 
 
-def _loop_period(loop, quad: QuadSpec, name: str, params: ChekanovParams) -> AreaEstimate:
+def _loop_period(loop, nodes: int, name: str, params: ChekanovParams) -> AreaEstimate:
     try:
-        return loop_symplectic_area(loop, quad)
+        return loop_symplectic_area(loop, nodes)
     except NonConvergent as exc:
         raise NonConvergent(
             f"{name} of the torus at a={params.a!r}, mu={params.mu!r},"
@@ -301,7 +296,7 @@ def _loop_period(loop, quad: QuadSpec, name: str, params: ChekanovParams) -> Are
         ) from exc
 
 
-def torus_periods_chekanov(params: ChekanovParams, quad: QuadSpec = QuadSpec(),
+def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
                            anchor: Anchor | str = Anchor.NEAR_Z0) -> ChekanovPeriods:
     """Periods of the orbit cycle and a fixed section cycle, mod 1.
 
@@ -316,11 +311,11 @@ def torus_periods_chekanov(params: ChekanovParams, quad: QuadSpec = QuadSpec(),
     """
     anchor = Anchor(anchor)
     circle0 = conic_circle(complex(params.eps_of(0.0)), params.delta, anchor)
-    orbit = _loop_period(circle0.loop, quad, "orbit loop", params)
+    orbit = _loop_period(circle0.loop, nodes, "orbit loop", params)
     p_orbit = orbit.value if anchor is Anchor.NEAR_Z0 else 2.0 - orbit.value
 
     torus = chekanov_torus(params, anchor)
-    section = _loop_period(lambda t: torus._eval(t, np.zeros_like(t)), quad,
+    section = _loop_period(lambda t: torus._eval(t, np.zeros_like(t)), nodes,
                            "section loop", params)
     return ChekanovPeriods(_mod_unit(p_orbit), _mod_unit(section.value),
                            orbit.error, section.error, max(orbit.nodes, section.nodes))
@@ -412,8 +407,8 @@ class ScanReport:
         }
 
 
-def _scan_point(mu: complex, a: float, delta: float, quad: QuadSpec) -> ScanRow:
-    periods = torus_periods_chekanov(ChekanovParams(a, mu, delta), quad)
+def _scan_point(mu: complex, a: float, delta: float, nodes: int) -> ScanRow:
+    periods = torus_periods_chekanov(ChekanovParams(a, mu, delta), nodes)
     # reduce after rounding, so a period within 5e-11 below 1 reads 0.0
     p_orb = _mod_unit(_reported(periods.p_orbit))
     p_sec = _mod_unit(_reported(periods.p_section))
@@ -428,7 +423,7 @@ def _scan_point(mu: complex, a: float, delta: float, quad: QuadSpec) -> ScanRow:
 
 
 def canonical_bs_scan(mu: complex, a_grid, delta_grid,
-                      quad: QuadSpec = QuadSpec()) -> ScanReport:
+                      nodes: int = LOOP_NODES) -> ScanReport:
     """Tripled-period integrality defects over an (a, delta) grid.
 
     For each grid torus the defect is max(orbit defect, best combined section
@@ -445,7 +440,7 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
         raise ValueError("a_grid must stay strictly inside (0, |mu|)")
     if min(a_grid) <= 0:
         raise ValueError("a_grid must be positive")
-    rows = [_scan_point(mu, a, d, quad) for a in a_grid for d in delta_grid]
+    rows = [_scan_point(mu, a, d, nodes) for a in a_grid for d in delta_grid]
     best = min(range(len(rows)), key=lambda i: rows[i].defect)
     return ScanReport(
         mu, tuple(rows), rows[best].defect, (rows[best].a, rows[best].delta)

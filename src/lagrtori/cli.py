@@ -138,23 +138,22 @@ def _float_range(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _cmd_chekanov_scan(args, out, err) -> int:
-    from .chekanov import REPORT_DECIMALS, canonical_bs_scan
+    from .chekanov import REPORT_DECIMALS, ChekanovParams, canonical_bs_scan
     from .displacement import DisplacementCertificate, displace_chekanov
-    from .geometry import LOOP_AGREEMENT, LOOP_MAX_NODES, QuadSpec
+    from .geometry import LOOP_AGREEMENT, LOOP_FALLBACK, LOOP_MAX_NODES
 
     mu = complex(args.mu[0], args.mu[1])
     a_grid = _float_range(args.a_min, args.a_max, args.a_step)
     delta_grid = _float_range(-1.0 + args.delta_step, 1.0 - args.delta_step,
                               args.delta_step)
-    quad = QuadSpec(nodes_per_axis=args.quad_nodes)
-    report = canonical_bs_scan(mu, a_grid, delta_grid, quad)
+    report = canonical_bs_scan(mu, a_grid, delta_grid, args.quad_nodes)
 
     issued = inconclusive = 0
     cert_rows = []
     for a in a_grid:
         for delta in delta_grid:
             res = displace_chekanov(
-                _params_for(mu, a, delta), samples=args.cert_samples)
+                ChekanovParams(a, mu, delta), samples=args.cert_samples)
             row = {"a": a, "delta": delta,
                    "separation": round(res.separation, REPORT_DECIMALS)}
             if isinstance(res, DisplacementCertificate):
@@ -198,20 +197,14 @@ def _cmd_chekanov_scan(args, out, err) -> int:
         },
         results,
         {"quadrature": {"method": "boundary-trapezoid",
-                        "nodes_per_axis": quad.nodes_per_axis,
+                        "nodes_per_axis": args.quad_nodes,
                         "max_nodes": LOOP_MAX_NODES,
                         "agreement": LOOP_AGREEMENT,
-                        "max_disagreement": quad.max_disagreement},
+                        "max_disagreement": LOOP_FALLBACK},
          "tolerances": {"certificate_threshold": 1e-3,
                         "report_decimals": REPORT_DECIMALS}},
     )
     return EXIT_OK
-
-
-def _params_for(mu: complex, a: float, delta: float):
-    from .chekanov import ChekanovParams
-
-    return ChekanovParams(a, mu, delta)
 
 
 def _cmd_plot(args, out, err) -> int:
@@ -301,8 +294,14 @@ def main(argv=None, out=None, err=None) -> int:
         if args.a_max >= mu_abs:
             parser.error(f"--a-max must stay below |mu| = {mu_abs!r} "
                          "(the a < |mu| regime)")
+        if not args.a_step > 0:
+            parser.error("--a-step must be positive")
         if not 0 < args.delta_step < 1:
             parser.error("--delta-step must lie in (0, 1)")
+        if args.quad_nodes < 4:
+            parser.error("--quad-nodes must be at least 4")
+        if args.cert_samples < 1:
+            parser.error("--cert-samples must be positive")
 
     try:
         if args.command == "bs-count":

@@ -29,13 +29,7 @@ from .errors import (
     StencilOutOfDomain,
     UnsupportedClass,
 )
-from .geometry import (
-    HomogeneousPoint,
-    ParamSurface,
-    QuadSpec,
-    loop_symplectic_area,
-    normalize_point,
-)
+from .geometry import ParamSurface, loop_symplectic_area
 from .lattice import (  # re-exported: the exact layer lives in lattice
     ActionCoords,
     BSFiberSet,
@@ -81,9 +75,6 @@ class CliffordFiber:
         z1 = math.sqrt(r1) * np.exp(1j * theta1) * np.ones(shape)
         z2 = math.sqrt(1.0 - r0 - r1) * np.ones(shape, dtype=complex)
         return np.stack([z0, z1, z2], axis=-1)
-
-    def point_at(self, theta0: float, theta1: float) -> HomogeneousPoint:
-        return normalize_point(self.lift(theta0, theta1))
 
     def tangent_frame(self, theta0, theta1) -> tuple[np.ndarray, np.ndarray]:
         """Lifts of the angle coordinate fields d/dtheta0, d/dtheta1."""
@@ -195,16 +186,15 @@ def _mod_unit(x: float) -> float:
     return x - math.floor(x)
 
 
-def _loop_periods(loops, quad: QuadSpec, level: int) -> FiberPeriods:
+def _loop_periods(loops, level: int) -> FiberPeriods:
     """``level`` times the boundary integrals around the d1 and d2 loops,
     mod 1, with ``level`` times their errors."""
-    ests = [loop_symplectic_area(loop, quad) for loop in loops]
+    ests = [loop_symplectic_area(loop) for loop in loops]
     return FiberPeriods(*(_mod_unit(level * e.value) for e in ests),
                         *(level * e.error for e in ests))
 
 
-def fiber_periods(base: ActionCoords | tuple, quad: QuadSpec = QuadSpec(),
-                  level: int = 1) -> FiberPeriods:
+def fiber_periods(base: ActionCoords | tuple, level: int = 1) -> FiberPeriods:
     """Periods of the fiber's basis cycles at integrality level ``level``.
 
     Each period is ``level`` times the standard-disc area, reduced mod 1 to
@@ -214,14 +204,13 @@ def fiber_periods(base: ActionCoords | tuple, quad: QuadSpec = QuadSpec(),
     """
     fiber = clifford_fiber(base)
     return _loop_periods([standard_disc(fiber, cls).boundary_loop for cls in (D1, D2)],
-                         quad, level)
+                         level)
 
 
-def diagonal_period(base: ActionCoords | tuple, quad: QuadSpec = QuadSpec(),
-                    level: int = 1) -> tuple[float, float]:
+def diagonal_period(base: ActionCoords | tuple, level: int = 1) -> tuple[float, float]:
     """Period of the diagonal cycle d3 (sum of the basis periods mod 1)."""
     fiber = clifford_fiber(base)
-    est = loop_symplectic_area(standard_disc(fiber, D3).boundary_loop, quad)
+    est = loop_symplectic_area(standard_disc(fiber, D3).boundary_loop)
     return (_mod_unit(level * est.value), level * est.error)
 
 
@@ -368,8 +357,7 @@ def _deformed_cycle(fiber: CliffordFiber, spec: DeformationSpec, cls: HomologyCl
 
 
 def deformed_fiber_periods(fiber: CliffordFiber, spec: DeformationSpec,
-                           quad: QuadSpec = QuadSpec(), level: int = 1
-                           ) -> FiberPeriods:
+                           level: int = 1) -> FiberPeriods:
     """Periods of the deformed torus: one boundary integral per deformed cycle.
 
     The deformed d_i cycle bounds the fiber's standard disc glued to the tube
@@ -382,4 +370,4 @@ def deformed_fiber_periods(fiber: CliffordFiber, spec: DeformationSpec,
         raise ValueError("level must be positive")
     _check_stays_inside(fiber, spec)
     return _loop_periods([_deformed_cycle(fiber, spec, cls) for cls in (D1, D2)],
-                         quad, level)
+                         level)

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .geometry import (
     ParamSurface,
-    QuadSpec,
     _unit_rows,
     canonical_gauge,
     chordal_distance,
@@ -373,8 +372,7 @@ class RotationReport:
         }
 
 
-def build_diagonal_rotation(alpha_samples, grid: int = 64,
-                            quad: QuadSpec = QuadSpec(), area_tol: float = 1e-6,
+def build_diagonal_rotation(alpha_samples, grid: int = 64, area_tol: float = 1e-6,
                             period_tol: float = 1e-8) -> RotationReport:
     """Assemble and validate the rotation flow on diagonal level sets.
 
@@ -406,7 +404,7 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64,
             raise ValueError("alpha values must lie strictly inside (0, 1)")
         section = _sphere_section(alpha)
         # the u = 0 edge of the section is a point, so the u = 1 edge bounds it
-        area = loop_symplectic_area(lambda t: section._eval(np.ones_like(t), t), quad)
+        area = loop_symplectic_area(lambda t: section._eval(np.ones_like(t), t))
         area_err = area.error + area.nodes * _ULP * abs(area.value)
         if abs(area.value - alpha) + area_err > area_tol:
             raise NormalizationFailure(f"reduced area {area.value!r} (error {area_err:.1e})"

@@ -16,10 +16,6 @@ class ZeroVector(LagrtoriError):
     """A homogeneous coordinate triple has no usable magnitude."""
 
 
-class GaugeViolation(LagrtoriError):
-    """A tangent vector is not horizontal at its base point."""
-
-
 class NonConvergent(LagrtoriError):
     """Successive quadrature levels disagree beyond tolerance."""
 

@@ -1,9 +1,9 @@
 """Geometry of the complex projective plane with an integrally normalized form.
 
-Points are stored as unit-norm representatives of homogeneous coordinate
-triples; tangent vectors are horizontal lifts (orthogonal to the base
-representative).  The two-form is scaled so that a projective line has
-symplectic area exactly 1, which fixes the coordinate expression
+Points are arrays of coordinate lifts, homogeneous coordinate triples along
+the last axis; tangent vectors are derivatives of lifts.  The two-form is
+scaled so that a projective line has symplectic area exactly 1, which fixes
+the coordinate expression
 
     omega_p(u, v) = -(1/pi) * Im <u, v>,    <a, b> = sum_i a_i conj(b_i)
 
@@ -31,13 +31,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import GaugeViolation, NonConvergent, NotUnitary, ZeroVector
+from .errors import NonConvergent, NotUnitary, ZeroVector
 
 # Single global constant multiplying Im<u, v>; its magnitude makes a line
 # have unit area and its sign makes complex curves positively oriented.
 FS_SCALE = -1.0 / math.pi
 
-_HORIZONTALITY_TOL = 1e-10
 _UNITARY_TOL = 1e-10
 
 
@@ -62,6 +61,8 @@ def fs_pullback_raw(z, u, v):
 
 
 def _unit_rows(z):
+    """Unit rows along the last axis by a positive rescaling only, so a smooth
+    family of lifts stays smooth; ZeroVector if a row is all below 1e-300."""
     z = np.asarray(z, dtype=complex)
     scale = np.max(np.abs(z), axis=-1, keepdims=True)
     if np.any(scale < 1e-300):
@@ -70,93 +71,19 @@ def _unit_rows(z):
     return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class HomogeneousPoint:
-    """A point of the projective plane held as a unit-norm coordinate triple."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex).reshape(3)
-        object.__setattr__(self, "z", _unit_rows(z))
-        self.z.setflags(write=False)
-
-    def projectively_equal(self, other: "HomogeneousPoint", tol: float = 1e-10) -> bool:
-        """True when the two representatives differ only by a unit phase."""
-        return abs(abs(hermdot(self.z, other.z)) - 1.0) <= tol
-
-    def canonical(self) -> np.ndarray:
-        """Representative rephased so its first non-negligible coordinate is
-        real and positive; used for serialization only, never for calculus."""
-        return canonical_gauge(self.z)
-
-    def __repr__(self):  # short, for debugging output
-        parts = ", ".join(f"{c.real:+.6f}{c.imag:+.6f}j" for c in self.z)
-        return f"HomogeneousPoint([{parts}])"
-
-
 def canonical_gauge(z) -> np.ndarray:
+    """Unit representative rephased so its first non-negligible coordinate is
+    real and positive; used for serialization only, never for calculus."""
     z = _unit_rows(z)
     idx = int(np.argmax(np.abs(z) > 1e-9))
     phase = z[idx] / abs(z[idx])
     return z / phase
 
 
-def normalize_point(z) -> HomogeneousPoint:
-    """Normalize a coordinate triple to a unit representative.
-
-    Only a positive real rescaling is applied, so a smooth family of input
-    lifts stays smooth.  Raises ZeroVector when every component is below
-    1e-300 in magnitude.
-    """
-    return HomogeneousPoint(np.asarray(z, dtype=complex))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A horizontal tangent lift at a base point.
-
-    Horizontality (<u, z> = 0 within 1e-10) is enforced at construction; use
-    :meth:`project` to horizontalize an arbitrary lift.
-    """
-
-    base: HomogeneousPoint
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex).reshape(3)
-        defect = abs(hermdot(u, self.base.z))
-        scale = max(1.0, float(np.linalg.norm(u)))
-        if defect > _HORIZONTALITY_TOL * scale:
-            raise GaugeViolation(f"tangent lift is not horizontal (defect {defect:.3e})")
-        object.__setattr__(self, "u", u)
-        self.u.setflags(write=False)
-
-    @classmethod
-    def project(cls, base: HomogeneousPoint, raw) -> "TangentVector":
-        raw = np.asarray(raw, dtype=complex).reshape(3)
-        return cls(base, raw - hermdot(raw, base.z) * base.z)
-
-
-def fs_form_value(p: HomogeneousPoint, u: TangentVector, v: TangentVector) -> float:
-    """Evaluate the form on two horizontal tangent vectors based at ``p``."""
-    for vec in (u, v):
-        if not vec.base.projectively_equal(p, 1e-9):
-            raise GaugeViolation("tangent vector is not based at the given point")
-        if abs(hermdot(vec.u, p.z)) > 1e-8 * max(1.0, float(np.linalg.norm(vec.u))):
-            raise GaugeViolation("tangent vector fails horizontality at this gauge")
-    return float(fs_pullback_raw(p.z, u.u, v.u))
-
-
-def moment_map(p):
-    """Squared moduli (|z0|^2, |z1|^2) of the unit representative.
-
-    Accepts a HomogeneousPoint (returns a tuple) or an array of raw lifts
-    with trailing axis 3 (returns an array with trailing axis 2).
-    """
-    if isinstance(p, HomogeneousPoint):
-        return (float(abs(p.z[0]) ** 2), float(abs(p.z[1]) ** 2))
-    z = _unit_rows(np.asarray(p, dtype=complex))
+def moment_map(z) -> np.ndarray:
+    """Squared moduli (|z0|^2, |z1|^2) of the unit representatives of raw
+    lifts with trailing axis 3; the result has trailing axis 2."""
+    z = _unit_rows(z)
     return np.stack([np.abs(z[..., 0]) ** 2, np.abs(z[..., 1]) ** 2], axis=-1)
 
 
@@ -179,28 +106,8 @@ class ParamSurface:
     lift: Callable[..., np.ndarray]
     periodic: tuple[bool, bool] = (False, False)
 
-    def point_at(self, s: float, t: float) -> HomogeneousPoint:
-        return normalize_point(np.asarray(self.lift(np.float64(s), np.float64(t)), dtype=complex))
-
     def _eval(self, s, t):
         return np.asarray(self.lift(s, t), dtype=complex)
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature parameters.
-
-    The boundary rule starts its loop at ``nodes_per_axis`` nodes and
-    doubles from there; ``max_disagreement`` is the level gap it accepts at
-    its node cap.
-    """
-
-    nodes_per_axis: int = 32
-    max_disagreement: float = 1e-6
-
-    def __post_init__(self):
-        if self.nodes_per_axis < 4:
-            raise ValueError("nodes_per_axis must be at least 4")
 
 
 class AreaEstimate(NamedTuple):
@@ -209,10 +116,13 @@ class AreaEstimate(NamedTuple):
     nodes: int  # finest node count per axis (per loop for the boundary rule)
 
 
-# The boundary rule stops doubling once two levels agree this closely, and
-# never goes past the cap; at the cap it falls back to quad.max_disagreement.
+# The boundary rule starts at LOOP_NODES nodes, stops doubling once two levels
+# agree to LOOP_AGREEMENT and never goes past the cap; at the cap it accepts a
+# disagreement up to LOOP_FALLBACK.
+LOOP_NODES = 32
 LOOP_AGREEMENT = 1e-12
 LOOP_MAX_NODES = 2 ** 18
+LOOP_FALLBACK = 1e-6
 
 
 def _loop_area_once(loop: Callable[[np.ndarray], np.ndarray], n: int) -> float:
@@ -225,7 +135,7 @@ def _loop_area_once(loop: Callable[[np.ndarray], np.ndarray], n: int) -> float:
 
 
 def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
-                         quad: QuadSpec = QuadSpec()) -> AreaEstimate:
+                         nodes: int = LOOP_NODES) -> AreaEstimate:
     """Integral of the primitive of the form around a closed lifted loop.
 
     ``loop(t)`` maps an array of t in [0, 1) to lifts along the last axis and
@@ -236,23 +146,25 @@ def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
 
     The trapezoid rule on equispaced samples, with the derivative taken
     spectrally, converges exponentially on smooth periodic loops.  The node
-    count starts at ``quad.nodes_per_axis`` and doubles until two levels agree
-    to LOOP_AGREEMENT.  At LOOP_MAX_NODES the value is returned if the levels
-    agree to ``quad.max_disagreement``, with that error; otherwise
+    count starts at ``nodes`` (at least 4, else ValueError) and doubles until
+    two levels agree to LOOP_AGREEMENT.  At LOOP_MAX_NODES the value is
+    returned if the levels agree to LOOP_FALLBACK, with that error; otherwise
     NonConvergent is raised.
     """
-    n = quad.nodes_per_axis
+    if nodes < 4:
+        raise ValueError("the boundary rule needs at least 4 start nodes")
+    n = nodes
     prev = _loop_area_once(loop, n)
     while True:
         n *= 2
         value = _loop_area_once(loop, n)
         err = abs(value - prev)
-        if err <= LOOP_AGREEMENT or (n >= LOOP_MAX_NODES and err <= quad.max_disagreement):
+        if err <= LOOP_AGREEMENT or (n >= LOOP_MAX_NODES and err <= LOOP_FALLBACK):
             return AreaEstimate(value, err, n)
         if n >= LOOP_MAX_NODES:
             raise NonConvergent(
                 f"boundary rule at n = {n} nodes: levels disagree by {err:.3e}"
-                f" > {quad.max_disagreement:.1e}"
+                f" > {LOOP_FALLBACK:.1e}"
             )
         prev = value
 
@@ -272,24 +184,20 @@ def _check_unitary(mat) -> np.ndarray:
     return mat
 
 
-def apply_unitary(mat, target):
-    """Apply a projective unitary to a point or to a whole surface.
+def apply_unitary(mat, surface: ParamSurface) -> ParamSurface:
+    """Apply a projective unitary to a surface.
 
-    The matrix must satisfy ||U*U - I|| <= 1e-10.  For surfaces the returned
-    object composes the lift with the matrix, so all downstream quadrature and
+    The matrix must satisfy ||U*U - I|| <= 1e-10.  The returned surface
+    composes the lift with the matrix, so all downstream quadrature and
     differencing see the moved surface.
     """
     mat = _check_unitary(mat)
-    if isinstance(target, HomogeneousPoint):
-        return normalize_point(mat @ target.z)
-    if isinstance(target, ParamSurface):
-        inner = target.lift
+    inner = surface.lift
 
-        def moved(s, t):
-            return np.einsum("ij,...j->...i", mat, np.asarray(inner(s, t), dtype=complex))
+    def moved(s, t):
+        return np.einsum("ij,...j->...i", mat, np.asarray(inner(s, t), dtype=complex))
 
-        return ParamSurface(moved, target.periodic)
-    raise TypeError("apply_unitary acts on HomogeneousPoint or ParamSurface")
+    return ParamSurface(moved, surface.periodic)
 
 
 def projective_line_surface(mat=None) -> ParamSurface:

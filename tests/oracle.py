@@ -24,7 +24,6 @@ from lagrtori.errors import BoundaryMismatch, ChartEscape, LagrtoriError, NonCon
 from lagrtori.geometry import (
     AreaEstimate,
     ParamSurface,
-    QuadSpec,
     _unit_rows,
     fs_pullback_raw,
     hermdot,
@@ -84,23 +83,19 @@ def _area_once(surface: ParamSurface, n: int, weight_fn=None,
     return float(np.einsum("i,j,ij->", ws, ws, k))
 
 
-def surface_symplectic_area(surface: ParamSurface, quad: QuadSpec = QuadSpec(),
+def surface_symplectic_area(surface: ParamSurface, n: int = 32, tol: float = 1e-6,
                             weight_fn=None, step: float = 1e-3) -> AreaEstimate:
     """Symplectic area of a parametrized surface by the 2-D rule.
 
     ``weight_fn(surface, s, t)``, if given, multiplies the integrand (for
     weighted integrals of functions against the form).  The value is the
-    level at ``2 * quad.nodes_per_axis`` nodes per axis and the error its
-    disagreement with ``quad.nodes_per_axis``; NonConvergent is raised when
-    that exceeds ``quad.max_disagreement``.
+    level at ``2 * n`` nodes per axis and the error its disagreement with
+    ``n``; NonConvergent is raised when that exceeds ``tol``.
     """
-    n = quad.nodes_per_axis
     coarse, fine = (_area_once(surface, m, weight_fn, step) for m in (n, 2 * n))
     err = abs(fine - coarse)
-    if err > quad.max_disagreement:
-        raise NonConvergent(
-            f"refinements disagree by {err:.3e} > {quad.max_disagreement:.1e}"
-        )
+    if err > tol:
+        raise NonConvergent(f"refinements disagree by {err:.3e} > {tol:.1e}")
     return AreaEstimate(fine, err, 2 * n)
 
 

@@ -50,7 +50,6 @@ from lagrtori.displacement import (
 from lagrtori.errors import InternalContradiction, NonConvergent
 from lagrtori.geometry import (
     ParamSurface,
-    QuadSpec,
     projective_line_surface,
 )
 from lagrtori.maslov import (
@@ -60,8 +59,6 @@ from lagrtori.maslov import (
     maslov_index,
 )
 from oracle import surface_form_grid, surface_symplectic_area
-
-QUAD = QuadSpec()
 
 NINE_GRID = [(a, b) for a in (0.15, 0.30, 0.45) for b in (0.15, 0.30, 0.45)]
 FIVE_GRID = [(0.2, 0.3), (0.15, 0.45), (0.45, 0.15), (1 / 3, 1 / 3), (0.3, 0.3)]
@@ -98,13 +95,13 @@ def test_criterion_02_dimension_identity():
 
 
 def test_criterion_03_normalization_and_periods():
-    area = surface_symplectic_area(projective_line_surface(), QUAD)
+    area = surface_symplectic_area(projective_line_surface())
     ok = abs(area.value - 1.0) <= 1e-9
     worst = 0.0
     for a, b in NINE_GRID:
-        got = fiber_periods((a, b), QUAD)
+        got = fiber_periods((a, b))
         worst = max(worst, abs(got.p1 - a), abs(got.p2 - b))
-        diag, _ = diagonal_period((a, b), QUAD)
+        diag, _ = diagonal_period((a, b))
         gap = abs(diag - ((a + b) % 1.0))
         ok = ok and min(gap, 1.0 - gap) <= 2e-6
     ok = ok and worst <= 1e-6
@@ -116,10 +113,10 @@ def test_criterion_04_deformation_shifts():
     ok = True
     fiber = clifford_fiber((0.25, 0.35))
     for c1, c2, scale in [(0.01, 0.0, 1.0), (0.08, -0.06, 0.5)]:
-        got = deformed_fiber_periods(fiber, DeformationSpec(c1, c2, f=_bump, scale=scale), QUAD)
+        got = deformed_fiber_periods(fiber, DeformationSpec(c1, c2, f=_bump, scale=scale))
         ok = ok and abs(got.p1 - (0.25 + scale * c1)) <= 2e-6
         ok = ok and abs(got.p2 - (0.35 + scale * c2)) <= 2e-6
-    exact = deformed_fiber_periods(fiber, DeformationSpec(0.0, 0.0, f=_bump, scale=0.05), QUAD)
+    exact = deformed_fiber_periods(fiber, DeformationSpec(0.0, 0.0, f=_bump, scale=0.05))
     ok = ok and abs(exact.p1 - 0.25) <= 2e-6 and abs(exact.p2 - 0.35) <= 2e-6
     _gate(4, "graph deformations shift periods by (s c1, s c2) within 2e-6", ok)
 
@@ -197,12 +194,12 @@ def test_criterion_08_torus_family():
         eps = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(eps) < 0.05:
             continue
-        ok = ok and abs(conic_total_area(eps, QUAD)[0] - 2.0) <= 1e-6
+        ok = ok and abs(conic_total_area(eps)[0] - 2.0) <= 1e-6
 
     for delta in (-0.6, -0.2, 0.2, 0.6):
         for anchor in (Anchor.NEAR_Z0, Anchor.NEAR_Z1):
             circle = conic_circle(0.7 + 0.2j, delta, anchor)
-            disc_area = surface_symplectic_area(circle.disc(), QUAD).value
+            disc_area = surface_symplectic_area(circle.disc()).value
             ok = ok and abs((disc_area - 1.0) - delta) <= 1e-7
     _gate(8, "family lagrangian to 1e-8, conic area 2, delta round-trip", ok,
           f"residual worst {worst:.2e}")
@@ -211,8 +208,7 @@ def test_criterion_08_torus_family():
 def test_criterion_09_integrality_scan():
     a_grid = [round(0.1 * i, 10) for i in range(1, 10)]
     delta_grid = [round(-0.9 + 0.1 * i, 10) for i in range(19)]
-    report = canonical_bs_scan(1.0, a_grid, delta_grid,
-                               quad=QuadSpec(nodes_per_axis=48))
+    report = canonical_bs_scan(1.0, a_grid, delta_grid, nodes=48)
     ok = report.min_defect > 1e-4 and len(report.rows) == 9 * 19
     _gate(9, "no canonical-level fiber over the whole parameter grid", ok,
           f"min defect {report.min_defect:.6f} at {report.argmin}")

@@ -27,7 +27,8 @@ from lagrtori.errors import (
     SingularConic,
 )
 from lagrtori.geometry import (
-    QuadSpec,
+    LOOP_FALLBACK,
+    LOOP_MAX_NODES,
     _unit_rows,
     chordal_distance,
     loop_symplectic_area,
@@ -41,8 +42,7 @@ from oracle import (
     surface_symplectic_area,
 )
 
-QUAD = QuadSpec()
-CHEAP = QuadSpec(nodes_per_axis=16)
+CHEAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_singular_member_rejected():
 @pytest.mark.parametrize("rho", [0.4, 1.0, 2.3])
 def test_disc_area_matches_closed_form(rho):
     eps = 0.7 - 0.4j
-    est = surface_symplectic_area(conic_disc_surface(eps, rho), QUAD)
+    est = surface_symplectic_area(conic_disc_surface(eps, rho))
     assert est.value == pytest.approx(float(radial_area(abs(eps), rho)), abs=1e-8)
 
 
@@ -100,14 +100,14 @@ def test_total_conic_area_is_two():
     rng = np.random.RandomState(11)
     for _ in range(10):
         eps = rng.uniform(0.2, 2.0) * np.exp(2j * math.pi * rng.uniform())
-        total, err = conic_total_area(eps, CHEAP)
+        total, err = conic_total_area(eps)
         assert total == pytest.approx(2.0, abs=1e-6)
         assert err < 1e-6
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.3 + 0.4j, 5.0, 0.01j, 100.0])
 def test_total_conic_area_by_boundary_rule_is_exact(eps):
-    total, err = conic_total_area(eps, QuadSpec(nodes_per_axis=64))
+    total, err = conic_total_area(eps)
     assert total == pytest.approx(2.0, abs=1e-12)
     assert abs(total - 2.0) <= err + 1e-15
 
@@ -117,7 +117,7 @@ def test_total_conic_area_by_boundary_rule_is_exact(eps):
 def test_delta_label_round_trip(delta, anchor):
     eps = 0.7 - 0.4j
     circle = conic_circle(eps, delta, anchor)
-    est = surface_symplectic_area(circle.disc(), QUAD)
+    est = surface_symplectic_area(circle.disc())
     assert est.value == pytest.approx(1.0 + delta, abs=1e-7)
 
 
@@ -187,7 +187,7 @@ def _mod1_distance(x, y):
     return min(d, 1.0 - d)
 
 
-def _coned_section_area(params, seed, quad):
+def _coned_section_area(params, seed, n=32):
     """2-D area of the s = 0 loop coned to the first usable seeded basepoint."""
     torus = chekanov_torus(params)
     rng = np.random.RandomState(seed)
@@ -197,12 +197,12 @@ def _coned_section_area(params, seed, quad):
             disc = cone_disc(lambda t: torus._eval(t, np.zeros_like(t)), base)
         except ConingDegenerate:
             continue
-        return surface_symplectic_area(disc, quad, step=2.5e-4).value
+        return surface_symplectic_area(disc, n, step=2.5e-4).value
     raise AssertionError("no usable coning basepoint")
 
 
 def test_orbit_period_recovers_delta():
-    p = torus_periods_chekanov(ChekanovParams(0.5, 1.0, 0.25), QUAD)
+    p = torus_periods_chekanov(ChekanovParams(0.5, 1.0, 0.25))
     assert p.p_orbit == pytest.approx(0.25, abs=1e-12)
     assert p.orbit_error < 1e-12
 
@@ -212,7 +212,7 @@ def test_orbit_period_recovers_delta():
 def test_boundary_periods_match_the_coned_disc_oracle(a, delta):
     params = ChekanovParams(a, 1.0, delta)
     p = torus_periods_chekanov(params)
-    oracle = _coned_section_area(params, 0, QuadSpec(48))
+    oracle = _coned_section_area(params, 0, 48)
     assert _mod1_distance(p.p_section, oracle) <= 1e-8
     assert _mod1_distance(p.p_orbit, delta) <= 1e-12
     assert p.section_error <= 1e-12
@@ -225,15 +225,14 @@ def test_orbit_period_near_z1_anchor():
 
 def test_section_period_independent_of_basepoint():
     params = ChekanovParams(0.5, 1.0, 0.2)
-    p = torus_periods_chekanov(params, QUAD)
+    p = torus_periods_chekanov(params)
     for seed in (0, 3):
-        assert _mod1_distance(p.p_section, _coned_section_area(params, seed, QUAD)) <= 2e-6
+        assert _mod1_distance(p.p_section, _coned_section_area(params, seed)) <= 2e-6
 
 
 def test_section_period_continuous_in_a():
-    quad = QuadSpec(nodes_per_axis=32, max_disagreement=1e-5)
     vals = [
-        torus_periods_chekanov(ChekanovParams(a, 1.0, 0.2), quad).p_section
+        torus_periods_chekanov(ChekanovParams(a, 1.0, 0.2)).p_section
         for a in np.arange(0.30, 0.901, 0.02)
     ]
     jumps = np.abs(np.diff(vals))
@@ -251,7 +250,7 @@ def test_boundary_area_matches_2d_area_on_conic_discs(e, arg, rho, inverted):
     disc = conic_disc_surface(e * np.exp(1j * arg), rho, inverted)
     # the s = 0 edge is a constant lift, so only the s = 1 loop contributes
     loop = loop_symplectic_area(lambda t: disc._eval(np.ones_like(t), t))
-    assert loop.value == pytest.approx(surface_symplectic_area(disc, QUAD).value, abs=1e-7)
+    assert loop.value == pytest.approx(surface_symplectic_area(disc).value, abs=1e-7)
 
 
 @settings(max_examples=15, deadline=None)
@@ -259,14 +258,35 @@ def test_boundary_area_matches_2d_area_on_conic_discs(e, arg, rho, inverted):
 def test_boundary_area_matches_2d_area_on_moved_lines(seed):
     line = projective_line_surface(random_unitary(np.random.RandomState(seed)))
     loop = loop_symplectic_area(lambda t: line._eval(np.ones_like(t), t))
-    assert loop.value == pytest.approx(surface_symplectic_area(line, QUAD).value, abs=1e-7)
+    assert loop.value == pytest.approx(surface_symplectic_area(line).value, abs=1e-7)
     assert loop.value == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a=st.floats(0.05, 0.99),
+    delta=st.floats(-0.95, 0.95),
+    mu=st.sampled_from([1.0, 1j, 0.6 + 0.8j, 2.0]),
+)
+def test_periods_under_delta_reflection(a, delta, mu):
+    # delta -> -delta keeps the section period and negates the orbit period
+    p = torus_periods_chekanov(ChekanovParams(a, mu, delta))
+    q = torus_periods_chekanov(ChekanovParams(a, mu, -delta))
+    assert _mod1_distance(p.p_section, q.p_section) <= 1e-12
+    assert _mod1_distance(p.p_orbit + q.p_orbit, 0.0) <= 1e-12
 
 
 def test_edge_regime_converges_with_more_nodes():
     p = torus_periods_chekanov(ChekanovParams(0.99, 1.0, 0.2))
     assert p.nodes >= 8192
     assert p.section_error <= 1e-12
+
+
+def test_node_cap_accepts_within_the_fallback():
+    # at a = 0.9999 the section loop reaches the cap with levels ~1e-7 apart
+    p = torus_periods_chekanov(ChekanovParams(0.9999, 1.0, 0.2))
+    assert p.nodes == LOOP_MAX_NODES
+    assert 1e-12 < p.section_error <= LOOP_FALLBACK
 
 
 def test_past_the_node_cap_raises_naming_the_point():
@@ -296,8 +316,7 @@ def test_coning_degenerates_on_antipodal_basepoint():
 
 
 def test_scan_small_grid_values():
-    report = canonical_bs_scan(1.0, [0.3, 0.5], [-0.2, 0.0, 0.2],
-                               QuadSpec(nodes_per_axis=24))
+    report = canonical_bs_scan(1.0, [0.3, 0.5], [-0.2, 0.0, 0.2], 24)
     assert len(report.rows) == 6
     by_key = {(r.a, r.delta): r for r in report.rows}
     # nonzero delta rows are rejected by the orbit period alone
@@ -326,7 +345,7 @@ def test_scan_rows_carry_their_evidence():
     assert row.p_section == round(row.p_section, 10)
     assert 0.0 <= row.orbit_error <= 1e-12
     assert 0.0 <= row.section_error <= 1e-12
-    assert row.nodes >= 2 * CHEAP.nodes_per_axis
+    assert row.nodes >= 2 * CHEAP
 
 
 def test_scan_validates_regime():

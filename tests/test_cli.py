@@ -136,6 +136,14 @@ def test_enc_report_rows_match_fraction_reference():
     ["chekanov-scan", "--mu", "1,0", "--a-min", "0.5", "--a-max", "1.5"],
     ["chekanov-scan", "--mu", "1,0", "--a-min", "0.1", "--a-max", "0.3",
      "--delta-step", "1.5"],
+    ["chekanov-scan", "--mu", "1,0", "--a-min", "0.1", "--a-max", "0.3",
+     "--a-step", "0", "--delta-step", "0.5"],
+    ["chekanov-scan", "--mu", "1,0", "--a-min", "0.1", "--a-max", "0.3",
+     "--a-step", "-0.1", "--delta-step", "0.5"],
+    ["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
+     "--a-step", "0.1", "--delta-step", "0.5", "--quad-nodes", "3"],
+    ["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
+     "--a-step", "0.1", "--delta-step", "0.5", "--cert-samples", "0"],
 ])
 def test_usage_errors_exit_2(args, capsys):
     with pytest.raises(SystemExit) as exc:

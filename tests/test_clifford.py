@@ -33,12 +33,10 @@ from lagrtori.errors import (
 )
 from lagrtori.geometry import (
     ParamSurface,
-    QuadSpec,
     loop_symplectic_area,
 )
 from oracle import surface_form_grid, surface_symplectic_area, validate_disc
 
-QUAD = QuadSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +98,7 @@ def test_fiber_points_have_expected_moduli():
 def test_standard_disc_areas_match_actions():
     fiber = clifford_fiber((0.2, 0.3))
     for cls, want in ((D1, 0.2), (D2, 0.3), (D3, 0.5)):
-        est = surface_symplectic_area(standard_disc(fiber, cls).disc, QUAD)
+        est = surface_symplectic_area(standard_disc(fiber, cls).disc)
         assert est.value == pytest.approx(want, abs=1e-7)
 
 
@@ -118,7 +116,7 @@ def test_unsupported_class_rejected():
 
 @pytest.mark.parametrize("base", [(0.15, 0.15), (0.3, 0.45), (0.45, 0.3)])
 def test_fiber_periods_recover_actions(base):
-    got = fiber_periods(base, QUAD)
+    got = fiber_periods(base)
     assert got.p1 == pytest.approx(base[0], abs=1e-6)
     assert got.p2 == pytest.approx(base[1], abs=1e-6)
     assert got.p1_error < 1e-6 and got.p2_error < 1e-6
@@ -126,15 +124,15 @@ def test_fiber_periods_recover_actions(base):
 
 def test_diagonal_period_is_sum_of_basis_periods():
     base = (0.25, 0.35)
-    p = fiber_periods(base, QUAD)
-    d3, err = diagonal_period(base, QUAD)
+    p = fiber_periods(base)
+    d3, err = diagonal_period(base)
     assert d3 == pytest.approx((p.p1 + p.p2) % 1.0, abs=2e-6)
     assert err < 1e-6
 
 
 def test_periods_scale_with_level():
     base = (0.2, 0.3)
-    p3 = fiber_periods(base, QUAD, level=3)
+    p3 = fiber_periods(base, level=3)
     assert p3.p1 == pytest.approx((3 * 0.2) % 1.0, abs=1e-6)
     assert p3.p2 == pytest.approx((3 * 0.3) % 1.0, abs=1e-6)
 
@@ -151,8 +149,8 @@ BASES = [(0.15, 0.15), (0.3, 0.45), (0.45, 0.3)]
 @pytest.mark.parametrize("cls", [D1, D2, D3])
 def test_boundary_loop_matches_2d_disc_area(base, cls):
     disc = standard_disc(clifford_fiber(base), cls)
-    loop = loop_symplectic_area(disc.boundary_loop, QUAD)
-    assert loop.value == pytest.approx(surface_symplectic_area(disc.disc, QUAD).value,
+    loop = loop_symplectic_area(disc.boundary_loop)
+    assert loop.value == pytest.approx(surface_symplectic_area(disc.disc).value,
                                        abs=1e-7)
 
 
@@ -160,8 +158,8 @@ def test_boundary_loop_matches_2d_disc_area(base, cls):
 @pytest.mark.parametrize("level", [1, 3])
 def test_periods_match_closed_forms_within_their_errors(base, level):
     r0, r1 = base
-    p = fiber_periods(base, QUAD, level=level)
-    d3, d3_error = diagonal_period(base, QUAD, level=level)
+    p = fiber_periods(base, level=level)
+    d3, d3_error = diagonal_period(base, level=level)
     for got, err, want in ((p.p1, p.p1_error, r0), (p.p2, p.p2_error, r1),
                            (d3, d3_error, r0 + r1)):
         gap = _mod1_gap(got, level * want)
@@ -262,10 +260,8 @@ def test_ks_jacobian_is_identity(base):
 
 
 def test_ks_jacobian_quadrature_backed():
-    cheap = QuadSpec(nodes_per_axis=16)
-
     def by_quadrature(base):
-        p = fiber_periods(base, cheap)
+        p = fiber_periods(base)
         return (p.p1, p.p2)
 
     res = ks_jacobian((0.3, 0.3), step=1e-4, period_fn=by_quadrature)
@@ -296,7 +292,7 @@ def test_deformed_torus_is_lagrangian_for_exact_forms():
 
 def test_exact_form_deformation_moves_no_period():
     fiber = clifford_fiber((0.2, 0.3))
-    got = deformed_fiber_periods(fiber, DeformationSpec(0.0, 0.0, f=_bump), QUAD)
+    got = deformed_fiber_periods(fiber, DeformationSpec(0.0, 0.0, f=_bump))
     assert got.p1 == pytest.approx(0.2, abs=2e-6)
     assert got.p2 == pytest.approx(0.3, abs=2e-6)
 
@@ -305,7 +301,7 @@ def test_exact_form_deformation_moves_no_period():
 def test_closed_form_deformation_shifts_periods_linearly(scale):
     fiber = clifford_fiber((0.25, 0.35))
     spec = DeformationSpec(0.08, -0.06, f=_bump, scale=scale)
-    got = deformed_fiber_periods(fiber, spec, QUAD)
+    got = deformed_fiber_periods(fiber, spec)
     assert got.p1 == pytest.approx((0.25 + scale * 0.08) % 1.0, abs=2e-6)
     assert got.p2 == pytest.approx((0.35 - scale * 0.06) % 1.0, abs=2e-6)
 
@@ -313,7 +309,7 @@ def test_closed_form_deformation_shifts_periods_linearly(scale):
 def test_level_multiplies_deformed_periods():
     fiber = clifford_fiber((0.25, 0.35))
     spec = DeformationSpec(0.04, 0.05, scale=0.25)
-    got = deformed_fiber_periods(fiber, spec, QUAD, level=3)
+    got = deformed_fiber_periods(fiber, spec, level=3)
     assert got.p1 == pytest.approx((3 * (0.25 + 0.01)) % 1.0, abs=6e-6)
     assert got.p2 == pytest.approx((3 * (0.35 + 0.0125)) % 1.0, abs=6e-6)
 
@@ -323,7 +319,7 @@ def test_deformation_leaving_triangle_rejected():
     with pytest.raises(LeavesTriangle):
         deform_fiber(fiber, DeformationSpec(-0.2, 0.0))
     with pytest.raises(LeavesTriangle):
-        deformed_fiber_periods(fiber, DeformationSpec(-0.2, 0.0), QUAD)
+        deformed_fiber_periods(fiber, DeformationSpec(-0.2, 0.0))
 
 
 def _tube(inner, outer) -> ParamSurface:
@@ -353,12 +349,12 @@ TORIC_DEFORMATIONS = [((1 / 3, 1 / 3), (0.034, 0.026)),
 def test_deformed_cycle_matches_disc_plus_tube(base, cls_shift):
     fiber = clifford_fiber(base)
     spec = DeformationSpec(*cls_shift, f=_small_exact_part)
-    got = deformed_fiber_periods(fiber, spec, QUAD)
+    got = deformed_fiber_periods(fiber, spec)
     for cls, period in ((D1, got.p1), (D2, got.p2)):
         disc = standard_disc(fiber, cls)
         tube = _tube(disc.boundary_loop, _deformed_cycle(fiber, spec, cls))
-        oracle = (surface_symplectic_area(disc.disc, QUAD).value
-                  + surface_symplectic_area(tube, QUAD).value)
+        oracle = (surface_symplectic_area(disc.disc).value
+                  + surface_symplectic_area(tube).value)
         assert period == pytest.approx(oracle, abs=1e-7)
 
 
@@ -367,7 +363,7 @@ def test_deformed_cycle_matches_disc_plus_tube(base, cls_shift):
 def test_deformed_periods_match_closed_forms_within_their_errors(base, cls_shift,
                                                                  scale, level):
     spec = DeformationSpec(*cls_shift, f=_bump, scale=scale)
-    got = deformed_fiber_periods(clifford_fiber(base), spec, QUAD, level=level)
+    got = deformed_fiber_periods(clifford_fiber(base), spec, level=level)
     for period, err, r, c in ((got.p1, got.p1_error, base[0], cls_shift[0]),
                               (got.p2, got.p2_error, base[1], cls_shift[1])):
         gap = _mod1_gap(period, level * (r + scale * c))
@@ -385,6 +381,6 @@ def test_deformed_periods_match_closed_forms_within_their_errors(base, cls_shift
 def test_deformed_periods_shift_by_the_class(r0, r1, c1, c2):
     assume(r0 + r1 <= 0.85)
     spec = DeformationSpec(c1, c2, f=_small_exact_part)
-    got = deformed_fiber_periods(clifford_fiber((r0, r1)), spec, QUAD)
+    got = deformed_fiber_periods(clifford_fiber((r0, r1)), spec)
     assert _mod1_gap(got.p1, r0 + c1) <= 1e-12
     assert _mod1_gap(got.p2, r1 + c2) <= 1e-12

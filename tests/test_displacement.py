@@ -31,7 +31,6 @@ from lagrtori.errors import (
 )
 from lagrtori.displacement import _min_pairwise_chordal
 from lagrtori.geometry import (
-    QuadSpec,
     _unit_rows,
     apply_unitary,
 )
@@ -111,10 +110,9 @@ def test_swap_flow_exchanges_coordinates_projectively():
 def test_flow_preserves_disc_areas():
     fiber = CliffordFiber(ActionCoords(0.2, 0.3))
     d = standard_disc(fiber, HomologyClass(1, 0))
-    quad = QuadSpec()
-    before = surface_symplectic_area(d.disc, quad).value
+    before = surface_symplectic_area(d.disc).value
     moved = apply_unitary(symbol_flow(swap_symbol(0, 2), 0.7), d.disc)
-    after = surface_symplectic_area(moved, quad).value
+    after = surface_symplectic_area(moved).value
     assert abs(before - after) < 1e-8
 
 

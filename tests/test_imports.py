@@ -74,18 +74,18 @@ PUBLIC = [
     "ActionCoords", "Anchor", "AreaEstimate", "BSFiberSet", "ChekanovParams",
     "CliffordFiber", "ConicCircle", "D1", "D2", "D3", "DeformationSpec",
     "DiscWithBoundary", "Displaceable", "DisplacementCertificate", "HermitianSymbol",
-    "HomogeneousPoint", "HomologyClass", "Inconclusive", "MaslovResult", "Monotone",
-    "MonotoneWitness", "NotDisplacedByTheseFlows", "ParamSurface", "QuadSpec",
-    "RotationReport", "ScanReport", "TangentVector", "TorusType",
+    "HomologyClass", "Inconclusive", "MaslovResult", "Monotone",
+    "MonotoneWitness", "NotDisplacedByTheseFlows", "ParamSurface",
+    "RotationReport", "ScanReport", "TorusType",
     "apply_unitary", "build_diagonal_rotation", "canonical_bs_defect",
     "canonical_bs_scan", "chekanov", "chekanov_torus", "classify_type", "clifford",
     "clifford_fiber", "conic_circle", "conic_parametrize",
     "conic_total_area", "deform_fiber", "deformed_fiber_periods", "diagonal_period",
     "disc_difference_check", "displace_chekanov", "displace_clifford",
     "displacement", "enc_verdict", "enumerate_bs_fibers", "errors", "fiber_periods",
-    "fs_form_value", "geometry", "hilbert_dimension", "interior_rational_grid",
+    "geometry", "hilbert_dimension", "interior_rational_grid",
     "is_monotone", "ks_jacobian", "loop_symplectic_area",
-    "maslov", "maslov_index", "moment_map", "normalize_point",
+    "maslov", "maslov_index", "moment_map",
     "projective_line_surface", "serialize", "standard_disc",
     "swap_symbol", "symbol_flow",
     "torus_periods_chekanov", "universal_maslov_class",

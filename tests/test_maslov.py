@@ -10,7 +10,7 @@ from lagrtori.errors import (
     ChartEscape,
     NotCanonicalBS,
 )
-from lagrtori.geometry import ParamSurface, QuadSpec
+from lagrtori.geometry import ParamSurface
 from lagrtori.maslov import (
     DiscWithBoundary,
     canonical_bs_defect,
@@ -88,7 +88,7 @@ def test_companion_disc_index_and_area():
     comp = companion_disc_chart0(base)
     validate_disc(comp)
     assert maslov_index(comp).mu == -2
-    est = surface_symplectic_area(comp.disc, QuadSpec())
+    est = surface_symplectic_area(comp.disc)
     assert est.value == pytest.approx(0.2 - 1.0, abs=1e-7)
 
 

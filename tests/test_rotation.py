@@ -15,7 +15,6 @@ from lagrtori.displacement import (
     diagonal_symbol,
 )
 from lagrtori.errors import CriticalPointMiscount
-from lagrtori.geometry import QuadSpec
 from lagrtori.serialize import stable_dumps
 from oracle import surface_symplectic_area
 
@@ -27,9 +26,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lagrtori"
 def test_rotation_areas_match_the_2d_oracle_within_their_errors(alpha):
     rep, = build_diagonal_rotation([alpha]).alphas
     symbol, section = _rotation_symbol(), _sphere_section(alpha)
-    area = surface_symplectic_area(section, QuadSpec())
+    area = surface_symplectic_area(section)
     weighted = surface_symplectic_area(
-        section, QuadSpec(), weight_fn=lambda surf, s, t: symbol.value(surf._eval(s, t)))
+        section, weight_fn=lambda surf, s, t: symbol.value(surf._eval(s, t)))
     assert rep.reduced_area == pytest.approx(area.value, abs=1e-7)
     assert rep.normalization == pytest.approx(weighted.value, abs=1e-7)
     assert abs(rep.reduced_area - alpha) <= rep.reduced_area_error
