@@ -12,6 +12,17 @@ the diagnostics (tolerances, quadrature settings) actually used; identical
 inputs produce byte-identical output.  Exit codes: 0 success,
 2 usage, 3 dichotomy contradiction, 4 scan failure, 5 IO error.
 
+``bs-count`` and ``enc-report`` work on the lattice indices (i, j) of their
+points, with one Fraction per index.  ``enc-report`` decides every point
+with :func:`~lagrtori.lattice.dichotomy` first and takes its counts from
+those outcomes; ``bs-count`` takes ``count`` from the enumeration and
+compares it with the closed-form dimension.  Each report is then written
+row by row through :class:`~lagrtori.serialize.Template`: the envelope
+and one row of each shape are rendered once, each distinct [n, d] pair
+once per index, and the rows go to ``out`` in bounded pieces, as does
+the ``bs-count`` CSV.  No per-row dict, and no string of the whole
+report, is built.
+
 ``bs-count``, ``enc-report`` and ``plot`` use only the exact layer
 (:mod:`lagrtori.lattice`, :mod:`lagrtori.serialize`, :mod:`lagrtori.svgplot`)
 and run without importing numpy; ``chekanov-scan`` imports the numeric
@@ -22,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from . import __version__
 from .errors import InternalContradiction, LagrtoriError
@@ -29,10 +41,11 @@ from .lattice import (
     ActionCoords,
     MonotoneWitness,
     dichotomy,
-    enumerate_bs_fibers,
-    interior_rational_grid,
+    lattice_indices,
+    lattice_values,
+    section_dimension,
 )
-from .serialize import rational_pair, stable_dump
+from .serialize import Gap, Template, rational_pair, stable_dump, write_pieces
 from .svgplot import render_triangle_plot
 
 EXIT_OK = 0
@@ -42,15 +55,18 @@ EXIT_SCAN = 4
 EXIT_IO = 5
 
 
-def _envelope(out, command: str, params: dict, results: dict, diagnostics: dict) -> None:
-    body = {
+def _body(command: str, params: dict, results: dict, diagnostics: dict) -> dict:
+    return {
         "command": command,
         "version": __version__,
         "params": params,
         "results": results,
         "diagnostics": diagnostics,
     }
-    stable_dump(body, out.write)
+
+
+def _envelope(out, command: str, params: dict, results: dict, diagnostics: dict) -> None:
+    stable_dump(_body(command, params, results, diagnostics), out.write)
     out.write("\n")
 
 
@@ -60,68 +76,64 @@ def _envelope(out, command: str, params: dict, results: dict, diagnostics: dict)
 
 
 def _cmd_bs_count(args, out) -> int:
-    fibers = enumerate_bs_fibers(args.level, closed=args.closed)
-    comparison = fibers.comparison()
+    points = lattice_indices(args.level, args.closed)
+    vals = lattice_values(args.level)
     if args.format == "csv":
-        lines = ["r0_num,r0_den,r1_num,r1_den"]
-        for f in fibers.fibers:
-            lines.append(f"{f.r0.numerator},{f.r0.denominator},"
-                         f"{f.r1.numerator},{f.r1.denominator}")
-        out.write("\n".join(lines) + "\n")
+        pair = [f"{v.numerator},{v.denominator}" for v in vals]
+        write_pieces(chain(["r0_num,r0_den,r1_num,r1_den\n"],
+                           (f"{pair[i]},{pair[j]}\n" for i, j in points)), out.write)
         return EXIT_OK
-    results = {
-        "count": fibers.count,
-        "fibers": fibers.to_json()["fibers"],
-        "hilbert_dimension": comparison.dimension,
-        "match": comparison.match,
-    }
-    _envelope(
-        out, "bs-count",
+    dimension = section_dimension(args.level, args.closed)
+    report = Template(_body(
+        "bs-count",
         {"level": args.level, "closed": args.closed, "format": args.format},
-        results,
+        {"count": len(points), "fibers": Gap("fibers"), "hilbert_dimension": dimension,
+         "match": len(points) == dimension},
         {"tolerances": {"arithmetic": "exact rational"}},
-    )
+    ))
+    fiber = report.item([Gap("r0"), Gap("r1")])
+    pair = [fiber.text(rational_pair(v), "r0") for v in vals]
+    report.dump((fiber.fill(r0=pair[i], r1=pair[j]) for i, j in points), out.write)
+    out.write("\n")
     return EXIT_OK
 
 
 def _cmd_enc_report(args, out) -> int:
-    grid = interior_rational_grid(args.grid)
-    rows = []
-    monotone_points = []
-    displaceable = 0
-    for r0, r1 in grid:
-        outcome = dichotomy(ActionCoords(r0, r1))
-        if isinstance(outcome, MonotoneWitness):
-            monotone_points.append([rational_pair(r0), rational_pair(r1)])
-            rows.append({
-                "base": [rational_pair(r0), rational_pair(r1)],
-                "verdict": "monotone",
-                "bs_defect": outcome.bs_defect,
-                "universal_class": list(outcome.universal_class),
-            })
-        else:
-            displaceable += 1
-            rows.append({
-                "base": [rational_pair(r0), rational_pair(r1)],
-                "verdict": "displaceable",
-                "swap": list(outcome.swap),
-                "separation": outcome.separation,
-            })
-    results = {
-        "grid": args.grid,
-        "denominator": args.grid + 2,
-        "points": len(grid),
-        "monotone_points": monotone_points,
-        "monotone_count": len(monotone_points),
-        "displaceable_count": displaceable,
-        "rows": rows,
-    }
-    _envelope(
-        out, "enc-report",
+    den = args.grid + 2
+    points = lattice_indices(den)
+    vals = lattice_values(den)
+    outcomes = [dichotomy(ActionCoords(vals[i], vals[j])) for i, j in points]
+    monotone_points = [[rational_pair(vals[i]), rational_pair(vals[j])]
+                       for (i, j), o in zip(points, outcomes)
+                       if isinstance(o, MonotoneWitness)]
+    report = Template(_body(
+        "enc-report",
         {"grid": args.grid},
-        results,
+        {"grid": args.grid, "denominator": den, "points": len(outcomes),
+         "monotone_points": monotone_points, "monotone_count": len(monotone_points),
+         "displaceable_count": len(outcomes) - len(monotone_points), "rows": Gap("rows")},
         {"tolerances": {"arithmetic": "exact rational", "bs_tol": 1e-9}},
+    ))
+    base = [Gap("r0"), Gap("r1")]
+    displaced = report.item({"base": base, "separation": Gap("separation"),
+                             "swap": Gap("swap"), "verdict": "displaceable"})
+    monotone = report.item({"base": base, "bs_defect": Gap("bs_defect"),
+                            "universal_class": Gap("universal_class"),
+                            "verdict": "monotone"})
+    pair = [displaced.text(rational_pair(v), "r0") for v in vals]
+    swaps = {jk: displaced.text(list(jk), "swap") for jk in ((0, 1), (1, 2))}
+    rows = (
+        monotone.fill(
+            r0=pair[i], r1=pair[j], bs_defect=monotone.text(o.bs_defect, "bs_defect"),
+            universal_class=monotone.text(list(o.universal_class), "universal_class"))
+        if isinstance(o, MonotoneWitness) else
+        displaced.fill(
+            r0=pair[i], r1=pair[j], separation=displaced.text(o.separation, "separation"),
+            swap=swaps[o.swap])
+        for (i, j), o in zip(points, outcomes)
     )
+    report.dump(rows, out.write)
+    out.write("\n")
     return EXIT_OK
 
 

@@ -1,9 +1,10 @@
 """Exact rational layer: action coordinates, integral-level fibers and the
 displaceable-or-monotone dichotomy.
 
-Everything here is exact ``Fraction`` arithmetic on the moment triangle
-{r0 >= 0, r1 >= 0, r0 + r1 <= 1} plus the few float tests that the
-dichotomy reports.  The module needs no numerics stack, so the exact
+Everything here is exact arithmetic on the moment triangle
+{r0 >= 0, r1 >= 0, r0 + r1 <= 1}, decided on the numerators and
+denominators of ``Fraction`` coordinates, plus the few float tests that
+the dichotomy reports.  The module needs no numerics stack, so the exact
 reports (``bs-count``, ``enc-report``, ``plot``) run without importing
 numpy.  :mod:`lagrtori.clifford`, :mod:`lagrtori.maslov` and
 :mod:`lagrtori.displacement` re-export these names as the same objects.
@@ -12,7 +13,7 @@ numpy.  :mod:`lagrtori.clifford`, :mod:`lagrtori.maslov` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,17 +23,27 @@ from .serialize import rational_pair
 
 @dataclass(frozen=True)
 class ActionCoords:
-    """A point of the closed moment triangle; floats or exact Fractions."""
+    """A point of the closed moment triangle; floats or exact Fractions.
+
+    ``exact`` is (n0, d0, n1, d1) when both coordinates are exact (Fraction
+    or int), else None.  The exact tests decide on these integers;
+    denominators are positive, so comparisons cross-multiply.
+    """
 
     r0: float | Fraction
     r1: float | Fraction
+    exact: tuple[int, int, int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # exact inputs first, on integers (denominators are positive); the
-        # tolerant test below accepts a superset and decides everything else
         r0, r1 = self.r0, self.r1
+        exact = None
         if isinstance(r0, (Fraction, int)) and isinstance(r1, (Fraction, int)):
-            n0, d0, n1, d1 = r0.numerator, r0.denominator, r1.numerator, r1.denominator
+            exact = (r0.numerator, r0.denominator, r1.numerator, r1.denominator)
+        object.__setattr__(self, "exact", exact)
+        # exact inputs first; the tolerant test below accepts a superset and
+        # decides everything else
+        if exact is not None:
+            n0, d0, n1, d1 = exact
             if n0 >= 0 and n1 >= 0 and n0 * d1 + n1 * d0 <= d0 * d1:
                 return
         eps = 1e-12
@@ -44,6 +55,9 @@ class ActionCoords:
         return 1 - self.r0 - self.r1
 
     def is_interior(self) -> bool:
+        if self.exact is not None:
+            n0, d0, n1, d1 = self.exact
+            return n0 > 0 and n1 > 0 and n0 * d1 + n1 * d0 < d0 * d1
         return self.r0 > 0 and self.r1 > 0 and self.r0 + self.r1 < 1
 
     def as_floats(self) -> tuple[float, float]:
@@ -75,8 +89,7 @@ class BSFiberSet:
         in three variables; closed fibers match degree k.  Dimensions below
         degree 0 are 0.
         """
-        deg = self.level if self.closed else self.level - 3
-        return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
+        return section_dimension(self.level, self.closed)
 
     def comparison(self) -> "HilbertComparison":
         """The enumerated count against :attr:`dimension`."""
@@ -99,17 +112,34 @@ def enumerate_bs_fibers(level: int, closed: bool = False) -> BSFiberSet:
     lattice (degenerate fibers), enumerated combinatorially without building
     torus parametrizations.  Everything is Fraction arithmetic -- no floats.
     """
+    vals = lattice_values(level)
+    fibers = tuple(ActionCoords(vals[i], vals[j]) for i, j in lattice_indices(level, closed))
+    return BSFiberSet(level, closed, fibers)
+
+
+def lattice_indices(level: int, closed: bool = False) -> list[tuple[int, int]]:
+    """The index pairs (i, j) of the fibers (i/level, j/level), in report order.
+
+    Interior: i, j >= 1 and i + j <= level - 1.  Closed: i, j >= 0 and
+    i + j <= level.  Raises ValueError for a level below 1.
+    """
     if level < 1:
         raise ValueError("level must be a positive integer")
     lo = 0 if closed else 1
     hi = level if closed else level - 1
-    vals = [Fraction(i, level) for i in range(level + 1)]
-    fibers = [
-        ActionCoords(vals[i], vals[j])
-        for i in range(lo, hi + 1)
-        for j in range(lo, hi - i + 1)
-    ]
-    return BSFiberSet(level, closed, tuple(fibers))
+    return [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi - i + 1)]
+
+
+def lattice_values(level: int) -> list[Fraction]:
+    """The coordinates i/level for i = 0..level, one Fraction per index."""
+    return [Fraction(i, level) for i in range(level + 1)]
+
+
+def section_dimension(level: int, closed: bool = False) -> int:
+    """Dimension of the space of plane sections that the level-``level``
+    fibers match, in closed form (see :attr:`BSFiberSet.dimension`)."""
+    deg = level if closed else level - 3
+    return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
 
 
 class HilbertComparison(NamedTuple):
@@ -127,13 +157,14 @@ def hilbert_dimension(level: int, closed: bool = False) -> HilbertComparison:
 def interior_rational_grid(n: int) -> list[tuple[Fraction, Fraction]]:
     """The n-by-n interior rational grid of the triangle: (i/(n+2), j/(n+2)).
 
-    Each axis index runs over 1..n, constrained to the open triangle.  When
-    n + 2 is divisible by 3 the centroid (1/3, 1/3) is a grid point.
+    Each axis index runs over 1..n, constrained to the open triangle: the
+    interior lattice of level n + 2.  When n + 2 is divisible by 3 the
+    centroid (1/3, 1/3) is a grid point.
     """
     if n < 1:
         raise ValueError("grid size must be positive")
-    vals = [Fraction(i, n + 2) for i in range(n + 1)]
-    return [(vals[i], vals[j]) for i in range(1, n + 1) for j in range(1, n + 2 - i)]
+    vals = lattice_values(n + 2)
+    return [(vals[i], vals[j]) for i, j in lattice_indices(n + 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +252,20 @@ def swap_image(base: ActionCoords) -> SwapImage | None:
     every point off the diagonal r0 = r1; on it, (1, 2) and (0, 2) both move
     exactly the points with r2 != r0, so (0, 2) is never the first to move.
     All three fix the moment value only at the symmetric point (1/3, 1/3).
+
+    On exact coordinates the choice is made on numerators and denominators,
+    and each separation component is one correctly rounded int division:
+    the same float as ``float`` of the Fraction difference.
     """
+    if base.exact is not None:
+        n0, d0, n1, d1 = base.exact
+        if n0 * d1 != n1 * d0:
+            x = (n1 * d0 - n0 * d1) / (d0 * d1)  # r1 - r0
+            return SwapImage((0, 1), (base.r1, base.r0), math.hypot(x, -x))
+        if 3 * n0 == d0:
+            return None
+        # on the diagonal, r2 - r1 = 1 - 3 * r0
+        return SwapImage((1, 2), (base.r0, base.r2), math.hypot(0.0, (d0 - 3 * n0) / d0))
     r0, r1 = base.r0, base.r1
     if r0 != r1:
         jk, img = (0, 1), (r1, r0)
@@ -234,10 +278,10 @@ def swap_image(base: ActionCoords) -> SwapImage | None:
 
 
 def _exact_canonical_bs(base: ActionCoords, tol: float) -> bool:
-    vals = (base.r0, base.r1)
-    if all(isinstance(v, Fraction) for v in vals):
-        return all(3 * v.numerator % v.denominator == 0 for v in vals)
-    return all(abs(3 * float(v) - round(3 * float(v))) <= tol for v in vals)
+    if base.exact is not None:
+        n0, d0, n1, d1 = base.exact
+        return 3 * n0 % d0 == 0 and 3 * n1 % d1 == 0
+    return all(abs(3 * float(v) - round(3 * float(v))) <= tol for v in (base.r0, base.r1))
 
 
 def dichotomy(base: ActionCoords, tol: float = 1e-9) -> SwapImage | MonotoneWitness:

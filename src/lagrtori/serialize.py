@@ -20,16 +20,45 @@ bools, and floats equal to an int, never share an entry.
 ``_PIECE`` chunks (like :func:`json.dump`, a call that raises may have
 written a prefix): one string per report, plus the list of its chunks,
 fragments the heap, so peak memory grows with the number of reports run.
+
+Long reports of one row shape (``bs-count``, ``enc-report``) are written
+through a :class:`Template` instead of a payload.  A template is the
+:func:`stable_dumps` text of a payload that holds named :class:`Gap`
+placeholders, rendered once and cut at the gaps; each gap knows the depth
+of the value that fills it.  The report envelope is one template, with a
+gap in place of its long list; each row shape is another, rendered at that
+list's item depth.  A row is its template filled with value texts: the
+caller renders each distinct int list (an [n, d] pair, a swap) once and
+reuses it, and a float is its ``repr``.  :meth:`Template.dump` writes the
+envelope with the rows spliced in, in pieces of about ``_PIECE_CHARS``
+characters.  The bytes are those of :func:`stable_dumps` on the whole
+payload, which is never built.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 _INDENT = "  "
 _PIECE = 2048
+_PIECE_CHARS = 16 * _PIECE
+# A gap renders as its name and depth between NULs, which JSON text never
+# holds raw: the quoting escapes every control character.
+_GAP_MARK = "\x00"
+
+
+class Gap:
+    """Placeholder in a :class:`Template` payload for a value written later;
+    ``name`` is an identifier, used once per template.  Only templates
+    render gaps."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
 def complex_pair(z) -> list[float]:
@@ -76,9 +105,7 @@ def _key_text(key) -> str:
 
 def stable_dumps(payload) -> str:
     """Deterministic JSON text; see the module docstring for the contract."""
-    pieces: list[str] = []
-    stable_dump(payload, pieces.append)
-    return "".join(pieces)
+    return _render(payload, 0)
 
 
 def stable_dump(payload, write) -> None:
@@ -110,6 +137,8 @@ def _write(o, depth: int, chunks: list, write, int_lists: dict, open_ids: set) -
         _write_list(o, depth, chunks, write, int_lists, open_ids)
     elif isinstance(o, dict):
         _write_dict(o, depth, chunks, write, int_lists, open_ids)
+    elif isinstance(o, Gap):
+        chunks.append(f"{_GAP_MARK}{o.name}{_GAP_MARK}{depth}{_GAP_MARK}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} "
                         f"is not JSON serializable")
@@ -165,3 +194,81 @@ def _write_dict(o, depth: int, chunks: list, write, int_lists: dict, open_ids: s
         _write(v, depth + 1, chunks, write, int_lists, open_ids)
     chunks.append("\n" + _INDENT * depth + "}")
     open_ids.discard(id(o))
+
+
+def _render(payload, depth: int) -> str:
+    """The :func:`stable_dumps` text of ``payload`` as it stands at ``depth``."""
+    pieces: list[str] = []
+    chunks: list[str] = []
+    _write(payload, depth, chunks, pieces.append, {}, set())
+    pieces.extend(chunks)
+    return "".join(pieces)
+
+
+def write_pieces(texts, write) -> None:
+    """Passes the concatenation of ``texts`` to ``write`` in pieces of about
+    ``_PIECE_CHARS`` characters."""
+    buf: list[str] = []
+    size = 0
+    for text in texts:
+        buf.append(text)
+        size += len(text)
+        if size >= _PIECE_CHARS:
+            write("".join(buf))
+            buf.clear()
+            size = 0
+    write("".join(buf))
+
+
+class Template:
+    """The :func:`stable_dumps` text of ``payload`` at ``depth``, cut at its
+    :class:`Gap` placeholders.
+
+    ``pieces`` holds the texts between the gaps, ``depths`` maps each gap
+    name to the depth of its value, and ``fill(**texts)`` returns the text
+    with each gap replaced by the text of the same name.
+    """
+
+    def __init__(self, payload, depth: int = 0):
+        parts = _render(payload, depth).split(_GAP_MARK)
+        names = parts[1::3]
+        self.pieces = parts[0::3]
+        self.depths = dict(zip(names, map(int, parts[2::3])))
+        fields = [f"{{{name}}}" for name in names] + [""]
+        self.fill = "".join(p.replace("{", "{{").replace("}", "}}") + field
+                            for p, field in zip(self.pieces, fields)).format
+
+    def text(self, value, gap: str) -> str:
+        """The text of ``value`` as it stands in the gap named ``gap``."""
+        if type(value) is float:  # the per-row value of a report; no depth
+            return _float_text(value)
+        return _render(value, self.depths[gap])
+
+    def item(self, payload) -> "Template":
+        """The template of one item of the list that fills the only gap."""
+        (depth,) = self.depths.values()
+        return Template(payload, depth + 1)
+
+    def dump(self, items, write) -> None:
+        """Writes the text with the only gap filled by a list of ``items``,
+        each a text rendered by an :meth:`item` template, in pieces."""
+        head, tail = self.pieces
+        (depth,) = self.depths.values()
+        write_pieces(chain((head,), _list_texts(items, depth), (tail,)), write)
+
+
+def _list_texts(items, depth: int):
+    """The text of a list at ``depth`` whose items have the texts ``items``."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    inner = "\n" + _INDENT * (depth + 1)
+    yield "[" + inner
+    yield first
+    sep = "," + inner
+    for item in items:
+        yield sep
+        yield item
+    yield "\n" + _INDENT * depth + "]"

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import enumerate_bs_fibers
+from .lattice import lattice_indices
 
 _W, _H, _PAD = 480, 440, 48
 _SCALE = 360.0
 
 
-def _screen(r0: Fraction, r1: Fraction) -> tuple[float, float]:
+def _screen(r0, r1) -> tuple[float, float]:
     return (_PAD + float(r0) * _SCALE, _H - _PAD - float(r1) * _SCALE)
 
 
@@ -35,14 +35,11 @@ def render_triangle_plot(level: int) -> str:
     lattice are open rings, and the symmetric monotone point carries a
     distinct highlight ring whether or not it is a lattice point.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    open_set = enumerate_bs_fibers(level, closed=False)
-    closed_set = enumerate_bs_fibers(level, closed=True)
-    interior = set(open_set.fibers)
-    boundary = [f for f in closed_set.fibers if f not in interior]
+    boundary, interior = [], []
+    for i, j in lattice_indices(level, closed=True):
+        (boundary if i == 0 or j == 0 or i + j == level else interior).append((i, j))
 
-    v0, v1, v2 = _screen(Fraction(0), Fraction(0)), _screen(Fraction(1), Fraction(0)), _screen(Fraction(0), Fraction(1))
+    v0, v1, v2 = _screen(0, 0), _screen(1, 0), _screen(0, 1)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -53,18 +50,18 @@ def render_triangle_plot(level: int) -> str:
         f'L {_fmt(v2[0])} {_fmt(v2[1])} Z" fill="#f5f5f0" stroke="#333333" '
         'stroke-width="1.5"/>',
     ]
-    for f in boundary:
-        x, y = _screen(f.r0, f.r1)
+    for i, j in boundary:
+        x, y = _screen(i / level, j / level)
         lines.append(_circle(x, y, 3.2, 'fill="none" stroke="#888888" stroke-width="1.2"',
                              "closed-fiber"))
-    for f in open_set.fibers:
-        x, y = _screen(f.r0, f.r1)
+    for i, j in interior:
+        x, y = _screen(i / level, j / level)
         lines.append(_circle(x, y, 4.0, 'fill="#1f77b4" stroke="none"', "open-fiber"))
     mx, my = _screen(Fraction(1, 3), Fraction(1, 3))
     lines.append(_circle(mx, my, 7.0, 'fill="none" stroke="#d62728" stroke-width="2.0"',
                          "monotone-point"))
     lines.append(f'  <text x="{_fmt(_PAD)}" y="{_fmt(28.0)}" font-family="monospace" '
                  f'font-size="14" fill="#333333">level {level}: '
-                 f'{open_set.count} interior / {closed_set.count} closed</text>')
+                 f'{len(interior)} interior / {len(boundary) + len(interior)} closed</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,11 @@ to estimate the error.  It also holds the linear coning of a loop to a
 basepoint, a random unitary and the consistency check of a disc with
 boundary, which only the tests use.
 
+For the exact layer it holds the dichotomy in plain ``Fraction`` operators
+and the ``bs-count`` and ``enc-report`` texts built as one payload of row
+dicts and encoded by :func:`json.dumps`, the references for the integer
+decisions and the streamed reports.
+
 The difference step ``step`` defaults to 1e-3.  The Chekanov torus needs
 3e-5, because its orbit radius varies steeply in t when the parameter
 circle passes near the singular member; the coned discs use 2.5e-4.
@@ -15,12 +20,22 @@ circle passes near the singular member; the coned discs use 2.5e-4.
 
 from __future__ import annotations
 
+import json
+import math
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from lagrtori.errors import BoundaryMismatch, ChartEscape, LagrtoriError, NonConvergent
+from lagrtori import __version__
+from lagrtori.errors import (
+    BoundaryMismatch,
+    ChartEscape,
+    InternalContradiction,
+    LagrtoriError,
+    NonConvergent,
+)
 from lagrtori.geometry import (
     AreaEstimate,
     ParamSurface,
@@ -28,6 +43,7 @@ from lagrtori.geometry import (
     fs_pullback_raw,
     hermdot,
 )
+from lagrtori.lattice import ActionCoords, MonotoneWitness, SwapImage, is_monotone
 from lagrtori.maslov import _CHART_FLOOR, DiscWithBoundary
 
 _CONE_FLOOR = 1e-2
@@ -149,3 +165,91 @@ def validate_disc(d: DiscWithBoundary, samples: int = 48) -> None:
         raise ChartEscape(
             f"disc sample has |z_{d.chart}| = {low:.3e} < {_CHART_FLOOR:.1e}"
         )
+
+
+# ---------------------------------------------------------------------------
+# the exact layer in Fraction operators, and the reports as one payload
+# ---------------------------------------------------------------------------
+
+
+def reference_is_interior(base: ActionCoords) -> bool:
+    return base.r0 > 0 and base.r1 > 0 and base.r0 + base.r1 < 1
+
+
+def reference_swap_image(base: ActionCoords) -> SwapImage | None:
+    r0, r1 = base.r0, base.r1
+    if r0 != r1:
+        jk, img = (0, 1), (r1, r0)
+    else:
+        r2 = base.r2
+        if r2 == r0:
+            return None
+        jk, img = (1, 2), (r0, r2)
+    return SwapImage(jk, img, math.hypot(float(img[0] - r0), float(img[1] - r1)))
+
+
+def reference_dichotomy(base: ActionCoords, tol: float = 1e-9):
+    if not reference_is_interior(base):
+        raise ValueError("verdict expects an interior fiber")
+    move = reference_swap_image(base)
+    vals = (base.r0, base.r1)
+    if all(isinstance(v, Fraction) for v in vals):
+        canonical = all((3 * v).denominator == 1 for v in vals)
+    else:
+        canonical = all(abs(3 * float(v) - round(3 * float(v))) <= tol for v in vals)
+    witness = None
+    if canonical:
+        r0, r1 = float(base.r0), float(base.r1)
+        witness = is_monotone((r0, r1, r0 + r1), (1, 1, 2))
+    monotone = witness is not None and witness.monotone
+    if (move is not None) == monotone:
+        raise InternalContradiction(f"fiber ({base.r0}, {base.r1})")
+    return witness if monotone else move
+
+
+def _pair(x: Fraction) -> list[int]:
+    return [x.numerator, x.denominator]
+
+
+def _envelope_text(command: str, params: dict, results: dict, diagnostics: dict) -> str:
+    body = {"command": command, "version": __version__, "params": params,
+            "results": results, "diagnostics": diagnostics}
+    return json.dumps(body, sort_keys=True, indent=2, separators=(",", ": "),
+                      allow_nan=False) + "\n"
+
+
+def bs_count_text(level: int, closed: bool = False) -> str:
+    """The JSON text of ``bs-count --level level [--closed]``."""
+    lo, hi = (0, level) if closed else (1, level - 1)
+    fibers = [[_pair(Fraction(i, level)), _pair(Fraction(j, level))]
+              for i in range(lo, hi + 1) for j in range(lo, hi - i + 1)]
+    deg = level if closed else level - 3
+    dimension = (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
+    results = {"count": len(fibers), "fibers": fibers,
+               "hilbert_dimension": dimension, "match": len(fibers) == dimension}
+    return _envelope_text("bs-count", {"level": level, "closed": closed, "format": "json"},
+                          results, {"tolerances": {"arithmetic": "exact rational"}})
+
+
+def enc_report_text(grid: int) -> str:
+    """The JSON text of ``enc-report --grid grid``."""
+    den = grid + 2
+    rows, monotone_points = [], []
+    for i in range(1, grid + 1):
+        for j in range(1, grid + 2 - i):
+            r0, r1 = Fraction(i, den), Fraction(j, den)
+            base = [_pair(r0), _pair(r1)]
+            outcome = reference_dichotomy(ActionCoords(r0, r1))
+            if isinstance(outcome, MonotoneWitness):
+                monotone_points.append(base)
+                rows.append({"base": base, "verdict": "monotone",
+                             "bs_defect": outcome.bs_defect,
+                             "universal_class": list(outcome.universal_class)})
+            else:
+                rows.append({"base": base, "verdict": "displaceable",
+                             "swap": list(outcome.swap), "separation": outcome.separation})
+    results = {"grid": grid, "denominator": den, "points": len(rows),
+               "monotone_points": monotone_points, "monotone_count": len(monotone_points),
+               "displaceable_count": len(rows) - len(monotone_points), "rows": rows}
+    return _envelope_text("enc-report", {"grid": grid}, results,
+                          {"tolerances": {"arithmetic": "exact rational", "bs_tol": 1e-9}})

@@ -6,12 +6,15 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
-from lagrtori import cli
+import oracle
+from lagrtori import cli, serialize
 from lagrtori.errors import InternalContradiction, NonConvergent
+from lagrtori.lattice import enumerate_bs_fibers
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -118,6 +121,41 @@ def test_enc_report_rows_match_fraction_reference():
         assert got == want, (r0, r1)
         if "separation" in want:
             assert got["separation"].hex() == want["separation"].hex()
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["interior", "closed"])
+def test_bs_count_streams_the_reference_bytes(closed):
+    for level in range(1, 41):
+        argv = ["bs-count", "--level", str(level)] + (["--closed"] if closed else [])
+        assert run_cli(argv) == (cli.EXIT_OK, oracle.bs_count_text(level, closed), ""), level
+
+
+def test_enc_report_streams_the_reference_bytes():
+    # grids 3..40 include the denominators not divisible by 3 (no centroid)
+    for grid in range(3, 41):
+        assert run_cli(["enc-report", "--grid", str(grid)]) == (
+            cli.EXIT_OK, oracle.enc_report_text(grid), ""), grid
+
+
+def test_large_enc_report_streams_the_reference_bytes():
+    assert run_cli(["enc-report", "--grid", "160"])[1] == oracle.enc_report_text(160)
+
+
+@pytest.mark.parametrize("level, closed", [(1, False), (2, False), (3, False), (9, False),
+                                           (1, True), (9, True), (200, False)])
+def test_bs_count_csv_lists_the_enumerated_fibers(level, closed):
+    pieces = []
+    argv = ["bs-count", "--level", str(level), "--format", "csv"] + (["--closed"] if closed else [])
+    assert cli.main(argv, out=SimpleNamespace(write=pieces.append)) == cli.EXIT_OK
+    text = "".join(pieces)
+    header, *rows = text.split("\n")
+    assert header == "r0_num,r0_den,r1_num,r1_den"
+    assert rows.pop() == ""  # the text ends with a newline
+    want = [[f.r0.numerator, f.r0.denominator, f.r1.numerator, f.r1.denominator]
+            for f in enumerate_bs_fibers(level, closed).fibers]
+    assert [[int(x) for x in row.split(",")] for row in rows] == want
+    assert bool(rows) == (closed or level >= 3)
+    assert max(map(len, pieces)) <= 64 * serialize._PIECE
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from lagrtori.lattice import (
     interior_rational_grid,
     swap_image,
 )
+from oracle import reference_dichotomy, reference_is_interior, reference_swap_image
 
 
 def _comparison_check(r0, r1):
@@ -82,3 +83,47 @@ def test_dichotomy_is_the_verdict_behind_enc_verdict():
             assert cert.detail["swap"] == list(outcome.swap)
             assert cert.separation == outcome.separation
             assert displace_clifford(base) == cert
+
+
+@st.composite
+def fraction_bases(draw):
+    """Points of the closed triangle with Fraction coordinates, built from
+    numerator/denominator pairs scaled by a common factor (so not reduced),
+    on the diagonal r0 = r1 one time in three."""
+    d0 = draw(st.integers(1, 10 ** 12))
+    n0 = draw(st.integers(0, d0))
+    if draw(st.integers(0, 2)) == 0:
+        n0 = min(n0, d0 // 2)
+        n1, d1 = n0, d0
+    else:
+        d1 = draw(st.integers(1, 10 ** 12))
+        n1 = draw(st.integers(0, d1 * (d0 - n0) // d0))
+    k = draw(st.integers(1, 10 ** 6))
+    return Fraction(n0 * k, d0 * k), Fraction(n1 * k, d1 * k)
+
+
+@given(fraction_bases())
+@example((Fraction(1, 3), Fraction(1, 3)))  # the centroid: no swap moves it
+@example((Fraction(2, 6), Fraction(5, 15)))  # the centroid from non-reduced pairs
+@example((Fraction(1, 4), Fraction(1, 4)))  # diagonal: the (1, 2) swap
+@example((Fraction(2, 5), Fraction(2, 5)))  # diagonal, r2 < r0
+@example((Fraction(1, 2), Fraction(1, 4)))
+@example((Fraction(0), Fraction(1, 2)))  # boundary
+@example((Fraction(1, 2), Fraction(1, 2)))  # hypotenuse
+@example((Fraction(1, 10 ** 12), Fraction(1, 10 ** 12 - 1)))
+# r1 - r0 as one int division differs from float(numerator) / denominator
+@example((Fraction(37640125381, 723347347957), Fraction(9360003227, 140586856553)))
+@settings(max_examples=500, deadline=None)
+def test_integer_decisions_match_fraction_operators(pair):
+    base = ActionCoords(*pair)
+    assert base.is_interior() == reference_is_interior(base)
+    got, want = swap_image(base), reference_swap_image(base)
+    assert got == want
+    if want is not None:
+        assert got.separation.hex() == want.separation.hex()
+    if not reference_is_interior(base):
+        with pytest.raises(ValueError):
+            dichotomy(base)
+        return
+    got, want = dichotomy(base), reference_dichotomy(base)
+    assert type(got) is type(want) and got == want

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lagrtori import cli
 from lagrtori import serialize
-from lagrtori.serialize import stable_dump, stable_dumps
+from lagrtori.serialize import Gap, Template, stable_dump, stable_dumps
 
 
 def reference_dumps(payload):
@@ -131,9 +131,29 @@ def test_cli_payloads_reencode_to_identical_bytes(argv):
 
 def test_cli_writes_a_large_report_in_bounded_pieces():
     # no string of the report's size is built, so heap peaks stay flat
-    out = _Pieces()
-    assert cli.main(["enc-report", "--grid", "60"], out=out) == cli.EXIT_OK
-    text = "".join(out)
-    assert len(text) > 400_000
-    assert max(map(len, out)) <= 64 * serialize._PIECE
-    assert reference_dumps(json.loads(text)) + "\n" == text
+    for argv in (["enc-report", "--grid", "60"], ["bs-count", "--level", "120"]):
+        out = _Pieces()
+        assert cli.main(argv, out=out) == cli.EXIT_OK
+        text = "".join(out)
+        assert len(text) > 400_000
+        assert max(map(len, out)) <= 64 * serialize._PIECE
+        assert reference_dumps(json.loads(text)) + "\n" == text
+
+
+keys = st.text(max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(keys, scalars, max_size=3),
+       st.lists(st.tuples(payloads, scalars), max_size=3),
+       st.lists(keys, min_size=2, max_size=2, unique=True))
+def test_template_fills_to_the_stable_dumps_text(head, rows, names):
+    # a report whose long list holds rows of one shape with two values
+    ka, kb = names
+    report = Template({**head, "rows": Gap("rows")})
+    row = report.item({ka: Gap("a"), kb: [Gap("b"), 1]})
+    texts = [row.fill(a=row.text(a, "a"), b=row.text(b, "b")) for a, b in rows]
+    pieces = []
+    report.dump(texts, pieces.append)
+    whole = {**head, "rows": [{ka: a, kb: [b, 1]} for a, b in rows]}
+    assert "".join(pieces) == reference_dumps(whole)
