@@ -36,7 +36,6 @@ from .geometry import (
     loop_symplectic_area,
 )
 
-_TWO_PI = 2.0 * math.pi
 _EPS_FLOOR = 1e-12
 
 

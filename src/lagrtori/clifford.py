@@ -41,6 +41,8 @@ from .lattice import (  # re-exported: the exact layer lives in lattice
 from .maslov import DiscWithBoundary
 
 _TWO_PI = 2.0 * math.pi
+# angles per axis on which a deformation must keep the actions in the triangle
+_CHECK_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -307,9 +309,8 @@ def _deformed_actions(fiber: CliffordFiber, spec: DeformationSpec, theta0, theta
     return i0, i1
 
 
-def _check_stays_inside(fiber: CliffordFiber, spec: DeformationSpec,
-                        check_grid: int = 64) -> None:
-    grid = np.linspace(0.0, _TWO_PI, check_grid, endpoint=False)
+def _check_stays_inside(fiber: CliffordFiber, spec: DeformationSpec) -> None:
+    grid = np.linspace(0.0, _TWO_PI, _CHECK_GRID, endpoint=False)
     g0, g1 = np.meshgrid(grid, grid, indexing="ij")
     i0, i1 = _deformed_actions(fiber, spec, g0, g1)
     margin = 1e-9
@@ -326,8 +327,7 @@ def _deformed_lift(fiber: CliffordFiber, spec: DeformationSpec, theta0, theta1):
     return np.stack([z0, z1, z2], axis=-1)
 
 
-def deform_fiber(fiber: CliffordFiber, spec: DeformationSpec,
-                 check_grid: int = 64) -> ParamSurface:
+def deform_fiber(fiber: CliffordFiber, spec: DeformationSpec) -> ParamSurface:
     """Graph torus of the deformation one-form over the fiber.
 
     The surface keeps the fiber's angle parametrization and shifts the action
@@ -335,7 +335,7 @@ def deform_fiber(fiber: CliffordFiber, spec: DeformationSpec,
     makes the graph lagrangian.  Raises LeavesTriangle when any shifted action
     value exits the open triangle.
     """
-    _check_stays_inside(fiber, spec, check_grid)
+    _check_stays_inside(fiber, spec)
     return ParamSurface(
         lambda s, t: _deformed_lift(fiber, spec, _TWO_PI * np.asarray(s, dtype=float),
                                     _TWO_PI * np.asarray(t, dtype=float)),

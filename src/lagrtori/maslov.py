@@ -29,6 +29,11 @@ from .lattice import (  # re-exported: the exact monotonicity test lives in latt
 _DET_FLOOR = 1e-10
 _CHART_FLOOR = 1e-8
 _PHASE_GUARD = np.pi / 2
+# loop samples of the first winding pass, and how often the guard may double them
+_WINDING_SAMPLES = 512
+_MAX_DOUBLINGS = 7
+# points on which two disc boundaries must agree projectively
+_BOUNDARY_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,7 @@ def frame_determinant(d: DiscWithBoundary, t) -> np.ndarray:
     return ua * vb - ub * va
 
 
-def maslov_index(d: DiscWithBoundary, samples: int = 512,
-                 max_doublings: int = 7) -> MaslovResult:
+def maslov_index(d: DiscWithBoundary) -> MaslovResult:
     """Winding of the boundary frame determinant against the chart
     trivialization.
 
@@ -96,8 +100,8 @@ def maslov_index(d: DiscWithBoundary, samples: int = 512,
     closed loop telescopes to an integer up to roundoff; the defect is
     reported and must stay below 1e-3.
     """
-    n = samples
-    for _ in range(max_doublings + 1):
+    n = _WINDING_SAMPLES
+    for _ in range(_MAX_DOUBLINGS + 1):
         t = np.linspace(0.0, 1.0, n + 1)
         det = frame_determinant(d, t)
         mags = np.abs(det)
@@ -120,15 +124,15 @@ def maslov_index(d: DiscWithBoundary, samples: int = 512,
 
 
 def disc_difference_check(d: DiscWithBoundary, d_prime: DiscWithBoundary,
-                          sphere_degree: int, samples: int = 64) -> bool:
+                          sphere_degree: int) -> bool:
     """Verify mu(d') - mu(d) = 3 * sphere_degree for discs sharing a boundary.
 
     The two discs must have projectively equal boundary loops (checked on
-    ``samples`` points; BoundaryMismatch otherwise) and carry the same frame.
-    The factor 3 is the anticanonical degree of the plane in the halved
-    convention.
+    ``_BOUNDARY_SAMPLES`` points; BoundaryMismatch otherwise) and carry
+    the same frame.  The factor 3 is the anticanonical degree of the plane
+    in the halved convention.
     """
-    t = np.linspace(0.0, 1.0, samples, endpoint=False)
+    t = np.linspace(0.0, 1.0, _BOUNDARY_SAMPLES, endpoint=False)
     za = _unit_rows(np.asarray(d.boundary_loop(t), dtype=complex))
     zb = _unit_rows(np.asarray(d_prime.boundary_loop(t), dtype=complex))
     agree = np.abs(np.abs(hermdot(za, zb)) - 1.0)

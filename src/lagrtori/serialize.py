@@ -3,29 +3,23 @@
 Complex numbers are [re, im] pairs and exact rationals are [numerator,
 denominator] pairs.
 
-Byte contract: :func:`stable_dumps` returns exactly the text of
-``json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "),
-allow_nan=False)``: keys sorted, two-space indent, floats through
+Byte contract: every report is the text of the stdlib encoder with fixed
+settings, ``json.JSONEncoder(sort_keys=True, indent=2, separators=(",",
+": "), allow_nan=False)``: keys sorted, two-space indent, floats through
 ``float.__repr__`` (shortest round-trip), strings ASCII-escaped.  NaN and
 infinities raise ValueError, a circular container raises ValueError, and
-any other type raises TypeError, as in :mod:`json`.  It differs only in
-speed.  ``json`` (CPython 3.11) uses its C encoder only when ``indent`` is
-None and its pure-Python one otherwise; this writer renders each list
-whose items are all exactly ``int`` (the [num, den] pairs, swap indices)
-once per indent depth and reuses the text.  That memo lives for one call
-and keys on the item tuple, holding ints only (``type(x) is int``):
-bools, and floats equal to an int, never share an entry.
-
-:func:`stable_dump` passes the same text to ``write`` in pieces of about
-``_PIECE`` chunks (like :func:`json.dump`, a call that raises may have
-written a prefix): one string per report, plus the list of its chunks,
-fragments the heap, so peak memory grows with the number of reports run.
+any other type raises TypeError, as in :mod:`json`.  :func:`stable_dumps`
+returns that text; :func:`stable_dump` passes it to ``write`` in pieces of
+about ``_PIECE_CHARS`` characters (like :func:`json.dump`, a call that
+raises may have written a prefix), so no string of a report's size is
+built.
 
 Long reports of one row shape (``bs-count``, ``enc-report``) are written
 through a :class:`Template` instead of a payload.  A template is the
-:func:`stable_dumps` text of a payload that holds named :class:`Gap`
-placeholders, rendered once and cut at the gaps; each gap knows the depth
-of the value that fills it.  The report envelope is one template, with a
+encoded text of a payload that holds named :class:`Gap` placeholders,
+cut at the gaps: the encoder renders each gap as a quoted tag unique to
+the template, and the depth of the value that fills a gap is the indent
+of the line the tag sits on.  The report envelope is one template, with a
 gap in place of its long list; each row shape is another, rendered at that
 list's item depth.  A row is its template filled with value texts: the
 caller renders each distinct int list (an [n, d] pair, a swap) once and
@@ -37,6 +31,7 @@ payload, which is never built.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import chain
@@ -45,9 +40,8 @@ from json.encoder import encode_basestring_ascii as _quote
 _INDENT = "  "
 _PIECE = 2048
 _PIECE_CHARS = 16 * _PIECE
-# A gap renders as its name and depth between NULs, which JSON text never
-# holds raw: the quoting escapes every control character.
-_GAP_MARK = "\x00"
+_SETTINGS = dict(sort_keys=True, indent=_INDENT, separators=(",", ": "), allow_nan=False)
+_ENCODER = json.JSONEncoder(**_SETTINGS)
 
 
 class Gap:
@@ -79,130 +73,20 @@ def number_or_rational(x):
     return float(x)
 
 
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    """Dict keys as ``json`` converts them, before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def stable_dumps(payload) -> str:
     """Deterministic JSON text; see the module docstring for the contract."""
-    return _render(payload, 0)
+    return _ENCODER.encode(payload)
 
 
 def stable_dump(payload, write) -> None:
     """Passes the text of :func:`stable_dumps` to ``write`` in pieces."""
-    chunks: list[str] = []
-    # The writers are module functions, not closures: nested functions that
-    # call each other form a reference cycle, which would keep every chunk
-    # alive after return until the cyclic collector runs.  The two state
-    # arguments are the int-list memo, (depth, items) -> text, and the ids
-    # of the containers being written, for cycle detection.
-    _write(payload, 0, chunks, write, {}, set())
-    write("".join(chunks))
-
-
-def _write(o, depth: int, chunks: list, write, int_lists: dict, open_ids: set) -> None:
-    if isinstance(o, str):
-        chunks.append(_quote(o))
-    elif o is None:
-        chunks.append("null")
-    elif o is True:
-        chunks.append("true")
-    elif o is False:
-        chunks.append("false")
-    elif isinstance(o, int):
-        chunks.append(int.__repr__(o))
-    elif isinstance(o, float):
-        chunks.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
-        _write_list(o, depth, chunks, write, int_lists, open_ids)
-    elif isinstance(o, dict):
-        _write_dict(o, depth, chunks, write, int_lists, open_ids)
-    elif isinstance(o, Gap):
-        chunks.append(f"{_GAP_MARK}{o.name}{_GAP_MARK}{depth}{_GAP_MARK}")
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        f"is not JSON serializable")
-
-
-def _enter(o, open_ids: set) -> None:
-    if id(o) in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(id(o))
-
-
-def _write_list(o, depth: int, chunks: list, write, int_lists: dict, open_ids: set) -> None:
-    if not o:
-        chunks.append("[]")
-        return
-    for x in o:
-        if type(x) is not int:
-            break
-    else:
-        key = (depth, tuple(o))
-        text = int_lists.get(key)
-        if text is None:
-            sep = ",\n" + _INDENT * (depth + 1)
-            text = int_lists[key] = (
-                "[" + sep[1:] + sep.join(map(int.__repr__, o))
-                + "\n" + _INDENT * depth + "]")
-        chunks.append(text)
-        return
-    _enter(o, open_ids)
-    inner = "\n" + _INDENT * (depth + 1)
-    sep = "[" + inner
-    for x in o:
-        chunks.append(sep)
-        sep = "," + inner
-        _write(x, depth + 1, chunks, write, int_lists, open_ids)
-        if len(chunks) >= _PIECE:  # a list is where a large report is long
-            write("".join(chunks))
-            chunks.clear()
-    chunks.append("\n" + _INDENT * depth + "]")
-    open_ids.discard(id(o))
-
-
-def _write_dict(o, depth: int, chunks: list, write, int_lists: dict, open_ids: set) -> None:
-    if not o:
-        chunks.append("{}")
-        return
-    _enter(o, open_ids)
-    inner = "\n" + _INDENT * (depth + 1)
-    sep = "{" + inner
-    for k, v in sorted(o.items()):
-        chunks.append(sep + _quote(_key_text(k)) + ": ")
-        sep = "," + inner
-        _write(v, depth + 1, chunks, write, int_lists, open_ids)
-    chunks.append("\n" + _INDENT * depth + "}")
-    open_ids.discard(id(o))
+    write_pieces(_ENCODER.iterencode(payload), write)
 
 
 def _render(payload, depth: int) -> str:
-    """The :func:`stable_dumps` text of ``payload`` as it stands at ``depth``."""
-    pieces: list[str] = []
-    chunks: list[str] = []
-    _write(payload, depth, chunks, pieces.append, {}, set())
-    pieces.extend(chunks)
-    return "".join(pieces)
+    """The :func:`stable_dumps` text of ``payload`` as it stands at ``depth``;
+    JSON strings hold no raw newline, so every newline is a line break."""
+    return _ENCODER.encode(payload).replace("\n", "\n" + _INDENT * depth)
 
 
 def write_pieces(texts, write) -> None:
@@ -230,18 +114,39 @@ class Template:
     """
 
     def __init__(self, payload, depth: int = 0):
-        parts = _render(payload, depth).split(_GAP_MARK)
-        names = parts[1::3]
-        self.pieces = parts[0::3]
-        self.depths = dict(zip(names, map(int, parts[2::3])))
-        fields = [f"{{{name}}}" for name in names] + [""]
+        mark = f"\x00gap{id(self)}\x00"
+        seen: list[str] = []
+
+        def tag(o):
+            if not isinstance(o, Gap):
+                return _ENCODER.default(o)  # raises TypeError
+            seen.append(o.name)
+            return mark + o.name
+
+        text = json.JSONEncoder(**_SETTINGS, default=tag).encode(payload)
+        # The tag is quoted as "\u0000gap<id>\u0000<name>": split at its
+        # opening and cut each name at its closing quote.
+        self.pieces = text.replace("\n", "\n" + _INDENT * depth).split(_quote(mark)[:-1])
+        if len(self.pieces) != len(seen) + 1:
+            raise ValueError(f"template text holds {len(self.pieces) - 1} gap tags "
+                             f"for {len(seen)} gaps")
+        self.depths = {}
+        for k in range(1, len(self.pieces)):
+            _, newline, line = self.pieces[k - 1].rpartition("\n")
+            name, self.pieces[k] = self.pieces[k].split('"', 1)
+            indent = len(line) - len(line.lstrip(" ")) if newline else len(_INDENT) * depth
+            self.depths[name] = indent // len(_INDENT)
+        fields = [f"{{{name}}}" for name in self.depths] + [""]
         self.fill = "".join(p.replace("{", "{{").replace("}", "}}") + field
                             for p, field in zip(self.pieces, fields)).format
 
     def text(self, value, gap: str) -> str:
         """The text of ``value`` as it stands in the gap named ``gap``."""
         if type(value) is float:  # the per-row value of a report; no depth
-            return _float_text(value)
+            if not math.isfinite(value):
+                raise ValueError("Out of range float values are not JSON compliant: "
+                                 + repr(value))
+            return float.__repr__(value)
         return _render(value, self.depths[gap])
 
     def item(self, payload) -> "Template":

@@ -1,10 +1,12 @@
-"""Which modules each entry point loads, and the package's public names.
+"""Which modules each entry point loads, the package's public names, and
+that every module-level private name is used.
 
 The exact reports (``bs-count``, ``enc-report``, ``plot``) and the parser
 must run without importing numpy; each case runs in a fresh interpreter
 with the package imported from ``src/``.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -136,3 +138,37 @@ def test_moved_names_are_reexported_as_the_same_objects(module):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         lagrtori.no_such_name
+
+
+def _private_names(tree: ast.Module) -> set[str]:
+    """Module-level names with one leading underscore that a module binds."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name for a in node.names)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_module_name_is_used():
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    used_outside = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used_outside.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                used_outside.add(node.attr)
+    unused = []
+    for path in sorted((ROOT / "src" / "lagrtori").glob("*.py")):
+        tree = trees[path]
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{path.stem}.{name}"
+                   for name in sorted(_private_names(tree) - read - used_outside)]
+    assert unused == []

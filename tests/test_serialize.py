@@ -99,19 +99,29 @@ def test_circular_container_raises_value_error():
         stable_dumps({"a": loop})
 
 
-def test_stable_dumps_leaves_no_reference_cycles():
-    # a cycle would hold the written chunks until the cyclic collector runs
-    payload = {"a": [[1, 2], [3, 4]], "b": [{"c": 1.5}], "d": "e"}
+def test_encoder_cycles_hold_no_written_text():
+    # The stdlib indent encoder leaves a reference cycle of its closures per
+    # call; a cycle that held the written chunks would keep them alive until
+    # the cyclic collector runs.
+    big = "x" * 5000
+    payload = {"a": [[1, 2], [3, 4]], "b": [{"c": 1.5}], "d": big}
+    flags = gc.get_debug()
     gc.collect()
-    stable_dumps(payload)
-    assert gc.collect() == 0
-
-
-def test_stable_dump_leaves_no_reference_cycles():
-    payload = {"a": [[1, 2], [3, 4]], "b": [{"c": 1.5}], "d": "e"}
-    gc.collect()
-    stable_dump(payload, io.StringIO().write)
-    assert gc.collect() == 0
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        stable_dumps(payload)
+        stable_dump(payload, io.StringIO().write)
+        report = Template({"d": big, "rows": Gap("rows")})
+        row = report.item({"d": big, "s": Gap("s")})
+        report.dump([row.fill(s=row.text(1.5, "s"))], io.StringIO().write)
+        gc.collect()
+        collected = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    held = [o for o in collected + gc.get_referents(*collected)
+            if isinstance(o, str) and len(o) > 100]
+    assert held == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -157,3 +167,29 @@ def test_template_fills_to_the_stable_dumps_text(head, rows, names):
     report.dump(texts, pieces.append)
     whole = {**head, "rows": [{ka: a, kb: [b, 1]} for a, b in rows]}
     assert "".join(pieces) == reference_dumps(whole)
+
+
+@pytest.mark.parametrize("head", ["\x00", "\x00rows", "\\u0000rows"])
+def test_template_head_strings_make_no_gap(head):
+    report = Template({"h": head, head: [head], "rows": Gap("rows")})
+    row = report.item([Gap("a"), 1])
+    pieces = []
+    report.dump([row.fill(a=row.text(1.5, "a"))], pieces.append)
+    assert list(report.depths) == ["rows"]
+    assert "".join(pieces) == reference_dumps({"h": head, head: [head], "rows": [[1.5, 1]]})
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_template_gap_on_the_first_line_takes_the_template_depth(depth):
+    value = {"a": [1, 2]}
+    template = Template(Gap("x"), depth)
+    assert template.depths == {"x": depth}
+    expected = reference_dumps(value).replace("\n", "\n" + "  " * depth)
+    assert template.fill(x=template.text(value, "x")) == expected
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_template_text_rejects_out_of_range_floats(bad):
+    row = Template({"rows": Gap("rows")}).item({"s": Gap("s")})
+    with pytest.raises(ValueError):
+        row.text(bad, "s")
