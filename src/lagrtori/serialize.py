@@ -8,7 +8,10 @@ settings, ``json.JSONEncoder(sort_keys=True, indent=2, separators=(",",
 ": "), allow_nan=False)``: keys sorted, two-space indent, floats through
 ``float.__repr__`` (shortest round-trip), strings ASCII-escaped.  NaN and
 infinities raise ValueError, a circular container raises ValueError, and
-any other type raises TypeError, as in :mod:`json`.  :func:`stable_dumps`
+any other type raises TypeError, as in :mod:`json`.  The encoder's
+per-call closures refer to each other; their cells are cleared once the
+text is written, so an encoding leaves no reference cycle (and no garbage
+for the cyclic collector).  :func:`stable_dumps`
 returns that text; :func:`stable_dump` passes it to ``write`` in pieces of
 about ``_PIECE_CHARS`` characters (like :func:`json.dump`, a call that
 raises may have written a prefix), so no string of a report's size is
@@ -35,13 +38,13 @@ import json
 import math
 from fractions import Fraction
 from itertools import chain
+from json.encoder import _make_iterencode
 from json.encoder import encode_basestring_ascii as _quote
 
 _INDENT = "  "
 _PIECE = 2048
 _PIECE_CHARS = 16 * _PIECE
-_SETTINGS = dict(sort_keys=True, indent=_INDENT, separators=(",", ": "), allow_nan=False)
-_ENCODER = json.JSONEncoder(**_SETTINGS)
+_UNSUPPORTED = json.JSONEncoder().default  # raises TypeError
 
 
 class Gap:
@@ -73,20 +76,39 @@ def number_or_rational(x):
     return float(x)
 
 
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+    return float.__repr__(value)
+
+
+def _chunks(payload, default=_UNSUPPORTED):
+    """The chunks of ``json.JSONEncoder(sort_keys=True, indent="  ",
+    separators=(",", ": "), allow_nan=False, default=default)`` for
+    ``payload``, with the encoder's closure cycle cut when they end."""
+    encode = _make_iterencode({}, default, _quote, _INDENT, _float_text, ": ", ",",
+                              True, False, False)
+    try:
+        yield from encode(payload, 0)
+    finally:
+        for cell in encode.__closure__:
+            cell.cell_contents = None
+
+
 def stable_dumps(payload) -> str:
     """Deterministic JSON text; see the module docstring for the contract."""
-    return _ENCODER.encode(payload)
+    return "".join(_chunks(payload))
 
 
 def stable_dump(payload, write) -> None:
     """Passes the text of :func:`stable_dumps` to ``write`` in pieces."""
-    write_pieces(_ENCODER.iterencode(payload), write)
+    write_pieces(_chunks(payload), write)
 
 
 def _render(payload, depth: int) -> str:
     """The :func:`stable_dumps` text of ``payload`` as it stands at ``depth``;
     JSON strings hold no raw newline, so every newline is a line break."""
-    return _ENCODER.encode(payload).replace("\n", "\n" + _INDENT * depth)
+    return stable_dumps(payload).replace("\n", "\n" + _INDENT * depth)
 
 
 def write_pieces(texts, write) -> None:
@@ -119,11 +141,11 @@ class Template:
 
         def tag(o):
             if not isinstance(o, Gap):
-                return _ENCODER.default(o)  # raises TypeError
+                return _UNSUPPORTED(o)
             seen.append(o.name)
             return mark + o.name
 
-        text = json.JSONEncoder(**_SETTINGS, default=tag).encode(payload)
+        text = "".join(_chunks(payload, tag))
         # The tag is quoted as "\u0000gap<id>\u0000<name>": split at its
         # opening and cut each name at its closing quote.
         self.pieces = text.replace("\n", "\n" + _INDENT * depth).split(_quote(mark)[:-1])
@@ -143,10 +165,7 @@ class Template:
     def text(self, value, gap: str) -> str:
         """The text of ``value`` as it stands in the gap named ``gap``."""
         if type(value) is float:  # the per-row value of a report; no depth
-            if not math.isfinite(value):
-                raise ValueError("Out of range float values are not JSON compliant: "
-                                 + repr(value))
-            return float.__repr__(value)
+            return _float_text(value)
         return _render(value, self.depths[gap])
 
     def item(self, payload) -> "Template":
