@@ -31,12 +31,11 @@ from .lattice import (
 # numeric module -> the names the package exports from it
 _NUMERIC = {
     "geometry": (
-        "AreaEstimate", "ParamSurface", "apply_unitary", "loop_symplectic_area",
-        "moment_map", "projective_line_surface",
+        "AreaEstimate", "loop_symplectic_area", "moment_map",
     ),
     "clifford": (
         "CliffordFiber", "D1", "D2", "D3", "DeformationSpec", "HomologyClass",
-        "clifford_fiber", "deform_fiber", "deformed_fiber_periods",
+        "clifford_fiber", "deformed_fiber_periods",
         "diagonal_period", "fiber_periods", "ks_jacobian", "standard_disc",
     ),
     "maslov": (
@@ -45,7 +44,7 @@ _NUMERIC = {
     "chekanov": (
         "Anchor", "ChekanovParams", "ConicCircle", "ScanReport", "TorusType",
         "canonical_bs_scan", "chekanov_torus", "classify_type", "conic_circle",
-        "conic_parametrize", "conic_total_area", "torus_periods_chekanov",
+        "conic_total_area", "torus_periods_chekanov",
     ),
     "displacement": (
         "DisplacementCertificate", "Displaceable", "HermitianSymbol", "Inconclusive",

@@ -19,7 +19,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,13 +28,7 @@ from .errors import (
     NonConvergent,
     SingularConic,
 )
-from .geometry import (
-    LOOP_NODES,
-    AreaEstimate,
-    ParamSurface,
-    _unit_rows,
-    loop_symplectic_area,
-)
+from .geometry import LOOP_NODES, AreaEstimate, loop_symplectic_area
 
 _EPS_FLOOR = 1e-12
 
@@ -46,12 +40,6 @@ def _require_smooth(eps: complex) -> complex:
     if abs(eps) <= _EPS_FLOOR:
         raise SingularConic("pencil parameter 0 names the singular member")
     return eps
-
-
-def conic_equation_residual(eps: complex, z) -> np.ndarray:
-    """|z0 z1 - eps z2^2| on unit representatives (vectorized)."""
-    z = _unit_rows(z)
-    return np.abs(z[..., 0] * z[..., 1] - eps * z[..., 2] ** 2)
 
 
 def radial_area(eps_abs: float, rho) -> np.ndarray:
@@ -85,73 +73,32 @@ def level_radius(eps_abs, level) -> np.ndarray:
     return np.sqrt(x)
 
 
-@dataclass(frozen=True)
-class ConicParametrization:
-    """Equivariant parametrization of a smooth pencil member.
-
-    ``lift(level, s)`` maps the in-conic disc area level in (0, 2) and the
-    orbit angle fraction ``s`` to coordinate lifts; the circle action at
-    angle alpha is intertwined with s |-> s - alpha / 2 pi.
-    """
-
-    eps: complex
-
-    def lam(self, level, s) -> np.ndarray:
-        rho = level_radius(abs(self.eps), level)
-        return rho * np.exp(2j * math.pi * np.asarray(s, dtype=float))
-
-    def lift(self, level, s) -> np.ndarray:
-        lam = np.asarray(self.lam(level, s), dtype=complex)
-        one = np.ones_like(lam)
-        return np.stack([one, self.eps * lam * lam, lam], axis=-1)
-
-
-def conic_parametrize(eps: complex) -> ConicParametrization:
-    """Parametrization of {z0 z1 = eps z2^2}; SingularConic for eps ~ 0."""
-    return ConicParametrization(_require_smooth(eps))
-
-
-def conic_disc_surface(eps: complex, rho: float, inverted: bool = False) -> ParamSurface:
-    """In-conic disc bounded by the radius-``rho`` orbit, as a surface.
-
-    With ``inverted`` false the disc is anchored at [1:0:0] (lambda = 0);
-    inverted uses the chart around the other pole [0:1:0] and covers the
-    complementary side.
-    """
-    eps = _require_smooth(eps)
-
-    if not inverted:
-        def lift(s, t):
-            lam = rho * np.asarray(s, dtype=float) * np.exp(
-                2j * math.pi * np.asarray(t, dtype=float)
-            )
-            one = np.ones_like(lam)
-            return np.stack([one, eps * lam * lam, lam], axis=-1)
-    else:
-        inv = 1.0 / rho
-
-        def lift(s, t):
-            w = inv * np.asarray(s, dtype=float) * np.exp(
-                2j * math.pi * np.asarray(t, dtype=float)
-            )
-            one = np.ones_like(w)
-            return np.stack([w * w, eps * one, w], axis=-1)
-
-    return ParamSurface(lift, periodic=(False, True))
+def _orbit(eps: complex, rho: float, t) -> np.ndarray:
+    """Lift (1, eps lam^2, lam) of the orbit lam = rho e^{2 pi i t}."""
+    lam = rho * np.exp(2j * math.pi * np.asarray(t, dtype=float))
+    one = np.ones_like(lam)
+    return np.stack([one, eps * lam * lam, lam], axis=-1)
 
 
 def conic_total_area(eps: complex) -> tuple[float, float]:
     """Total symplectic area of a smooth member and its error estimate.
 
     The member is the union of the two anchored discs bounded by the
-    area-bisecting orbit.  Each disc's lift is nonvanishing, so by Stokes its
-    area is the boundary integral around its s = 1 edge.
+    area-bisecting orbit of radius rho.  The disc around [1:0:0] has the
+    nonvanishing lift (1, eps lam^2, lam) over |lam| <= rho, the one around
+    [0:1:0] the lift (w^2, eps, w) over |w| <= 1/rho; so by Stokes each area
+    is the boundary integral around the orbit in its own lift.
     """
     eps = _require_smooth(eps)
     mid = 1.0 / math.sqrt(abs(eps))  # the area-bisecting orbit
-    ests = [loop_symplectic_area(functools.partial(disc._eval, 1.0))
-            for disc in (conic_disc_surface(eps, mid),
-                         conic_disc_surface(eps, mid, inverted=True))]
+    inv = 1.0 / mid
+
+    def far_loop(t):
+        w = inv * np.exp(2j * math.pi * np.asarray(t, dtype=float))
+        return np.stack([w * w, eps * np.ones_like(w), w], axis=-1)
+
+    ests = [loop_symplectic_area(loop)
+            for loop in (functools.partial(_orbit, eps, mid), far_loop)]
     return (ests[0].value + ests[1].value, ests[0].error + ests[1].error)
 
 
@@ -171,14 +118,7 @@ class ConicCircle:
     level: float  # disc area from the [1:0:0] side, in (0, 2)
 
     def loop(self, t) -> np.ndarray:
-        lam = self.rho * np.exp(2j * math.pi * np.asarray(t, dtype=float))
-        one = np.ones_like(lam)
-        return np.stack([one, self.eps * lam * lam, lam], axis=-1)
-
-    def disc(self) -> ParamSurface:
-        """The anchored in-conic disc whose area is 1 + delta."""
-        return conic_disc_surface(self.eps, self.rho,
-                                  inverted=self.anchor is Anchor.NEAR_Z1)
+        return _orbit(self.eps, self.rho, t)
 
 
 def conic_circle(eps: complex, delta: float,
@@ -241,21 +181,22 @@ def classify_type(params: ChekanovParams) -> TorusType:
 
 
 def chekanov_torus(params: ChekanovParams,
-                   anchor: Anchor | str = Anchor.NEAR_Z0) -> ParamSurface:
-    """The lagrangian torus over the pencil-parameter circle.
+                   anchor: Anchor | str = Anchor.NEAR_Z0) -> Callable[..., np.ndarray]:
+    """Lift function ``lift(t, s)`` of the lagrangian torus over the
+    pencil-parameter circle, vectorized over both angle fractions.
 
     For each t the fiber circle is the conic_circle of the member at
     eps(t) = a e^{2 pi i t} - mu, with the orbit radius obtained from the
-    closed-form level_radius inverse.  Raises DegenerateFamily when the
-    parameter circle passes through the singular member (a = |mu| within
-    1e-9).
+    closed-form level_radius inverse; s is the orbit angle.  Raises
+    DegenerateFamily when the parameter circle passes through the singular
+    member (a = |mu| within 1e-9).
     """
     if classify_type(params) is TorusType.BOUNDARY:
         raise DegenerateFamily("parameter circle passes through the singular member")
     anchor = Anchor(anchor)
     target = 1.0 + params.delta if anchor is Anchor.NEAR_Z0 else 1.0 - params.delta
 
-    def lift(s, t):
+    def lift(t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
         eps = params.eps_of(t)
@@ -264,8 +205,7 @@ def chekanov_torus(params: ChekanovParams,
         one = np.ones_like(lam)
         return np.stack([one, eps * lam * lam, lam], axis=-1)
 
-    # axis 0 is the pencil-circle angle t, axis 1 the orbit angle s
-    return ParamSurface(lambda u, v: lift(v, u), periodic=(True, True))
+    return lift
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +254,7 @@ def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
     p_orbit = orbit.value if anchor is Anchor.NEAR_Z0 else 2.0 - orbit.value
 
     torus = chekanov_torus(params, anchor)
-    section = _loop_period(lambda t: torus._eval(t, np.zeros_like(t)), nodes,
+    section = _loop_period(lambda t: torus(t, np.zeros_like(t)), nodes,
                            "section loop", params)
     return ChekanovPeriods(_mod_unit(p_orbit), _mod_unit(section.value),
                            orbit.error, section.error, max(orbit.nodes, section.nodes))

@@ -151,7 +151,8 @@ def _float_range(lo: float, hi: float, step: float) -> list[float]:
 
 def _cmd_chekanov_scan(args, out, err) -> int:
     from .chekanov import REPORT_DECIMALS, ChekanovParams, canonical_bs_scan
-    from .displacement import DisplacementCertificate, displace_chekanov
+    from .displacement import (CERTIFICATE_THRESHOLD, DisplacementCertificate,
+                               displace_chekanov)
     from .geometry import LOOP_AGREEMENT, LOOP_FALLBACK, LOOP_MAX_NODES
 
     mu = complex(args.mu[0], args.mu[1])
@@ -213,7 +214,7 @@ def _cmd_chekanov_scan(args, out, err) -> int:
                         "max_nodes": LOOP_MAX_NODES,
                         "agreement": LOOP_AGREEMENT,
                         "max_disagreement": LOOP_FALLBACK},
-         "tolerances": {"certificate_threshold": 1e-3,
+         "tolerances": {"certificate_threshold": CERTIFICATE_THRESHOLD,
                         "report_decimals": REPORT_DECIMALS}},
     )
     return EXIT_OK

@@ -29,7 +29,7 @@ from .errors import (
     StencilOutOfDomain,
     UnsupportedClass,
 )
-from .geometry import ParamSurface, loop_symplectic_area
+from .geometry import loop_symplectic_area
 from .lattice import (  # re-exported: the exact layer lives in lattice
     ActionCoords,
     BSFiberSet,
@@ -43,6 +43,11 @@ from .maslov import DiscWithBoundary
 _TWO_PI = 2.0 * math.pi
 # angles per axis on which a deformation must keep the actions in the triangle
 _CHECK_GRID = 64
+# Step of the difference stencil for the exact part of a deformation.  A power
+# of two makes the stencil angles theta +- k h exact for almost every sample
+# angle; a step such as 1e-3 rounds them and leaves a bias of about 2e-15 in
+# the periods.
+_FD_STEP = 2.0 ** -10
 
 
 @dataclass(frozen=True)
@@ -87,12 +92,6 @@ class CliffordFiber:
         e2[..., 1] = 1j * z[..., 1]
         return e1, e2
 
-    def surface(self) -> ParamSurface:
-        return ParamSurface(
-            lambda s, t: self.lift(_TWO_PI * np.asarray(s), _TWO_PI * np.asarray(t)),
-            periodic=(True, True),
-        )
-
 
 def clifford_fiber(base: ActionCoords | tuple) -> CliffordFiber:
     """Fiber constructor; rejects boundary points of the triangle.
@@ -121,60 +120,22 @@ def standard_disc(fiber: CliffordFiber, cls: HomologyClass) -> DiscWithBoundary:
     [0:0:1] with the diagonal boundary cycle theta0 = theta1; its area is
     r0 + r1 and its index is 2.  All three stay inside the chart {z2 != 0}.
 
-    Each lift is nonvanishing on the whole disc and its s = 1 edge is the
-    boundary loop (for d3 a positive multiple of it), so by Stokes the disc
-    area is the boundary integral of ``boundary_loop``.
+    Each disc has a lift that is nonvanishing on the whole disc and whose
+    boundary is the boundary loop (for d3 a positive multiple of it), so by
+    Stokes the disc area is the boundary integral of ``boundary_loop``.
     """
-    r0, r1 = fiber.base.as_floats()
-    r2 = 1.0 - r0 - r1
-    a0, a1 = math.sqrt(r0), math.sqrt(r1)
-
     if cls == D1:
-        def lift(s, t):
-            s = np.asarray(s, dtype=float)
-            ph = np.exp(2j * math.pi * np.asarray(t, dtype=float))
-            shape = np.broadcast(s, ph).shape
-            z0 = np.broadcast_to(a0 * s * ph, shape)
-            z1 = np.broadcast_to(a1 + 0j, shape)
-            z2 = np.broadcast_to(np.sqrt(1.0 - r0 * s * s - r1) + 0j, shape)
-            return np.stack([z0, z1, z2], axis=-1)
-
         loop = lambda t: fiber.lift(_TWO_PI * np.asarray(t), 0.0)
         frame = lambda t: fiber.tangent_frame(_TWO_PI * np.asarray(t), 0.0)
     elif cls == D2:
-        def lift(s, t):
-            s = np.asarray(s, dtype=float)
-            ph = np.exp(2j * math.pi * np.asarray(t, dtype=float))
-            shape = np.broadcast(s, ph).shape
-            z0 = np.broadcast_to(a0 + 0j, shape)
-            z1 = np.broadcast_to(a1 * s * ph, shape)
-            z2 = np.broadcast_to(np.sqrt(1.0 - r0 - r1 * s * s) + 0j, shape)
-            return np.stack([z0, z1, z2], axis=-1)
-
         loop = lambda t: fiber.lift(0.0, _TWO_PI * np.asarray(t))
         frame = lambda t: fiber.tangent_frame(0.0, _TWO_PI * np.asarray(t))
     elif cls == D3:
-        big0 = a0 / math.sqrt(r2)
-        big1 = a1 / math.sqrt(r2)
-
-        def lift(s, t):
-            zeta = np.asarray(s, dtype=float) * np.exp(
-                2j * math.pi * np.asarray(t, dtype=float)
-            )
-            one = np.ones_like(zeta)
-            return np.stack([big0 * zeta, big1 * zeta, one], axis=-1)
-
         loop = lambda t: fiber.lift(_TWO_PI * np.asarray(t), _TWO_PI * np.asarray(t))
         frame = lambda t: fiber.tangent_frame(_TWO_PI * np.asarray(t), _TWO_PI * np.asarray(t))
     else:
         raise UnsupportedClass(f"no standard disc for class ({cls.p}, {cls.q})")
-
-    return DiscWithBoundary(
-        disc=ParamSurface(lift, periodic=(False, True)),
-        boundary_loop=loop,
-        frame=frame,
-        chart=2,
-    )
+    return DiscWithBoundary(boundary_loop=loop, frame=frame, chart=2)
 
 
 class FiberPeriods(NamedTuple):
@@ -226,16 +187,14 @@ class KSResult(NamedTuple):
     determinant: float
 
 
-def ks_jacobian(base: ActionCoords | tuple, step: float = 1e-4,
-                period_fn: Callable | None = None) -> KSResult:
+def ks_jacobian(base: ActionCoords | tuple, step: float = 1e-4) -> KSResult:
     """Central finite-difference Jacobian of the lifted period map.
 
     The lift is fixed by requiring both periods nonnegative and vanishing on
-    the edges where their cycles collapse; in action coordinates it is the
-    identity, which ``period_fn`` defaults to.  Passing a quadrature-backed
-    period function gives an independent (slower, noisier) version of the
-    same derivative.  Raises StencilOutOfDomain when the stencil would leave
-    the open triangle.
+    the edges where their cycles collapse; inside the triangle it is the map
+    to the level-1 periods (p1, p2) of :func:`fiber_periods`, which the
+    stencil differences.  Raises StencilOutOfDomain when the stencil would
+    leave the open triangle.
     """
     if not isinstance(base, ActionCoords):
         base = ActionCoords(*base)
@@ -246,8 +205,7 @@ def ks_jacobian(base: ActionCoords | tuple, step: float = 1e-4,
             raise StencilOutOfDomain(
                 f"stencil point ({a}, {b}) leaves the open triangle"
             )
-    fn = period_fn if period_fn is not None else (lambda ab: ab)
-    vals = [np.asarray(fn((a, b)), dtype=float) for (a, b) in pts]
+    vals = [np.array(fiber_periods((a, b))[:2]) for (a, b) in pts]
     col0 = (vals[0] - vals[1]) / (2.0 * step)
     col1 = (vals[2] - vals[3]) / (2.0 * step)
     jac = np.stack([col0, col1], axis=-1)
@@ -266,18 +224,13 @@ class DeformationSpec:
     ``c1``, ``c2`` are the closed-form class in area units: moving along the
     deformation shifts the d1/d2 periods by exactly (s*c1, s*c2).  ``f`` is a
     smooth real function of the two angle parameters (radians, 2pi-periodic);
-    its differential is the exact part and moves no period.  ``fd_step`` is
-    the step of the difference stencil for that differential; the default is
-    a power of two, so the stencil angles theta +- k h are exact for almost
-    every sample angle.  A step such as 1e-3 rounds them and leaves a bias
-    of a few 1e-15 in the periods.
+    its differential is the exact part and moves no period.
     """
 
     c1: float
     c2: float
     f: Callable | None = None
     scale: float = 1.0
-    fd_step: float = 2.0 ** -10
 
 
 def _angle_gradient(f: Callable, theta0, theta1, h: float):
@@ -303,7 +256,7 @@ def _deformed_actions(fiber: CliffordFiber, spec: DeformationSpec, theta0, theta
         g1 = np.zeros_like(g0)
     else:
         g0, g1 = _angle_gradient(spec.f, np.asarray(theta0, float),
-                                 np.asarray(theta1, float), spec.fd_step)
+                                 np.asarray(theta1, float), _FD_STEP)
     i0 = r0 + spec.scale * (spec.c1 + g0)
     i1 = r1 + spec.scale * (spec.c2 + g1)
     return i0, i1
@@ -325,22 +278,6 @@ def _deformed_lift(fiber: CliffordFiber, spec: DeformationSpec, theta0, theta1):
     z1 = np.sqrt(i1) * np.exp(1j * theta1)
     z2 = np.sqrt(1.0 - i0 - i1) * np.ones_like(z0)
     return np.stack([z0, z1, z2], axis=-1)
-
-
-def deform_fiber(fiber: CliffordFiber, spec: DeformationSpec) -> ParamSurface:
-    """Graph torus of the deformation one-form over the fiber.
-
-    The surface keeps the fiber's angle parametrization and shifts the action
-    values pointwise by the one-form coefficients; closedness of the form
-    makes the graph lagrangian.  Raises LeavesTriangle when any shifted action
-    value exits the open triangle.
-    """
-    _check_stays_inside(fiber, spec)
-    return ParamSurface(
-        lambda s, t: _deformed_lift(fiber, spec, _TWO_PI * np.asarray(s, dtype=float),
-                                    _TWO_PI * np.asarray(t, dtype=float)),
-        periodic=(True, True),
-    )
 
 
 def _deformed_cycle(fiber: CliffordFiber, spec: DeformationSpec, cls: HomologyClass):

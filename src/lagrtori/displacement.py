@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -29,7 +29,6 @@ from .errors import (
     NotHermitian,
 )
 from .geometry import (
-    ParamSurface,
     _unit_rows,
     canonical_gauge,
     chordal_distance,
@@ -42,6 +41,8 @@ from .lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
 from .serialize import complex_pair, number_or_rational
 
 _HERM_TOL = 1e-12
+# least sampled separation for which displace_chekanov issues a certificate
+CERTIFICATE_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ def _min_pairwise_chordal(a: np.ndarray, b: np.ndarray, block: int = 2048) -> fl
 
 
 def displace_chekanov(params: ChekanovParams, samples: int = 128,
-                      threshold: float = 1e-3,
+                      threshold: float = CERTIFICATE_THRESHOLD,
                       anchor: Anchor | str = Anchor.NEAR_Z0):
     """Displacement of a Chekanov-type torus by the z2-phase rotation.
 
@@ -215,7 +216,7 @@ def displace_chekanov(params: ChekanovParams, samples: int = 128,
     torus = chekanov_torus(params, anchor)
     g = (np.arange(samples) + 0.5) / samples
     uu, vv = np.meshgrid(g, g, indexing="ij")
-    cloud = _unit_rows(torus._eval(uu, vv))  # axis 0: pencil angle t, axis 1: orbit angle s
+    cloud = _unit_rows(torus(uu, vv))  # axis 0: pencil angle t, axis 1: orbit angle s
     flow_t = math.pi / 2.0
     img = cloud.reshape(-1, 3) @ symbol_flow(diagonal_symbol(0.0, 0.0, 1.0), flow_t).T
     # Shifting s by 1/samples permutes both clouds and commutes with the flow,
@@ -257,8 +258,9 @@ def _rotation_symbol() -> HermitianSymbol:
     return HermitianSymbol(m)
 
 
-def _sphere_section(alpha: float) -> ParamSurface:
-    """Section of the reduced sphere of the level set {p1 + p2 = alpha}.
+def _sphere_section(alpha: float) -> Callable[..., np.ndarray]:
+    """Lift function ``lift(u, t)`` of a section of the reduced sphere of the
+    level set {p1 + p2 = alpha}.
 
     The circle action (z0, z1) -> e^{i s}(z0, z1) preserves the level set;
     the section fixes the z0 phase, covering the reduced sphere once, so its
@@ -276,7 +278,7 @@ def _sphere_section(alpha: float) -> ParamSurface:
         z2 = rc * np.ones_like(z1)
         return np.stack([z0 + 0j, z1, z2], axis=-1)
 
-    return ParamSurface(lift, periodic=(False, True))
+    return lift
 
 
 # Duistermaat-Heckman node levels: (Gauss-Legendre nodes in p, orbit points)
@@ -404,7 +406,7 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64, area_tol: float = 1e-
             raise ValueError("alpha values must lie strictly inside (0, 1)")
         section = _sphere_section(alpha)
         # the u = 0 edge of the section is a point, so the u = 1 edge bounds it
-        area = loop_symplectic_area(lambda t: section._eval(np.ones_like(t), t))
+        area = loop_symplectic_area(lambda t: section(np.ones_like(t), t))
         area_err = area.error + area.nodes * _ULP * abs(area.value)
         if abs(area.value - alpha) + area_err > area_tol:
             raise NormalizationFailure(f"reduced area {area.value!r} (error {area_err:.1e})"
@@ -416,7 +418,7 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64, area_tol: float = 1e-
 
         g = (np.arange(grid) + 0.5) / grid
         uu, tt = np.meshgrid(g, g, indexing="ij")
-        pts = _unit_rows(section._eval(uu, tt)).reshape(-1, 3)
+        pts = _unit_rows(section(uu, tt)).reshape(-1, 3)
         vals = symbol.value(pts)
         hi, lo = int(np.argmax(vals)), int(np.argmin(vals))
         half, rest = math.sqrt(alpha / 2), math.sqrt(1 - alpha)

@@ -20,10 +20,6 @@ class NonConvergent(LagrtoriError):
     """Successive quadrature levels disagree beyond tolerance."""
 
 
-class NotUnitary(LagrtoriError):
-    """A matrix expected to be unitary fails the defect test."""
-
-
 class BoundaryFiber(LagrtoriError):
     """Action coordinates lie on the boundary of the moment triangle."""
 

@@ -19,45 +19,25 @@ around its lifted boundary loop.  :func:`loop_symplectic_area` integrates it
 with the trapezoid rule and a spectral derivative, doubling the node count
 until two levels agree; it is the one area primitive of the package, and
 every period, disc area and reduced-sphere area goes through it.
-:class:`ParamSurface` describes the discs themselves, for sampling,
-unitary motion and independent checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NonConvergent, NotUnitary, ZeroVector
+from .errors import NonConvergent, ZeroVector
 
 # Single global constant multiplying Im<u, v>; its magnitude makes a line
 # have unit area and its sign makes complex curves positively oriented.
 FS_SCALE = -1.0 / math.pi
 
-_UNITARY_TOL = 1e-10
-
 
 def hermdot(a, b):
     """Hermitian product sum_i a_i * conj(b_i) along the last axis."""
     return np.sum(np.asarray(a) * np.conj(np.asarray(b)), axis=-1)
-
-
-def fs_pullback_raw(z, u, v):
-    """Value of the form on raw (not necessarily unit or horizontal) lifts.
-
-    ``z`` is a lift of the base point and ``u``, ``v`` are derivatives of a
-    family of lifts; the expression is invariant under smooth rescaling and
-    rephasing of the lift, so callers may differentiate any convenient
-    parametrization.  Shapes broadcast; the coordinate axis is the last one.
-    """
-    n = hermdot(z, z).real
-    huv = hermdot(u, v)
-    huz = hermdot(u, z)
-    hzv = hermdot(z, v)
-    return FS_SCALE * np.imag((huv * n - huz * hzv) / (n * n))
 
 
 def _unit_rows(z):
@@ -88,26 +68,8 @@ def moment_map(z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parametrized surfaces and the boundary rule
+# the boundary rule
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParamSurface:
-    """A surface given by a lift map on the unit square.
-
-    ``lift(s, t)`` must accept broadcasting numpy arrays and return an array
-    of homogeneous coordinate triples along the last axis.  The lift need not
-    be unit-norm but must be smooth (no phase jumps between neighboring
-    samples).  Axes flagged periodic may be evaluated outside [0, 1] by the
-    same formula.
-    """
-
-    lift: Callable[..., np.ndarray]
-    periodic: tuple[bool, bool] = (False, False)
-
-    def _eval(self, s, t):
-        return np.asarray(self.lift(s, t), dtype=complex)
 
 
 class AreaEstimate(NamedTuple):
@@ -167,56 +129,6 @@ def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
                 f" > {LOOP_FALLBACK:.1e}"
             )
         prev = value
-
-
-# ---------------------------------------------------------------------------
-# unitary action and reference surfaces
-# ---------------------------------------------------------------------------
-
-
-def _check_unitary(mat) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (3, 3):
-        raise NotUnitary("expected a 3x3 matrix")
-    defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(3)))
-    if defect > _UNITARY_TOL:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {_UNITARY_TOL:.1e}")
-    return mat
-
-
-def apply_unitary(mat, surface: ParamSurface) -> ParamSurface:
-    """Apply a projective unitary to a surface.
-
-    The matrix must satisfy ||U*U - I|| <= 1e-10.  The returned surface
-    composes the lift with the matrix, so all downstream quadrature and
-    differencing see the moved surface.
-    """
-    mat = _check_unitary(mat)
-    inner = surface.lift
-
-    def moved(s, t):
-        return np.einsum("ij,...j->...i", mat, np.asarray(inner(s, t), dtype=complex))
-
-    return ParamSurface(moved, surface.periodic)
-
-
-def projective_line_surface(mat=None) -> ParamSurface:
-    """The line {z2 = 0} (or its image under a unitary), complex-oriented."""
-
-    def lift(s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        ang = 0.5 * math.pi * s
-        ph = np.exp(2j * math.pi * t)
-        out = np.stack(
-            [np.cos(ang) + 0j, np.sin(ang) * ph, np.zeros_like(ph)], axis=-1
-        )
-        return out
-
-    surf = ParamSurface(lift, periodic=(False, True))
-    if mat is None:
-        return surf
-    return apply_unitary(mat, surf)
 
 
 def chordal_distance(z, w) -> np.ndarray:

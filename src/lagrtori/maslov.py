@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryMismatch, ChartEscape, DeterminantVanishes
-from .geometry import ParamSurface, _unit_rows, hermdot
+from .geometry import _unit_rows, hermdot
 from .lattice import (  # re-exported: the exact monotonicity test lives in lattice
     MonotoneWitness,
     canonical_bs_defect,
@@ -40,14 +40,12 @@ _BOUNDARY_SAMPLES = 64
 class DiscWithBoundary:
     """A disc with boundary on a lagrangian torus, pinned to an affine chart.
 
-    ``disc`` maps the unit square with the second axis periodic; the circle
-    {s = 1} is the boundary.  ``boundary_loop(t)`` returns coordinate lifts of
-    the boundary (vectorized over ``t`` in [0, 1]), and ``frame(t)`` returns a
-    pair of tangent coordinate lifts spanning the torus tangent plane there.
-    ``chart`` names the affine chart {z_chart != 0} containing the disc.
+    ``boundary_loop(t)`` returns coordinate lifts of the boundary (vectorized
+    over ``t`` in [0, 1]), and ``frame(t)`` returns a pair of tangent
+    coordinate lifts spanning the torus tangent plane there.  ``chart`` names
+    the affine chart {z_chart != 0} containing the disc.
     """
 
-    disc: ParamSurface
     boundary_loop: Callable[[np.ndarray], np.ndarray]
     frame: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     chart: int

@@ -1,10 +1,12 @@
 """Independent 2-D oracle for the areas the package computes by Stokes.
 
 Every area in ``lagrtori`` is a 1-D boundary integral of the primitive of
-the form.  This module integrates the form itself over a parametrized
-surface: it pulls the form back through fourth-order central differences of
-the lift and integrates with tensor Gauss-Legendre quadrature, refining once
-to estimate the error.  It also holds the linear coning of a loop to a
+the form, and the package keeps only loops and lift functions.  This module
+holds the surfaces themselves: the line, the in-conic discs, the standard
+discs of a fiber, the fiber and its deformed graphs.  It integrates the form
+over them: it pulls the form back through fourth-order central differences
+of the lift and integrates with tensor Gauss-Legendre quadrature, refining
+once to estimate the error.  It also holds the linear coning of a loop to a
 basepoint, a random unitary and the consistency check of a disc with
 boundary, which only the tests use.
 
@@ -23,12 +25,21 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from lagrtori import __version__
+from lagrtori.clifford import (
+    D1,
+    D2,
+    CliffordFiber,
+    DeformationSpec,
+    HomologyClass,
+    _check_stays_inside,
+    _deformed_lift,
+)
 from lagrtori.errors import (
     BoundaryMismatch,
     ChartEscape,
@@ -36,17 +47,135 @@ from lagrtori.errors import (
     LagrtoriError,
     NonConvergent,
 )
-from lagrtori.geometry import (
-    AreaEstimate,
-    ParamSurface,
-    _unit_rows,
-    fs_pullback_raw,
-    hermdot,
-)
+from lagrtori.geometry import FS_SCALE, AreaEstimate, _unit_rows, hermdot
 from lagrtori.lattice import ActionCoords, MonotoneWitness, SwapImage, is_monotone
 from lagrtori.maslov import _CHART_FLOOR, DiscWithBoundary
 
 _CONE_FLOOR = 1e-2
+_TWO_PI = 2.0 * math.pi
+
+
+class Surface(NamedTuple):
+    """A surface given by a lift map on the unit square.
+
+    ``lift(s, t)`` must accept broadcasting numpy arrays and return an array
+    of homogeneous coordinate triples along the last axis.  The lift need not
+    be unit-norm but must be smooth (no phase jumps between neighboring
+    samples).  Axes flagged periodic may be evaluated outside [0, 1] by the
+    same formula.
+    """
+
+    lift: Callable[..., np.ndarray]
+    periodic: tuple[bool, bool] = (False, False)
+
+    def __call__(self, s, t) -> np.ndarray:
+        return np.asarray(self.lift(s, t), dtype=complex)
+
+    def moved(self, mat) -> "Surface":
+        """The surface with its lift composed with a 3x3 matrix."""
+        mat = np.asarray(mat, dtype=complex)
+        return Surface(lambda s, t: np.einsum("ij,...j->...i", mat, self(s, t)),
+                       self.periodic)
+
+
+def fs_pullback_raw(z, u, v):
+    """Value of the form on raw (not necessarily unit or horizontal) lifts.
+
+    ``z`` is a lift of the base point and ``u``, ``v`` are derivatives of a
+    family of lifts; the expression is invariant under smooth rescaling and
+    rephasing of the lift, so callers may differentiate any convenient
+    parametrization.  Shapes broadcast; the coordinate axis is the last one.
+    """
+    n = hermdot(z, z).real
+    huv = hermdot(u, v)
+    huz = hermdot(u, z)
+    hzv = hermdot(z, v)
+    return FS_SCALE * np.imag((huv * n - huz * hzv) / (n * n))
+
+
+def conic_equation_residual(eps: complex, z) -> np.ndarray:
+    """|z0 z1 - eps z2^2| on unit representatives (vectorized)."""
+    z = _unit_rows(z)
+    return np.abs(z[..., 0] * z[..., 1] - eps * z[..., 2] ** 2)
+
+
+# ---------------------------------------------------------------------------
+# the surfaces
+# ---------------------------------------------------------------------------
+
+
+def _angles(s, t):
+    return np.asarray(s, dtype=float), np.exp(2j * math.pi * np.asarray(t, dtype=float))
+
+
+def line_surface() -> Surface:
+    """The line {z2 = 0}, complex-oriented."""
+
+    def lift(s, t):
+        s, ph = _angles(s, t)
+        ang = 0.5 * math.pi * s
+        return np.stack([np.cos(ang) + 0j, np.sin(ang) * ph, np.zeros_like(ph)], axis=-1)
+
+    return Surface(lift, periodic=(False, True))
+
+
+def conic_disc_surface(eps: complex, rho: float, inverted: bool = False) -> Surface:
+    """In-conic disc of {z0 z1 = eps z2^2} bounded by the radius-``rho``
+    orbit: anchored at [1:0:0] (lambda = 0), or with ``inverted`` in the chart
+    around the other pole [0:1:0], covering the complementary side."""
+
+    def lift(s, t):
+        s, ph = _angles(s, t)
+        if not inverted:
+            lam = rho * s * ph
+            return np.stack([np.ones_like(lam), eps * lam * lam, lam], axis=-1)
+        w = s * ph / rho
+        return np.stack([w * w, eps * np.ones_like(w), w], axis=-1)
+
+    return Surface(lift, periodic=(False, True))
+
+
+def standard_disc_surface(fiber: CliffordFiber, cls: HomologyClass) -> Surface:
+    """The disc that ``lagrtori.clifford.standard_disc`` bounds by its loop:
+    for d1 and d2 the cycle's circles shrunk radially to the edge of the
+    triangle, for d3 the diagonal disc in the chart around [0:0:1]."""
+    r0, r1 = fiber.base.as_floats()
+    a0, a1 = math.sqrt(r0), math.sqrt(r1)
+    big0, big1 = a0 / math.sqrt(1.0 - r0 - r1), a1 / math.sqrt(1.0 - r0 - r1)
+
+    def lift(s, t):
+        s, ph = _angles(s, t)
+        if cls == D1:
+            z = (a0 * s * ph, a1 + 0j, np.sqrt(1.0 - r0 * s * s - r1) + 0j)
+        elif cls == D2:
+            z = (a0 + 0j, a1 * s * ph, np.sqrt(1.0 - r0 - r1 * s * s) + 0j)
+        else:
+            z = (big0 * (s * ph), big1 * (s * ph), 1.0 + 0j)
+        return np.stack(np.broadcast_arrays(*z), axis=-1)
+
+    return Surface(lift, periodic=(False, True))
+
+
+def fiber_surface(fiber: CliffordFiber) -> Surface:
+    """The fiber torus over the unit square of angle fractions."""
+    return Surface(lambda s, t: fiber.lift(_TWO_PI * np.asarray(s), _TWO_PI * np.asarray(t)),
+                   periodic=(True, True))
+
+
+def deformed_surface(fiber: CliffordFiber, spec: DeformationSpec) -> Surface:
+    """Graph torus of the deformation one-form over the fiber, in the fiber's
+    angle parametrization; LeavesTriangle when it leaves the open triangle."""
+    _check_stays_inside(fiber, spec)
+    return Surface(
+        lambda s, t: _deformed_lift(fiber, spec, _TWO_PI * np.asarray(s, dtype=float),
+                                    _TWO_PI * np.asarray(t, dtype=float)),
+        periodic=(True, True),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the 2-D rule
+# ---------------------------------------------------------------------------
 
 
 class ConingDegenerate(LagrtoriError):
@@ -58,7 +187,7 @@ def _gl_nodes_01(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def surface_lift_partial(surface: ParamSurface, s, t, axis: int,
+def surface_lift_partial(surface: Surface, s, t, axis: int,
                          step: float = 1e-3) -> np.ndarray:
     """Fourth-order central difference of the lift along one axis."""
     s = np.asarray(s, dtype=float)
@@ -74,22 +203,22 @@ def surface_lift_partial(surface: ParamSurface, s, t, axis: int,
 
     def ev(off):
         if axis == 0:
-            return surface._eval(s + off, t)
-        return surface._eval(s, t + off)
+            return surface(s + off, t)
+        return surface(s, t + off)
 
     hh = h[..., None]
     return (8.0 * (ev(h) - ev(-h)) - (ev(2.0 * h) - ev(-2.0 * h))) / (12.0 * hh)
 
 
-def surface_form_grid(surface: ParamSurface, s, t, step: float = 1e-3) -> np.ndarray:
+def surface_form_grid(surface: Surface, s, t, step: float = 1e-3) -> np.ndarray:
     """Pullback of the form onto parameter space, sampled on arrays."""
-    z = surface._eval(s, t)
+    z = surface(s, t)
     u = surface_lift_partial(surface, s, t, 0, step)
     v = surface_lift_partial(surface, s, t, 1, step)
     return fs_pullback_raw(z, u, v)
 
 
-def _area_once(surface: ParamSurface, n: int, weight_fn=None,
+def _area_once(surface: Surface, n: int, weight_fn=None,
                step: float = 1e-3) -> float:
     xs, ws = _gl_nodes_01(n)
     mesh_s, mesh_t = np.meshgrid(xs, xs, indexing="ij")
@@ -99,7 +228,7 @@ def _area_once(surface: ParamSurface, n: int, weight_fn=None,
     return float(np.einsum("i,j,ij->", ws, ws, k))
 
 
-def surface_symplectic_area(surface: ParamSurface, n: int = 32, tol: float = 1e-6,
+def surface_symplectic_area(surface: Surface, n: int = 32, tol: float = 1e-6,
                             weight_fn=None, step: float = 1e-3) -> AreaEstimate:
     """Symplectic area of a parametrized surface by the 2-D rule.
 
@@ -116,7 +245,7 @@ def surface_symplectic_area(surface: ParamSurface, n: int = 32, tol: float = 1e-
 
 
 def cone_disc(loop_lift: Callable[[np.ndarray], np.ndarray], basepoint: np.ndarray,
-              check_grid: int = 201) -> ParamSurface:
+              check_grid: int = 201) -> Surface:
     """Disc bounding a loop by linear coning of its unit lift to a basepoint.
 
     Raises ConingDegenerate when the chord between the basepoint and the
@@ -130,10 +259,10 @@ def cone_disc(loop_lift: Callable[[np.ndarray], np.ndarray], basepoint: np.ndarr
         loop = _unit_rows(np.asarray(loop_lift(np.asarray(t, dtype=float)), dtype=complex))
         return (1.0 - s[..., None]) * base + s[..., None] * loop
 
-    surf = ParamSurface(lift, periodic=(False, True))
+    surf = Surface(lift, periodic=(False, True))
     g = np.linspace(0.0, 1.0, check_grid)
     mesh_s, mesh_t = np.meshgrid(g, g, indexing="ij")
-    low = float(np.min(np.linalg.norm(surf._eval(mesh_s, mesh_t), axis=-1)))
+    low = float(np.min(np.linalg.norm(surf(mesh_s, mesh_t), axis=-1)))
     if low < _CONE_FLOOR:
         raise ConingDegenerate(f"coning chord norm drops to {low:.3e}")
     return surf
@@ -146,11 +275,12 @@ def random_unitary(rng: np.random.RandomState) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def validate_disc(d: DiscWithBoundary, samples: int = 48) -> None:
-    """Check that the disc edge is the boundary loop and the disc stays in
-    its chart (BoundaryMismatch, ChartEscape)."""
+def validate_disc(disc: Surface, d: DiscWithBoundary, samples: int = 48) -> None:
+    """Check that the edge of the surface ``disc`` is the boundary loop of
+    ``d`` and that it stays in the chart of ``d`` (BoundaryMismatch,
+    ChartEscape)."""
     t = np.linspace(0.0, 1.0, samples, endpoint=False)
-    edge = _unit_rows(d.disc._eval(np.ones_like(t), t))
+    edge = _unit_rows(disc(np.ones_like(t), t))
     loop = _unit_rows(np.asarray(d.boundary_loop(t), dtype=complex))
     agree = np.abs(np.abs(hermdot(edge, loop)) - 1.0)
     if np.max(agree) > 1e-10:
@@ -159,7 +289,7 @@ def validate_disc(d: DiscWithBoundary, samples: int = 48) -> None:
         )
     grid = np.linspace(0.0, 1.0, samples)
     mesh_s, mesh_t = np.meshgrid(grid, grid, indexing="ij")
-    z = _unit_rows(d.disc._eval(mesh_s, mesh_t))
+    z = _unit_rows(disc(mesh_s, mesh_t))
     low = np.min(np.abs(z[..., d.chart]))
     if low < _CHART_FLOOR:
         raise ChartEscape(

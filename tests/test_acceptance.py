@@ -48,17 +48,19 @@ from lagrtori.displacement import (
     enc_verdict,
 )
 from lagrtori.errors import InternalContradiction, NonConvergent
-from lagrtori.geometry import (
-    ParamSurface,
-    projective_line_surface,
-)
 from lagrtori.maslov import (
     DiscWithBoundary,
     disc_difference_check,
     is_monotone,
     maslov_index,
 )
-from oracle import surface_form_grid, surface_symplectic_area
+from oracle import (
+    Surface,
+    conic_disc_surface,
+    line_surface,
+    surface_form_grid,
+    surface_symplectic_area,
+)
 
 NINE_GRID = [(a, b) for a in (0.15, 0.30, 0.45) for b in (0.15, 0.30, 0.45)]
 FIVE_GRID = [(0.2, 0.3), (0.15, 0.45), (0.45, 0.15), (1 / 3, 1 / 3), (0.3, 0.3)]
@@ -95,7 +97,7 @@ def test_criterion_02_dimension_identity():
 
 
 def test_criterion_03_normalization_and_periods():
-    area = surface_symplectic_area(projective_line_surface())
+    area = surface_symplectic_area(line_surface())
     ok = abs(area.value - 1.0) <= 1e-9
     worst = 0.0
     for a, b in NINE_GRID:
@@ -134,18 +136,9 @@ def test_criterion_05_maslov_indices():
     # gluing a line changes the index by three
     fiber = clifford_fiber((0.2, 0.3))
     d1 = standard_disc(fiber, D1)
-    r0, r1 = fiber.base.as_floats()
-    c1, c2 = math.sqrt(r1 / r0), math.sqrt((1.0 - r0 - r1) / r0)
-
-    def lift(s, t):
-        lam = np.asarray(s, dtype=float) * np.exp(-2j * math.pi * np.asarray(t, dtype=float))
-        one = np.ones_like(lam)
-        return np.stack([one, c1 * lam, c2 * lam], axis=-1)
-
-    companion = DiscWithBoundary(
-        disc=ParamSurface(lift, periodic=(False, True)),
-        boundary_loop=d1.boundary_loop, frame=d1.frame, chart=0,
-    )
+    # the d1 boundary closes up through the z0 != 0 chart too, over the
+    # complementary disc lam -> (1, sqrt(r1/r0) lam, sqrt(r2/r0) lam)
+    companion = DiscWithBoundary(boundary_loop=d1.boundary_loop, frame=d1.frame, chart=0)
     ok = ok and disc_difference_check(d1, companion, sphere_degree=-1)
     _gate(5, "basis disc indices 1, diagonal 2, gluing increment 3", ok)
 
@@ -184,7 +177,7 @@ def test_criterion_08_torus_family():
         for delta in (-0.3, 0.0, 0.3):
             for arg in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0):
                 mu = complex(math.cos(arg), math.sin(arg))
-                torus = chekanov_torus(ChekanovParams(a, mu, delta))
+                torus = Surface(chekanov_torus(ChekanovParams(a, mu, delta)), (True, True))
                 worst = max(worst, float(np.max(np.abs(
                     surface_form_grid(torus, uu, vv, step=3e-5)))))
     ok = worst <= 1e-8
@@ -199,7 +192,8 @@ def test_criterion_08_torus_family():
     for delta in (-0.6, -0.2, 0.2, 0.6):
         for anchor in (Anchor.NEAR_Z0, Anchor.NEAR_Z1):
             circle = conic_circle(0.7 + 0.2j, delta, anchor)
-            disc_area = surface_symplectic_area(circle.disc()).value
+            disc_area = surface_symplectic_area(conic_disc_surface(
+                circle.eps, circle.rho, circle.anchor is Anchor.NEAR_Z1)).value
             ok = ok and abs((disc_area - 1.0) - delta) <= 1e-7
     _gate(8, "family lagrangian to 1e-8, conic area 2, delta round-trip", ok,
           f"residual worst {worst:.2e}")

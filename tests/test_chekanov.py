@@ -13,9 +13,6 @@ from lagrtori.chekanov import (
     chekanov_torus,
     classify_type,
     conic_circle,
-    conic_disc_surface,
-    conic_equation_residual,
-    conic_parametrize,
     conic_total_area,
     level_radius,
     radial_area,
@@ -26,17 +23,14 @@ from lagrtori.errors import (
     NonConvergent,
     SingularConic,
 )
-from lagrtori.geometry import (
-    LOOP_FALLBACK,
-    LOOP_MAX_NODES,
-    _unit_rows,
-    chordal_distance,
-    loop_symplectic_area,
-    projective_line_surface,
-)
+from lagrtori.geometry import LOOP_FALLBACK, LOOP_MAX_NODES, loop_symplectic_area
 from oracle import (
     ConingDegenerate,
+    Surface,
     cone_disc,
+    conic_disc_surface,
+    conic_equation_residual,
+    line_surface,
     random_unitary,
     surface_form_grid,
     surface_symplectic_area,
@@ -50,32 +44,9 @@ CHEAP = 16
 # ---------------------------------------------------------------------------
 
 
-def test_parametrization_satisfies_the_equation():
-    eps = 0.7 - 0.4j
-    par = conic_parametrize(eps)
-    rng = np.random.RandomState(7)
-    levels = rng.uniform(0.05, 1.95, 50)
-    ss = rng.uniform(0.0, 1.0, 50)
-    res = conic_equation_residual(eps, par.lift(levels, ss))
-    assert np.max(res) < 1e-10
-
-
-def test_parametrization_intertwines_the_circle_action():
-    eps = 0.7 - 0.4j
-    par = conic_parametrize(eps)
-    rng = np.random.RandomState(3)
-    levels = rng.uniform(0.1, 1.9, 20)
-    ss = rng.uniform(0.0, 1.0, 20)
-    alpha = 0.83
-    u = np.diag([np.exp(1j * alpha), np.exp(-1j * alpha), 1.0])
-    moved = _unit_rows(par.lift(levels, ss) @ u.T)
-    reparam = _unit_rows(par.lift(levels, ss - alpha / (2.0 * math.pi)))
-    assert np.max(chordal_distance(moved, reparam)) < 1e-7
-
-
 def test_singular_member_rejected():
     with pytest.raises(SingularConic):
-        conic_parametrize(0.0)
+        conic_total_area(0.0)
     with pytest.raises(SingularConic):
         conic_circle(1e-14, 0.2)
 
@@ -117,7 +88,8 @@ def test_total_conic_area_by_boundary_rule_is_exact(eps):
 def test_delta_label_round_trip(delta, anchor):
     eps = 0.7 - 0.4j
     circle = conic_circle(eps, delta, anchor)
-    est = surface_symplectic_area(circle.disc())
+    est = surface_symplectic_area(
+        conic_disc_surface(circle.eps, circle.rho, circle.anchor is Anchor.NEAR_Z1))
     assert est.value == pytest.approx(1.0 + delta, abs=1e-7)
 
 
@@ -169,12 +141,12 @@ def test_params_validate():
 )
 def test_torus_is_lagrangian_and_on_the_conics(a, mu, delta):
     params = ChekanovParams(a, mu, delta)
-    torus = chekanov_torus(params)
+    torus = Surface(chekanov_torus(params), periodic=(True, True))
     g = (np.arange(16) + 0.37) / 16
     uu, vv = np.meshgrid(g, g, indexing="ij")
     assert np.max(np.abs(surface_form_grid(torus, uu, vv, step=3e-5))) <= 1e-8
     eps = params.eps_of(uu)
-    assert np.max(conic_equation_residual(eps, torus._eval(uu, vv))) <= 1e-10
+    assert np.max(conic_equation_residual(eps, torus(uu, vv))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +166,7 @@ def _coned_section_area(params, seed, n=32):
     for _ in range(8):
         base = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         try:
-            disc = cone_disc(lambda t: torus._eval(t, np.zeros_like(t)), base)
+            disc = cone_disc(lambda t: torus(t, np.zeros_like(t)), base)
         except ConingDegenerate:
             continue
         return surface_symplectic_area(disc, n, step=2.5e-4).value
@@ -249,15 +221,15 @@ def test_section_period_continuous_in_a():
 def test_boundary_area_matches_2d_area_on_conic_discs(e, arg, rho, inverted):
     disc = conic_disc_surface(e * np.exp(1j * arg), rho, inverted)
     # the s = 0 edge is a constant lift, so only the s = 1 loop contributes
-    loop = loop_symplectic_area(lambda t: disc._eval(np.ones_like(t), t))
+    loop = loop_symplectic_area(lambda t: disc(np.ones_like(t), t))
     assert loop.value == pytest.approx(surface_symplectic_area(disc).value, abs=1e-7)
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_boundary_area_matches_2d_area_on_moved_lines(seed):
-    line = projective_line_surface(random_unitary(np.random.RandomState(seed)))
-    loop = loop_symplectic_area(lambda t: line._eval(np.ones_like(t), t))
+    line = line_surface().moved(random_unitary(np.random.RandomState(seed)))
+    loop = loop_symplectic_area(lambda t: line(np.ones_like(t), t))
     assert loop.value == pytest.approx(surface_symplectic_area(line).value, abs=1e-7)
     assert loop.value == pytest.approx(1.0, abs=1e-12)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lagrtori.clifford import ActionCoords, CliffordFiber, HomologyClass, standard_disc
+from lagrtori.clifford import ActionCoords, CliffordFiber, HomologyClass
 from lagrtori.displacement import (
     CertificateMethod,
     Displaceable,
@@ -30,12 +30,9 @@ from lagrtori.errors import (
     NotHermitian,
 )
 from lagrtori.displacement import _min_pairwise_chordal
-from lagrtori.geometry import (
-    _unit_rows,
-    apply_unitary,
-)
+from lagrtori.geometry import _unit_rows
 from lagrtori.serialize import stable_dumps
-from oracle import surface_symplectic_area
+from oracle import standard_disc_surface, surface_symplectic_area
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +106,9 @@ def test_swap_flow_exchanges_coordinates_projectively():
 
 def test_flow_preserves_disc_areas():
     fiber = CliffordFiber(ActionCoords(0.2, 0.3))
-    d = standard_disc(fiber, HomologyClass(1, 0))
-    before = surface_symplectic_area(d.disc).value
-    moved = apply_unitary(symbol_flow(swap_symbol(0, 2), 0.7), d.disc)
+    d = standard_disc_surface(fiber, HomologyClass(1, 0))
+    before = surface_symplectic_area(d).value
+    moved = d.moved(symbol_flow(swap_symbol(0, 2), 0.7))
     after = surface_symplectic_area(moved).value
     assert abs(before - after) < 1e-8
 
@@ -187,7 +184,7 @@ def test_reduced_certificate_search_equals_brute_force(samples, a):
     params = ChekanovParams(a, 1.0, 0.3)
     g = (np.arange(samples) + 0.5) / samples
     uu, vv = np.meshgrid(g, g, indexing="ij")
-    src = _unit_rows(chekanov_torus(params)._eval(uu, vv)).reshape(-1, 3)
+    src = _unit_rows(chekanov_torus(params)(uu, vv)).reshape(-1, 3)
     img = src @ symbol_flow(diagonal_symbol(0.0, 0.0, 1.0), math.pi / 2.0).T
     cert = displace_chekanov(params, samples=samples)
     assert cert.separation == pytest.approx(_min_pairwise_chordal(src, img), abs=1e-14)

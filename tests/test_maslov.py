@@ -10,7 +10,6 @@ from lagrtori.errors import (
     ChartEscape,
     NotCanonicalBS,
 )
-from lagrtori.geometry import ParamSurface
 from lagrtori.maslov import (
     DiscWithBoundary,
     canonical_bs_defect,
@@ -19,13 +18,14 @@ from lagrtori.maslov import (
     maslov_index,
     universal_maslov_class,
 )
-from oracle import surface_symplectic_area, validate_disc
+from oracle import Surface, standard_disc_surface, surface_symplectic_area, validate_disc
 
 _TWO_PI = 2.0 * math.pi
 
 
 def companion_disc_chart0(base):
-    """Disc with the d1 boundary that closes up through the z0 != 0 chart.
+    """Disc with the d1 boundary that closes up through the z0 != 0 chart,
+    and its surface.
 
     In the affine chart around [1:0:0] the boundary circle also bounds the
     complementary holomorphic disc lam -> (1, sqrt(r1/r0) lam, sqrt(r2/r0) lam)
@@ -46,12 +46,8 @@ def companion_disc_chart0(base):
         return np.stack([one, c1 * lam, c2 * lam], axis=-1)
 
     d1 = standard_disc(fiber, D1)
-    return DiscWithBoundary(
-        disc=ParamSurface(lift, periodic=(False, True)),
-        boundary_loop=d1.boundary_loop,
-        frame=d1.frame,
-        chart=0,
-    )
+    disc = DiscWithBoundary(boundary_loop=d1.boundary_loop, frame=d1.frame, chart=0)
+    return disc, Surface(lift, periodic=(False, True))
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +81,10 @@ def test_index_is_chart_independent():
 
 def test_companion_disc_index_and_area():
     base = (0.2, 0.3)
-    comp = companion_disc_chart0(base)
-    validate_disc(comp)
+    comp, surface = companion_disc_chart0(base)
+    validate_disc(surface, comp)
     assert maslov_index(comp).mu == -2
-    est = surface_symplectic_area(comp.disc)
+    est = surface_symplectic_area(surface)
     assert est.value == pytest.approx(0.2 - 1.0, abs=1e-7)
 
 
@@ -96,7 +92,7 @@ def test_companion_disc_index_and_area():
 def test_disc_difference_is_three_per_line(order_flip):
     base = (0.2, 0.3)
     d1 = standard_disc(clifford_fiber(base), D1)
-    comp = companion_disc_chart0(base)
+    comp, _ = companion_disc_chart0(base)
     if order_flip:
         assert disc_difference_check(d1, comp, sphere_degree=-1)
     else:
@@ -112,14 +108,14 @@ def test_disc_difference_requires_shared_boundary():
 
 def test_validate_rejects_wrong_boundary_and_chart():
     fiber = clifford_fiber((0.2, 0.3))
-    d1 = standard_disc(fiber, D1)
+    d1, surface = standard_disc(fiber, D1), standard_disc_surface(fiber, D1)
     other_loop = standard_disc(fiber, D2).boundary_loop
     broken = dataclasses.replace(d1, boundary_loop=other_loop)
     with pytest.raises(BoundaryMismatch):
-        validate_disc(broken)
+        validate_disc(surface, broken)
     # the d1 disc passes through z0 = 0 at its center, so chart 0 fails
     with pytest.raises(ChartEscape):
-        validate_disc(dataclasses.replace(d1, chart=0))
+        validate_disc(surface, dataclasses.replace(d1, chart=0))
 
 
 def test_result_serializes():

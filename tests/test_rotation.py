@@ -16,7 +16,7 @@ from lagrtori.displacement import (
 )
 from lagrtori.errors import CriticalPointMiscount
 from lagrtori.serialize import stable_dumps
-from oracle import surface_symplectic_area
+from oracle import Surface, surface_symplectic_area
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lagrtori"
 
@@ -25,10 +25,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lagrtori"
 @given(alpha=st.floats(0.02, 0.98))
 def test_rotation_areas_match_the_2d_oracle_within_their_errors(alpha):
     rep, = build_diagonal_rotation([alpha]).alphas
-    symbol, section = _rotation_symbol(), _sphere_section(alpha)
+    symbol, section = _rotation_symbol(), Surface(_sphere_section(alpha), (False, True))
     area = surface_symplectic_area(section)
     weighted = surface_symplectic_area(
-        section, weight_fn=lambda surf, s, t: symbol.value(surf._eval(s, t)))
+        section, weight_fn=lambda surf, s, t: symbol.value(surf(s, t)))
     assert rep.reduced_area == pytest.approx(area.value, abs=1e-7)
     assert rep.normalization == pytest.approx(weighted.value, abs=1e-7)
     assert abs(rep.reduced_area - alpha) <= rep.reduced_area_error
