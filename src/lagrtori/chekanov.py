@@ -16,7 +16,6 @@ the global circle-action moment, the assembled torus is lagrangian.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -29,7 +28,12 @@ from .errors import (
     SingularConic,
     ZeroVector,
 )
-from .geometry import LOOP_NODES, AreaEstimate, loop_symplectic_area
+from .geometry import (
+    LOOP_NODES,
+    doubled_until_agreed,
+    loop_symplectic_area,
+    rounding_floor,
+)
 
 _EPS_FLOOR = 1e-12
 
@@ -66,19 +70,15 @@ def level_radius(eps_abs, level) -> np.ndarray:
     ell = np.asarray(level, dtype=float)
     if np.any(ell <= 0.0) or np.any(ell >= 2.0):
         raise ValueError("area level must lie strictly between 0 and 2")
-    e2 = np.asarray(eps_abs, dtype=float) ** 2
+    return np.sqrt(_level_x(np.asarray(eps_abs, dtype=float) ** 2, ell))
+
+
+def _level_x(e2, ell) -> np.ndarray:
+    """x = rho^2 of the level-``ell`` orbit on the member with |eps|^2 = e2."""
     b = 1.0 - ell
     root = np.sqrt(b * b + 4.0 * ell * (2.0 - ell) * e2)
     denom = 2.0 * np.maximum(e2, np.finfo(float).tiny) * (2.0 - ell)
-    x = np.where(b > 0.0, 2.0 * ell / (b + root), (root - b) / denom)
-    return np.sqrt(x)
-
-
-def _orbit(eps: complex, rho: float, t) -> np.ndarray:
-    """Lift (1, eps lam^2, lam) of the orbit lam = rho e^{2 pi i t}."""
-    lam = rho * np.exp(2j * math.pi * np.asarray(t, dtype=float))
-    one = np.ones_like(lam)
-    return np.stack([one, eps * lam * lam, lam], axis=-1)
+    return np.where(b > 0.0, 2.0 * ell / (b + root), (root - b) / denom)
 
 
 def conic_total_area(eps: complex) -> tuple[float, float]:
@@ -94,12 +94,15 @@ def conic_total_area(eps: complex) -> tuple[float, float]:
     mid = 1.0 / math.sqrt(abs(eps))  # the area-bisecting orbit
     inv = 1.0 / mid
 
+    def near_loop(t):
+        lam = mid * np.exp(2j * math.pi * np.asarray(t, dtype=float))
+        return np.stack([np.ones_like(lam), eps * lam * lam, lam], axis=-1)
+
     def far_loop(t):
         w = inv * np.exp(2j * math.pi * np.asarray(t, dtype=float))
         return np.stack([w * w, eps * np.ones_like(w), w], axis=-1)
 
-    ests = [loop_symplectic_area(loop)
-            for loop in (functools.partial(_orbit, eps, mid), far_loop)]
+    ests = [loop_symplectic_area(loop) for loop in (near_loop, far_loop)]
     return (ests[0].value + ests[1].value, ests[0].error + ests[1].error)
 
 
@@ -117,9 +120,6 @@ class ConicCircle:
     anchor: Anchor
     rho: float
     level: float  # disc area from the [1:0:0] side, in (0, 2)
-
-    def loop(self, t) -> np.ndarray:
-        return _orbit(self.eps, self.rho, t)
 
 
 def conic_circle(eps: complex, delta: float,
@@ -181,6 +181,26 @@ def classify_type(params: ChekanovParams) -> TorusType:
     return TorusType.CLIFFORD if gap > 0 else TorusType.CHEKANOV
 
 
+def _named(params: ChekanovParams, what: str) -> str:
+    return f"{what} at a={params.a!r}, mu={params.mu!r}, delta={params.delta!r}"
+
+
+# Past this bound on |eps| <= a + |mu|, 4 |eps|^2 in level_radius overflows.
+_EPS_RANGE = 1e150
+
+
+def _require_regular(params: ChekanovParams) -> None:
+    """DegenerateFamily if the parameter circle passes through the singular
+    member, ZeroVector if the lift would overflow; both name the torus."""
+    if classify_type(params) is TorusType.BOUNDARY:
+        raise DegenerateFamily(f"{_named(params, 'torus')}: parameter circle passes"
+                               " through the singular member")
+    reach = params.a + abs(params.mu)
+    if not reach <= _EPS_RANGE:  # also catches a NaN
+        raise ZeroVector(f"{_named(params, 'torus')}: no usable magnitude:"
+                         f" |eps| reaches {reach:.3e} > {_EPS_RANGE:.0e}")
+
+
 def chekanov_torus(params: ChekanovParams,
                    anchor: Anchor | str = Anchor.NEAR_Z0) -> Callable[..., np.ndarray]:
     """Lift function ``lift(t, s)`` of the lagrangian torus over the
@@ -190,10 +210,10 @@ def chekanov_torus(params: ChekanovParams,
     eps(t) = a e^{2 pi i t} - mu, with the orbit radius obtained from the
     closed-form level_radius inverse; s is the orbit angle.  Raises
     DegenerateFamily when the parameter circle passes through the singular
-    member (a = |mu| within 1e-9).
+    member (a = |mu| within 1e-9), and ZeroVector when |eps| can pass
+    _EPS_RANGE, where 4 |eps|^2 overflows; both name the torus.
     """
-    if classify_type(params) is TorusType.BOUNDARY:
-        raise DegenerateFamily("parameter circle passes through the singular member")
+    _require_regular(params)
     anchor = Anchor(anchor)
     target = 1.0 + params.delta if anchor is Anchor.NEAR_Z0 else 1.0 - params.delta
 
@@ -219,46 +239,101 @@ class ChekanovPeriods(NamedTuple):
     p_section: float
     orbit_error: float
     section_error: float
-    nodes: int  # finest boundary-rule node count of the two loops
+    nodes: int  # finest trapezoid node count behind the section period
 
 
 def _mod_unit(x: float) -> float:
     return x - math.floor(x)
 
 
-def _loop_period(loop, nodes: int, name: str, params: ChekanovParams) -> AreaEstimate:
-    try:
-        return loop_symplectic_area(loop, nodes)
-    except (NonConvergent, ZeroVector) as exc:
-        raise type(exc)(
-            f"{name} of the torus at a={params.a!r}, mu={params.mu!r},"
-            f" delta={params.delta!r}: {exc}"
-        ) from exc
+# radial_area rounds about this many times, each within 2^-53 relative
+_ORBIT_ROUNDINGS = 8
+
+
+def _section_levels(params: ChekanovParams, ell: float, nodes: int):
+    """(nodes, value) of the trapezoid rule for the section integral at area
+    level ``ell``, doubling the node count from ``nodes``.
+
+    The rule runs in the Mobius variable tau of the pencil angle theta,
+    measured from arg mu: tan(theta / 2) = s tan(pi tau), which is
+    e^{i theta} = (w + r) / (1 + r w) with w = e^{2 pi i tau} and
+    r = (1 - s) / (1 + s).  Its weight d theta / (2 pi d tau) is
+    s / (s^2 sin^2(pi tau) + cos^2(pi tau)), and it packs nodes near theta = 0,
+    where |eps| is least.  Each doubling evaluates only the new midpoints.
+    """
+    a, m = params.a, abs(params.mu)
+    s = min(1.0, max(math.sqrt(abs(1.0 - a / m)), abs(1.0 - ell)))
+    gap2, cross = (m - a) ** 2, 4.0 * a * m * s * s
+
+    def total(tau):
+        # sin and cos of pi tau, each to full relative precision near its zero
+        u = np.minimum(tau, 1.0 - tau)
+        sin2 = np.sin(math.pi * u) ** 2
+        den = s * s * sin2 + np.sin(math.pi * (0.5 - u)) ** 2
+        e2 = gap2 + cross * sin2 / den  # |eps|^2, free of cancellation near theta = 0
+        x = _level_x(e2, ell)
+        p = e2 + (a - m) * (a + m)
+        return float(np.sum((s / den) * x * x * p / (2.0 + x)))
+
+    n = nodes
+    acc = total(np.arange(n) / n)
+    while True:
+        yield n, 0.5 * (2.0 - ell) * acc / n
+        acc += total((np.arange(n) + 0.5) / n)
+        n *= 2
 
 
 def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
                            anchor: Anchor | str = Anchor.NEAR_Z0) -> ChekanovPeriods:
     """Periods of the orbit cycle and a fixed section cycle, mod 1.
 
-    Both are boundary integrals (:func:`loop_symplectic_area`).  The orbit
-    period is the area of the anchored in-conic disc bounded by the orbit at
-    t = 0, which is 1 + delta by construction; the loop bounds the [1:0:0]
-    disc, so the [0:1:0] anchor takes the complement 2 - area.  The section
-    period is the integral around the s = 0 curve of the torus.  The section
+    Both are Stokes integrals of the primitive of the form, reduced to
+    closed form on the lift (1, eps lam^2, lam), whose disc areas are those
+    :func:`loop_symplectic_area` would integrate around the same loops.
+
+    The orbit period is the area of the anchored in-conic disc bounded by
+    the orbit at t = 0: ``radial_area`` at the ``level_radius`` of the area
+    level l, which is 1 + delta from the [1:0:0] side; the [0:1:0] anchor
+    takes the complement 2 - area.  Its error is |area - l| plus a rounding
+    floor, so it checks the inversion.
+
+    The section period is the integral around the s = 0 curve
+    (1, eps x, sqrt x) of the torus, with x = level_radius(|eps|, l)^2 and
+    l = 1 + delta for the z0 anchor, 1 - delta for z1.  There
+    Im<z', z> = pi x^2 P with P = |eps|^2 + a^2 - |mu|^2, and the level
+    equation gives |z|^2 = (2 + x) / (2 - l), so the period is
+
+        p_section(l) = integral_0^1 f_l dt,   f_l = (2 - l) x^2 P / (2 (2 + x)).
+
+    Pointwise f_{1+d} - f_{1-d} = (d / 2) P / |eps|^2, and by the Poisson
+    kernel the mean of P / |eps|^2 is 0 for a < |mu| and 2 for a > |mu|.  So
+
+        p_section(l) = p_section(1 - |delta|) + [a > |mu|] (l - (1 - |delta|)) / 2,
+
+    and the integral runs on the branch l = 1 - |delta|, where x stays
+    bounded, by the Mobius-mapped trapezoid rule of :func:`_section_levels`
+    through :func:`~lagrtori.geometry.doubled_until_agreed`.  The section
     class is the s = 0 convention; combined classes (section plus or minus
-    the orbit) are reported by the scan.  NonConvergent, and ZeroVector for
-    a lift that overflows, name the loop and the torus parameters.
+    the orbit) are reported by the scan.  NonConvergent names the section
+    loop and the torus parameters; DegenerateFamily and ZeroVector name the
+    torus as for :func:`chekanov_torus`.
     """
     anchor = Anchor(anchor)
+    _require_regular(params)
     circle0 = conic_circle(complex(params.eps_of(0.0)), params.delta, anchor)
-    orbit = _loop_period(circle0.loop, nodes, "orbit loop", params)
-    p_orbit = orbit.value if anchor is Anchor.NEAR_Z0 else 2.0 - orbit.value
+    target = 1.0 + params.delta if anchor is Anchor.NEAR_Z0 else 1.0 - params.delta
+    orbit_error = (abs(circle0.level - target)
+                   + rounding_floor(_ORBIT_ROUNDINGS, circle0.level))
+    p_orbit = circle0.level if anchor is Anchor.NEAR_Z0 else 2.0 - circle0.level
 
-    torus = chekanov_torus(params, anchor)
-    section = _loop_period(lambda t: torus(t, np.zeros_like(t)), nodes,
-                           "section loop", params)
-    return ChekanovPeriods(_mod_unit(p_orbit), _mod_unit(section.value),
-                           orbit.error, section.error, max(orbit.nodes, section.nodes))
+    low = 1.0 - abs(params.delta)
+    try:
+        section = doubled_until_agreed(_section_levels(params, low, nodes))
+    except NonConvergent as exc:
+        raise NonConvergent(f"{_named(params, 'section loop of the torus')}: {exc}") from exc
+    offset = 0.5 * (target - low) if params.a > abs(params.mu) else 0.0
+    return ChekanovPeriods(_mod_unit(p_orbit), _mod_unit(section.value + offset),
+                           orbit_error, section.error, section.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +341,8 @@ def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
 # ---------------------------------------------------------------------------
 
 
-# Reported periods and defects keep this many decimals: the boundary rule
-# vouches for 1e-12, so the printed digits hold across platforms.
+# Reported periods and defects keep this many decimals: the trapezoid rules
+# vouch for 1e-12, so the printed digits hold across platforms.
 REPORT_DECIMALS = 10
 
 
@@ -279,76 +354,109 @@ def _reported(x: float) -> float:
     return round(x, REPORT_DECIMALS)
 
 
-# Level disagreements below this are summation noise of a unit-scale FFT sum.
+# Errors below this are rounding noise of a unit-scale sum.
 _ERROR_FLOOR = 1e-14
 
 
 def _reported_error(x: float) -> float:
     """Error estimate rounded up to a power of ten, at least _ERROR_FLOOR.
 
-    The reported value bounds the measured disagreement; its noise digits,
-    which vary with the FFT and CPU, are not printed.
+    The reported value bounds the estimate; its noise digits, which vary
+    with the numeric library and CPU, are not printed.
     """
     return 10.0 ** math.ceil(math.log10(max(x, _ERROR_FLOOR)))
+
+
+# The status of a scan or certificate row: "ok", or the kind of failure.
+STATUSES = ("ok", "nonconvergent", "degenerate")
+# What one grid point may raise without aborting a scan.
+ROW_ERRORS = (NonConvergent, ZeroVector, DegenerateFamily, SingularConic)
+
+
+def row_failure(exc: Exception) -> tuple[str, str]:
+    """(status, error text) of a row whose computation raised ``exc``, one of
+    ROW_ERRORS; the text is the error's, which names (a, mu, delta)."""
+    status = "nonconvergent" if isinstance(exc, NonConvergent) else "degenerate"
+    return status, f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)
 class ScanRow:
     """One grid torus.  Periods and defects are rounded to REPORT_DECIMALS,
-    error estimates up to a power of ten."""
+    error estimates up to a power of ten.  A row whose periods failed has
+    ``status`` "nonconvergent" or "degenerate", the ``error`` text, and None
+    in every other field."""
 
     a: float
     delta: float
-    p_orbit: float
-    p_section: float
-    defect: float
-    defect_orbit: float
-    defect_section: tuple[float, float, float]  # section - orbit, section, section + orbit
-    orbit_error: float
-    section_error: float
-    nodes: int  # finest boundary-rule node count behind the two periods
+    p_orbit: float | None
+    p_section: float | None
+    defect: float | None
+    defect_orbit: float | None
+    defect_section: tuple[float, float, float] | None  # section - orbit, section, section + orbit
+    orbit_error: float | None
+    section_error: float | None
+    nodes: int | None  # finest trapezoid node count behind the section period
+    status: str = "ok"
+    error: str | None = None
 
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The rows of a scan; ``min_defect`` and ``argmin`` cover the ok rows
+    only and are None when there is none."""
+
     mu: complex
     rows: tuple[ScanRow, ...]
-    min_defect: float
-    argmin: tuple[float, float]
+    min_defect: float | None
+    argmin: tuple[float, float] | None
+
+    def status_counts(self) -> dict[str, int]:
+        return {status: sum(r.status == status for r in self.rows) for status in STATUSES}
 
     def to_csv(self) -> str:
+        """The table of (a, delta, p_orbit, p_section, defect); a failed row
+        leaves its last three fields empty."""
         lines = ["a,delta,p_orbit,p_section,defect"]
         for r in self.rows:
-            lines.append(
-                f"{r.a!r},{r.delta!r},{r.p_orbit!r},{r.p_section!r},{r.defect!r}"
-            )
+            tail = f"{r.p_orbit!r},{r.p_section!r},{r.defect!r}" if r.status == "ok" else ",,"
+            lines.append(f"{r.a!r},{r.delta!r},{tail}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
+        rows = []
+        for r in self.rows:
+            row = {
+                "a": r.a,
+                "delta": r.delta,
+                "p_orbit": r.p_orbit,
+                "p_section": r.p_section,
+                "defect": r.defect,
+                "defect_orbit": r.defect_orbit,
+                "defect_section_combined": (None if r.defect_section is None
+                                            else list(r.defect_section)),
+                "orbit_error": r.orbit_error,
+                "section_error": r.section_error,
+                "nodes": r.nodes,
+                "status": r.status,
+            }
+            if r.error is not None:
+                row["error"] = r.error
+            rows.append(row)
         return {
             "mu": [self.mu.real, self.mu.imag],
-            "rows": [
-                {
-                    "a": r.a,
-                    "delta": r.delta,
-                    "p_orbit": r.p_orbit,
-                    "p_section": r.p_section,
-                    "defect": r.defect,
-                    "defect_orbit": r.defect_orbit,
-                    "defect_section_combined": list(r.defect_section),
-                    "orbit_error": r.orbit_error,
-                    "section_error": r.section_error,
-                    "nodes": r.nodes,
-                }
-                for r in self.rows
-            ],
+            "rows": rows,
             "min_defect": self.min_defect,
-            "argmin": list(self.argmin),
+            "argmin": None if self.argmin is None else list(self.argmin),
         }
 
 
 def _scan_point(mu: complex, a: float, delta: float, nodes: int) -> ScanRow:
-    periods = torus_periods_chekanov(ChekanovParams(a, mu, delta), nodes)
+    try:
+        periods = torus_periods_chekanov(ChekanovParams(a, mu, delta), nodes)
+    except ROW_ERRORS as exc:
+        status, error = row_failure(exc)
+        return ScanRow(a, delta, *[None] * 8, status=status, error=error)
     # reduce after rounding, so a period within 5e-11 below 1 reads 0.0
     p_orb = _mod_unit(_reported(periods.p_orbit))
     p_sec = _mod_unit(_reported(periods.p_section))
@@ -367,9 +475,11 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
     """Tripled-period integrality defects over an (a, delta) grid.
 
     For each grid torus the defect is max(orbit defect, best combined section
-    defect); the report carries the grid minimum and its location.  The grid
-    must stay in the a < |mu| regime.  Rows are computed in grid order so
-    reports are deterministic.
+    defect); the report carries the minimum over the ok rows and its
+    location.  A grid point whose periods raise one of ROW_ERRORS becomes a
+    failed row (see :class:`ScanRow`) and the scan goes on.  The grid must
+    stay in the a < |mu| regime.  Rows are computed in grid order so reports
+    are deterministic.
     """
     mu = complex(mu)
     a_grid = [float(a) for a in a_grid]
@@ -380,8 +490,9 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
         raise ValueError("a_grid must stay strictly inside (0, |mu|)")
     if min(a_grid) <= 0:
         raise ValueError("a_grid must be positive")
-    rows = [_scan_point(mu, a, d, nodes) for a in a_grid for d in delta_grid]
-    best = min(range(len(rows)), key=lambda i: rows[i].defect)
-    return ScanReport(
-        mu, tuple(rows), rows[best].defect, (rows[best].a, rows[best].delta)
-    )
+    rows = tuple(_scan_point(mu, a, d, nodes) for a in a_grid for d in delta_grid)
+    ok = [r for r in rows if r.status == "ok"]
+    if not ok:
+        return ScanReport(mu, rows, None, None)
+    best = min(ok, key=lambda r: r.defect)
+    return ScanReport(mu, rows, best.defect, (best.a, best.delta))

@@ -11,6 +11,10 @@ All reports are wrapped in a versioned JSON envelope with the parameters and
 the diagnostics (tolerances, quadrature settings) actually used; identical
 inputs produce byte-identical output.  Exit codes: 0 success,
 2 usage, 3 dichotomy contradiction, 4 scan failure, 5 IO error.
+A ``chekanov-scan`` grid point whose periods or certificate fail becomes a
+row with a failure ``status`` and its ``error`` text; the scan still writes
+its report and exits 4 only when no scan row, or no certificate row, is ok,
+with the first failure's text on one stderr line.
 
 ``bs-count`` and ``enc-report`` work on the lattice indices (i, j) of their
 points, with one Fraction per index.  ``enc-report`` decides every point
@@ -157,8 +161,14 @@ def _float_range(lo: float, hi: float, step: float, flag: str) -> list[float]:
     return vals
 
 
+def _error_if_none_ok(rows: list[tuple[str, str | None]]) -> str | None:
+    """The first (status, error) row's error when no row is ok, else None."""
+    return None if any(status == "ok" for status, _ in rows) else rows[0][1]
+
+
 def _cmd_chekanov_scan(args, out, err) -> int:
-    from .chekanov import REPORT_DECIMALS, ChekanovParams, canonical_bs_scan
+    from .chekanov import (REPORT_DECIMALS, ROW_ERRORS, ChekanovParams, canonical_bs_scan,
+                           row_failure)
     from .displacement import (CERTIFICATE_THRESHOLD, DisplacementCertificate,
                                displace_chekanov)
     from .geometry import LOOP_AGREEMENT, LOOP_FALLBACK, LOOP_MAX_NODES
@@ -167,20 +177,32 @@ def _cmd_chekanov_scan(args, out, err) -> int:
     a_grid, delta_grid = args.a_grid, args.delta_grid
     report = canonical_bs_scan(mu, a_grid, delta_grid, args.quad_nodes)
 
-    issued = inconclusive = 0
+    certs = {"issued": 0, "inconclusive": 0, "nonconvergent": 0, "degenerate": 0}
     cert_rows = []
     for a in a_grid:
         for delta in delta_grid:
-            res = displace_chekanov(
-                ChekanovParams(a, mu, delta), samples=args.cert_samples)
-            row = {"a": a, "delta": delta,
-                   "separation": round(res.separation, REPORT_DECIMALS)}
-            if isinstance(res, DisplacementCertificate):
-                issued += 1
+            row = {"a": a, "delta": delta}
+            try:
+                res = displace_chekanov(
+                    ChekanovParams(a, mu, delta), samples=args.cert_samples)
+            except ROW_ERRORS as exc:
+                row["status"], row["error"] = row_failure(exc)
+                row["separation"] = None
+                certs[row["status"]] += 1
             else:
-                inconclusive += 1
-                row["inconclusive"] = True
+                row["status"] = "ok"
+                row["separation"] = round(res.separation, REPORT_DECIMALS)
+                if isinstance(res, DisplacementCertificate):
+                    certs["issued"] += 1
+                else:
+                    certs["inconclusive"] += 1
+                    row["inconclusive"] = True
             cert_rows.append(row)
+    certs["total"] = len(cert_rows)
+
+    # the scan fails only when no grid row, or no certificate row, is ok
+    failed = (_error_if_none_ok([(r.status, r.error) for r in report.rows])
+              or _error_if_none_ok([(r["status"], r.get("error")) for r in cert_rows]))
 
     csv_text = report.to_csv()
     if args.csv_out:
@@ -192,38 +214,39 @@ def _cmd_chekanov_scan(args, out, err) -> int:
             return EXIT_IO
     if args.format == "csv":
         out.write(csv_text)
-        return EXIT_OK
-    results = {
-        "summary": {
-            "min_defect": report.min_defect,
-            "argmin": list(report.argmin),
-            "certificates": {
-                "issued": issued,
-                "inconclusive": inconclusive,
-                "total": issued + inconclusive,
+    else:
+        scan = report.to_json()
+        results = {
+            "summary": {
+                "min_defect": scan["min_defect"],
+                "argmin": scan["argmin"],
+                "rows": report.status_counts(),
+                "certificates": certs,
             },
-        },
-        "scan": report.to_json(),
-        "certificate_rows": cert_rows,
-    }
-    _envelope(
-        out, "chekanov-scan",
-        {
-            "mu": [mu.real, mu.imag],
-            "a_min": args.a_min, "a_max": args.a_max, "a_step": args.a_step,
-            "delta_step": args.delta_step, "cert_samples": args.cert_samples,
-            "format": args.format,
-        },
-        results,
-        {"quadrature": {"method": "boundary-trapezoid",
-                        "nodes_per_axis": args.quad_nodes,
-                        "max_nodes": LOOP_MAX_NODES,
-                        "agreement": LOOP_AGREEMENT,
-                        "max_disagreement": LOOP_FALLBACK},
-         "tolerances": {"certificate_threshold": CERTIFICATE_THRESHOLD,
-                        "report_decimals": REPORT_DECIMALS}},
-    )
-    return EXIT_OK
+            "scan": scan,
+            "certificate_rows": cert_rows,
+        }
+        _envelope(
+            out, "chekanov-scan",
+            {
+                "mu": [mu.real, mu.imag],
+                "a_min": args.a_min, "a_max": args.a_max, "a_step": args.a_step,
+                "delta_step": args.delta_step, "cert_samples": args.cert_samples,
+                "format": args.format,
+            },
+            results,
+            {"quadrature": {"method": "boundary-trapezoid",
+                            "nodes_per_axis": args.quad_nodes,
+                            "max_nodes": LOOP_MAX_NODES,
+                            "agreement": LOOP_AGREEMENT,
+                            "max_disagreement": LOOP_FALLBACK},
+             "tolerances": {"certificate_threshold": CERTIFICATE_THRESHOLD,
+                            "report_decimals": REPORT_DECIMALS}},
+        )
+    if failed is None:
+        return EXIT_OK
+    print(f"error: {failed}", file=err)
+    return EXIT_SCAN
 
 
 def _cmd_plot(args, out, err) -> int:

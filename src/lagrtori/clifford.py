@@ -163,7 +163,8 @@ def fiber_periods(base: ActionCoords | tuple, level: int = 1) -> FiberPeriods:
     Each period is ``level`` times the standard-disc area, reduced mod 1 to
     [0, 1); at level 1 they recover the action coordinates of the base.  The
     areas are boundary integrals around the standard discs' boundary loops;
-    the errors are ``level`` times the boundary rule's level disagreement.
+    the errors are ``level`` times the boundary rule's error, its level
+    disagreement plus a rounding floor.
     """
     fiber = clifford_fiber(base)
     return _loop_periods([standard_disc(fiber, cls).boundary_loop for cls in (D1, D2)],

@@ -27,7 +27,6 @@ from .errors import (
     NormalizationFailure,
     NotChekanovType,
     NotHermitian,
-    ZeroVector,
 )
 from .geometry import (
     _unit_rows,
@@ -37,6 +36,7 @@ from .geometry import (
     loop_symplectic_area,
     moment_map,
     phase_aligned_residual,
+    rounding_floor,
 )
 from .lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
 from .serialize import complex_pair, number_or_rational
@@ -225,8 +225,8 @@ def displace_chekanov(params: ChekanovParams, samples: int = 128,
     whole image (samples^3 pairs) gives the all-pairs minimum.  That search
     runs in blocks of about 2**14 pairings (:func:`_min_pairwise_chordal`), so
     memory grows as samples^2, the size of the two clouds: under 8 MiB at
-    samples = 128.  ZeroVector, naming (a, mu, delta), is raised when a
-    sampled lift has no usable magnitude (it overflowed or vanished).
+    samples = 128.  ZeroVector, naming (a, mu, delta), is raised by
+    :func:`~lagrtori.chekanov.chekanov_torus` when the lift would overflow.
     """
     if classify_type(params) is not TorusType.CHEKANOV:
         raise NotChekanovType(
@@ -234,13 +234,8 @@ def displace_chekanov(params: ChekanovParams, samples: int = 128,
         )
     torus = chekanov_torus(params, anchor)
     g = (np.arange(samples) + 0.5) / samples
-    try:
-        # axis 0: pencil angle t, axis 1: orbit angle s
-        cloud = _unit_rows(torus(g[:, None], g[None, :]))
-    except ZeroVector as exc:
-        raise ZeroVector(
-            f"torus at a={params.a!r}, mu={params.mu!r}, delta={params.delta!r}: {exc}"
-        ) from exc
+    # axis 0: pencil angle t, axis 1: orbit angle s
+    cloud = _unit_rows(torus(g[:, None], g[None, :]))
     flow_t = math.pi / 2.0
     img = cloud.reshape(-1, 3) @ symbol_flow(diagonal_symbol(0.0, 0.0, 1.0), flow_t).T
     # Shifting s by 1/samples permutes both clouds and commutes with the flow,
@@ -308,7 +303,6 @@ def _sphere_section(alpha: float) -> Callable[..., np.ndarray]:
 # Duistermaat-Heckman node levels: (Gauss-Legendre nodes in p, orbit points)
 _DH_LEVELS = ((8, 32), (16, 64))
 _leggauss = functools.cache(leggauss)
-_ULP = 2.0 ** -53
 
 
 def _weighted_integral(symbol: HermitianSymbol, alpha: float) -> tuple[float, float]:
@@ -328,7 +322,7 @@ def _weighted_integral(symbol: HermitianSymbol, alpha: float) -> tuple[float, fl
         h = symbol.value(np.stack(np.broadcast_arrays(
             np.sqrt(alpha - p), np.sqrt(p) * phase, math.sqrt(1.0 - alpha)), axis=-1))
         values.append(0.5 * alpha * float(w @ h.mean(axis=1)))
-    floor = n_p * n_orbit * _ULP * float(np.max(np.abs(h))) * alpha
+    floor = rounding_floor(n_p * n_orbit, float(np.max(np.abs(h))) * alpha)
     return values[-1], abs(values[-1] - values[-2]) + floor
 
 
@@ -431,9 +425,8 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64, area_tol: float = 1e-
         section = _sphere_section(alpha)
         # the u = 0 edge of the section is a point, so the u = 1 edge bounds it
         area = loop_symplectic_area(lambda t: section(np.ones_like(t), t))
-        area_err = area.error + area.nodes * _ULP * abs(area.value)
-        if abs(area.value - alpha) + area_err > area_tol:
-            raise NormalizationFailure(f"reduced area {area.value!r} (error {area_err:.1e})"
+        if abs(area.value - alpha) + area.error > area_tol:
+            raise NormalizationFailure(f"reduced area {area.value!r} (error {area.error:.1e})"
                                        f" differs from alpha = {alpha}")
         norm, norm_err = _weighted_integral(symbol, alpha)
         if abs(norm - alpha * alpha) + norm_err > area_tol:
@@ -452,7 +445,7 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64, area_tol: float = 1e-
                   float(chordal_distance(pts[lo], marked_lo)))
         m_hi = moment_map(marked_hi)
         reports.append(AlphaReport(
-            alpha, area.value, area_err, norm, norm_err,
+            alpha, area.value, area.error, norm, norm_err,
             (float(m_hi[..., 0]), float(m_hi[..., 1])),
             (float(vals[hi]), float(vals[lo])), gap,
         ))

@@ -16,15 +16,20 @@ The form is exact on coordinate space minus the origin, with primitive
 
 so the area of a disc lifted into that space is the integral of ``alpha``
 around its lifted boundary loop.  :func:`loop_symplectic_area` integrates it
-with the trapezoid rule and a spectral derivative, doubling the node count
-until two levels agree; it is the one area primitive of the package, and
-every period, disc area and reduced-sphere area goes through it.
+with the trapezoid rule and a spectral derivative; it is the one generic
+area primitive of the package, behind every disc area, fiber period and
+reduced-sphere area.  Where Stokes reduces a period to a closed-form real
+integrand (the Chekanov section and orbit periods), the caller integrates
+that integrand instead.  Either way the node count doubles through one
+driver, :func:`doubled_until_agreed`, which owns the stopping rule, the
+node cap and the rounding floor of every reported error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -72,23 +77,49 @@ def moment_map(z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the boundary rule
+# the doubling driver and the boundary rule
 # ---------------------------------------------------------------------------
 
 
 class AreaEstimate(NamedTuple):
     value: float
     error: float
-    nodes: int  # finest node count per axis (per loop for the boundary rule)
+    nodes: int  # finest node count of the doubling rule
 
 
-# The boundary rule starts at LOOP_NODES nodes, stops doubling once two levels
-# agree to LOOP_AGREEMENT and never goes past the cap; at the cap it accepts a
-# disagreement up to LOOP_FALLBACK.
+# A doubling rule stops once two levels agree to LOOP_AGREEMENT and never goes
+# past LOOP_MAX_NODES; at the cap it accepts a disagreement up to LOOP_FALLBACK.
+# Rules start at LOOP_NODES nodes unless told otherwise.
 LOOP_NODES = 32
 LOOP_AGREEMENT = 1e-12
 LOOP_MAX_NODES = 2 ** 18
 LOOP_FALLBACK = 1e-6
+_ULP = 2.0 ** -53
+
+
+def rounding_floor(terms: int, scale: float) -> float:
+    """Rounding error bound of a sum of ``terms`` values of size ``scale``."""
+    return terms * _ULP * abs(scale)
+
+
+def doubled_until_agreed(levels: Iterator[tuple[int, float]]) -> AreaEstimate:
+    """The last of the (nodes, value) levels of a rule that doubles its node
+    count, once two successive values agree to LOOP_AGREEMENT.
+
+    The error is their disagreement plus :func:`rounding_floor` at the node
+    count, so it is never 0.  At LOOP_MAX_NODES the value is returned if the
+    levels agree to LOOP_FALLBACK; otherwise NonConvergent is raised.
+    """
+    _, prev = next(levels)
+    for n, value in levels:
+        gap = abs(value - prev)
+        if gap <= LOOP_AGREEMENT or (n >= LOOP_MAX_NODES and gap <= LOOP_FALLBACK):
+            return AreaEstimate(value, gap + rounding_floor(n, value), n)
+        if n >= LOOP_MAX_NODES:
+            raise NonConvergent(f"trapezoid rule at n = {n} nodes: levels disagree"
+                                f" by {gap:.3e} > {LOOP_FALLBACK:.1e}")
+        prev = value
+    raise ValueError("the levels ended before two of them agreed")
 
 
 def _loop_area_once(loop: Callable[[np.ndarray], np.ndarray], n: int) -> float:
@@ -112,27 +143,14 @@ def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
 
     The trapezoid rule on equispaced samples, with the derivative taken
     spectrally, converges exponentially on smooth periodic loops.  The node
-    count starts at ``nodes`` (at least 4, else ValueError) and doubles until
-    two levels agree to LOOP_AGREEMENT.  At LOOP_MAX_NODES the value is
-    returned if the levels agree to LOOP_FALLBACK, with that error; otherwise
-    NonConvergent is raised.
+    count starts at ``nodes`` (at least 4, else ValueError) and doubles
+    through :func:`doubled_until_agreed`; the spectral derivative needs every
+    node again at each level.
     """
     if nodes < 4:
         raise ValueError("the boundary rule needs at least 4 start nodes")
-    n = nodes
-    prev = _loop_area_once(loop, n)
-    while True:
-        n *= 2
-        value = _loop_area_once(loop, n)
-        err = abs(value - prev)
-        if err <= LOOP_AGREEMENT or (n >= LOOP_MAX_NODES and err <= LOOP_FALLBACK):
-            return AreaEstimate(value, err, n)
-        if n >= LOOP_MAX_NODES:
-            raise NonConvergent(
-                f"boundary rule at n = {n} nodes: levels disagree by {err:.3e}"
-                f" > {LOOP_FALLBACK:.1e}"
-            )
-        prev = value
+    return doubled_until_agreed(
+        (nodes << k, _loop_area_once(loop, nodes << k)) for k in itertools.count())
 
 
 def chordal_distance(z, w) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lagrtori.chekanov import (
@@ -250,26 +250,52 @@ def test_periods_under_delta_reflection(a, delta, mu):
 
 def test_edge_regime_converges_with_more_nodes():
     p = torus_periods_chekanov(ChekanovParams(0.99, 1.0, 0.2))
-    assert p.nodes >= 8192
+    assert p.nodes <= 512
     assert p.section_error <= 1e-12
 
 
 def test_node_cap_accepts_within_the_fallback():
-    # at a = 0.9999 the section loop reaches the cap with levels ~1e-7 apart
-    p = torus_periods_chekanov(ChekanovParams(0.9999, 1.0, 0.2))
+    # delta = 0 a hair inside the edge: the section integrand has a peak of
+    # width ~1e-8 at theta = 0, and the levels at the cap are ~1e-11 apart
+    p = torus_periods_chekanov(ChekanovParams(1.0 - 1e-8, 1.0, 0.0))
     assert p.nodes == LOOP_MAX_NODES
     assert 1e-12 < p.section_error <= LOOP_FALLBACK
 
 
 def test_past_the_node_cap_raises_naming_the_point():
-    # delta > 0: the orbit radius blows up as the circle nears eps = 0
-    params = ChekanovParams(0.99999, 1.0 + 0j, 0.25)
+    # nearer still, the levels at the cap disagree by ~4e-6
+    params = ChekanovParams(0.999999998, 1.0 + 0j, 0.0)
     with pytest.raises(NonConvergent) as exc:
         torus_periods_chekanov(params)
     msg = str(exc.value)
     assert "section loop" in msg
-    for part in ("a=0.99999", f"mu={params.mu!r}", "delta=0.25"):
+    for part in ("a=0.999999998", f"mu={params.mu!r}", "delta=0.0"):
         assert part in msg
+
+
+def _section_integrand(a, mu, level, t):
+    """f_l(t) = (2 - l) x^2 P / (2 (2 + x)) on the circle eps = a e^{2 pi i t} - mu."""
+    params = ChekanovParams(a, mu, 0.0)
+    eps2 = np.abs(params.eps_of(t)) ** 2
+    x = level_radius(np.sqrt(eps2), level) ** 2
+    p = eps2 + a * a - abs(mu) ** 2
+    return (2.0 - level) * x * x * p / (2.0 * (2.0 + x)), p / eps2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(0.05, 3.0),
+    mu=st.sampled_from([1.0, 1j, 0.6 + 0.8j, 2.0]),
+    delta=st.floats(-0.95, 0.95),
+    t=st.floats(0.0, 1.0),
+)
+def test_section_integrand_branch_identity(a, mu, delta, t):
+    # f_{1+delta} - f_{1-delta} = (delta / 2) P / |eps|^2, pointwise
+    assume(abs(a - abs(mu)) >= 1e-3)
+    up, ratio = _section_integrand(a, mu, 1.0 + delta, t)
+    down, _ = _section_integrand(a, mu, 1.0 - delta, t)
+    want = 0.5 * delta * ratio
+    assert float(up - down) == pytest.approx(float(want), rel=1e-9, abs=1e-12)
 
 
 def test_coning_degenerates_on_antipodal_basepoint():
@@ -325,3 +351,19 @@ def test_scan_validates_regime():
         canonical_bs_scan(1.0, [0.5, 1.1], [0.0], CHEAP)
     with pytest.raises(ValueError):
         canonical_bs_scan(1.0, [], [0.0], CHEAP)
+
+
+def test_scan_point_that_overflows_is_a_degenerate_row():
+    report = canonical_bs_scan(2e160, [1e160], [-0.5, 0.0])
+    assert [r.status for r in report.rows] == ["degenerate", "degenerate"]
+    row = report.rows[1]
+    assert row.error.startswith("ZeroVector: torus at a=1e+160, mu=(2e+160+0j), delta=0.0")
+    assert row.p_section is None and row.defect is None and row.nodes is None
+    assert report.min_defect is None and report.argmin is None
+    assert report.status_counts() == {"ok": 0, "nonconvergent": 0, "degenerate": 2}
+    assert report.to_csv().splitlines()[1:] == ["1e+160,-0.5,,,", "1e+160,0.0,,,"]
+
+
+def test_periods_reject_the_degenerate_family_naming_it():
+    with pytest.raises(DegenerateFamily, match=r"a=1\.0, mu=1\.0, delta=0\.2"):
+        torus_periods_chekanov(ChekanovParams(1.0, 1.0, 0.2))

@@ -67,11 +67,8 @@ def test_reruns_are_byte_identical():
 
 @pytest.mark.parametrize("name", [n for n in sorted(GOLDEN_CASES) if n.endswith(".json")])
 def test_envelopes_validate_against_schema(name):
-    schema = json.loads(
-        resources.files("lagrtori").joinpath("schemas/envelope.schema.json").read_text()
-    )
     payload = json.loads(read_golden(name))
-    jsonschema.validate(payload, schema)
+    jsonschema.validate(payload, _schema())
 
 
 def test_scan_bytes_do_not_depend_on_blas_threads():
@@ -235,6 +232,84 @@ def test_scan_failure_exits_4(monkeypatch):
     assert "NonConvergent" in err
 
 
+def _schema():
+    return json.loads(
+        resources.files("lagrtori").joinpath("schemas/envelope.schema.json").read_text())
+
+
+_VALUE_FIELDS = ("p_orbit", "p_section", "defect", "defect_orbit", "defect_section_combined",
+                 "orbit_error", "section_error", "nodes")
+
+
+def _fail_at_delta_zero(monkeypatch, module, name, error):
+    real = getattr(module, name)
+
+    def flaky(params, *args, **kwargs):
+        if params.delta == 0.0:
+            raise error(f"forced at a={params.a!r}, mu={params.mu!r}, delta={params.delta!r}")
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, flaky)
+
+
+def test_one_failed_scan_point_marks_its_row(monkeypatch):
+    import lagrtori.chekanov as chekanov
+    _fail_at_delta_zero(monkeypatch, chekanov, "torus_periods_chekanov", NonConvergent)
+    code, out, err = run_cli(GOLDEN_CASES["chekanov_scan_small.json"])
+    assert code == cli.EXIT_OK and err == ""
+    doc = json.loads(out)
+    jsonschema.validate(doc, _schema())
+    rows = doc["results"]["scan"]["rows"]
+    assert [r["status"] for r in rows] == ["ok", "nonconvergent", "ok"]
+    failed = rows[1]
+    assert (failed["a"], failed["delta"]) == (0.3, 0.0)
+    assert all(failed[k] is None for k in _VALUE_FIELDS)
+    assert failed["error"] == "NonConvergent: forced at a=0.3, mu=(1+0j), delta=0.0"
+    assert all("error" not in r for r in (rows[0], rows[2]))
+    summary = doc["results"]["summary"]
+    assert summary["rows"] == {"ok": 2, "nonconvergent": 1, "degenerate": 0}
+    # the minimum covers the ok rows only: the failed row held the old one
+    assert summary["min_defect"] == doc["results"]["scan"]["min_defect"] == 0.5
+    assert summary["argmin"] == [0.3, -0.5]
+    # the certificates do not depend on the periods
+    assert summary["certificates"]["issued"] == 3
+    _, csv_text, _ = run_cli(GOLDEN_CASES["chekanov_scan_small.csv"])
+    assert csv_text.splitlines()[2] == "0.3,0.0,,,"
+
+
+def test_one_failed_certificate_marks_its_row(monkeypatch):
+    import lagrtori.displacement as displacement
+    from lagrtori.errors import ZeroVector
+    _fail_at_delta_zero(monkeypatch, displacement, "displace_chekanov", ZeroVector)
+    code, out, err = run_cli(GOLDEN_CASES["chekanov_scan_small.json"])
+    assert code == cli.EXIT_OK and err == ""
+    doc = json.loads(out)
+    jsonschema.validate(doc, _schema())
+    certs = doc["results"]["certificate_rows"]
+    assert [c["status"] for c in certs] == ["ok", "degenerate", "ok"]
+    assert certs[1]["separation"] is None and "delta=0.0" in certs[1]["error"]
+    assert doc["results"]["summary"]["certificates"] == {
+        "issued": 2, "inconclusive": 0, "nonconvergent": 0, "degenerate": 1, "total": 3}
+    assert doc["results"]["summary"]["rows"]["ok"] == 3
+
+
+def test_scan_with_no_ok_row_writes_its_report_and_exits_4(monkeypatch):
+    import lagrtori.chekanov as chekanov
+
+    def boom(params, *args, **kwargs):
+        raise NonConvergent(f"forced at a={params.a!r}, delta={params.delta!r}")
+
+    monkeypatch.setattr(chekanov, "torus_periods_chekanov", boom)
+    code, out, err = run_cli(GOLDEN_CASES["chekanov_scan_small.json"])
+    assert code == cli.EXIT_SCAN
+    assert err == "error: NonConvergent: forced at a=0.3, delta=-0.5\n"
+    doc = json.loads(out)
+    jsonschema.validate(doc, _schema())
+    summary = doc["results"]["summary"]
+    assert summary["rows"] == {"ok": 0, "nonconvergent": 3, "degenerate": 0}
+    assert summary["min_defect"] is None and summary["argmin"] is None
+
+
 def test_scan_grids_keep_the_stepped_points():
     assert cli._float_range(0.1, 0.9, 0.1, "--a-step") == [
         0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -275,6 +350,22 @@ def test_equal_a_bounds_give_one_point_whatever_the_step():
                          "--a-max", "1e160", "--a-step", "1", "--delta-step", "0.5"])
     assert proc.returncode == cli.EXIT_SCAN
     assert "ZeroVector" in proc.stderr and "a=1e+160" in proc.stderr
+
+
+def test_overflowing_scan_point_fails_in_one_stderr_line():
+    # the check runs before numpy can warn, so the error is the only line
+    args = ["chekanov-scan", "--mu", "2e160,0", "--a-min", "1e160", "--a-max", "1e160",
+            "--a-step", "1", "--delta-step", "0.5"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"),
+        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "lagrtori.cli"] + args, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_SCAN
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ZeroVector: torus at a=1e+160")
+    rows = json.loads(proc.stdout)["results"]["scan"]["rows"]
+    assert {r["status"] for r in rows} == {"degenerate"}
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from lagrtori.chekanov import ChekanovParams, conic_total_area, torus_periods_chekanov
+from lagrtori.clifford import diagonal_period, enumerate_bs_fibers, fiber_periods
 from lagrtori.errors import NonConvergent, ZeroVector
 from lagrtori.geometry import (
     FS_SCALE,
     _unit_rows,
     canonical_gauge,
     chordal_distance,
+    doubled_until_agreed,
     hermdot,
     moment_map,
     phase_aligned_residual,
@@ -174,3 +177,27 @@ def test_random_unitary_is_unitary():
     for _ in range(4):
         u = random_unitary(rng)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the doubling driver and honest errors
+# ---------------------------------------------------------------------------
+
+
+def test_doubling_driver_adds_the_rounding_floor():
+    est = doubled_until_agreed(iter([(16, 0.75), (32, 0.75)]))
+    assert est == (0.75, 32 * 2.0 ** -53 * 0.75, 32)
+
+
+def test_no_reported_error_is_zero():
+    errors = []
+    for fiber in enumerate_bs_fibers(15).fibers:
+        p = fiber_periods(fiber)
+        errors += [p.p1_error, p.p2_error, diagonal_period(fiber)[1]]
+    assert len(errors) == 3 * 91
+    errors += [conic_total_area(eps)[1] for eps in (1.0, 0.3 + 0.4j, 5.0, 0.01j, 100.0)]
+    for a in (0.3, 0.6, 0.9):
+        for delta in (-0.4, 0.0, 0.4):
+            p = torus_periods_chekanov(ChekanovParams(a, 1.0, delta))
+            errors += [p.orbit_error, p.section_error]
+    assert min(errors) > 0.0

@@ -49,3 +49,21 @@ def test_section_period_matches_mpmath(a):
     want = _section_period_reference(a, 1.0, 0.2)
     gap = abs(periods.p_section - want)
     assert min(gap, 1.0 - gap) <= periods.section_error + 1e-13
+
+
+# Near the edge a -> |mu| at delta = +-0.2 the rule stops within 512 nodes;
+# at delta = 0 it needs more, so no node bound is asserted there.
+@pytest.mark.parametrize("a, mu, delta, max_nodes", [
+    (0.99999, 1.0, 0.2, 512),
+    (0.99999, 1.0, -0.2, 512),
+    (1.0 - 1e-7, 1.0, 0.2, 512),
+    (1.0 - 1e-7, 1.0, -0.2, 512),
+    (0.99999, 1.0, 0.0, None),
+    (1.5, 1.0, 0.3, None),  # a > |mu|: pins the sign of the branch offset
+])
+def test_section_period_matches_mpmath_at_the_edge(a, mu, delta, max_nodes):
+    periods = torus_periods_chekanov(ChekanovParams(a, mu, delta))
+    want = _section_period_reference(a, mu, delta)
+    gap = abs(periods.p_section - want)
+    assert min(gap, 1.0 - gap) <= 1e-13
+    assert max_nodes is None or periods.nodes <= max_nodes
