@@ -47,8 +47,8 @@ _NUMERIC = {
         "conic_total_area", "torus_periods_chekanov",
     ),
     "displacement": (
-        "DisplacementCertificate", "Displaceable", "HermitianSymbol", "Inconclusive",
-        "Monotone", "NotDisplacedByTheseFlows", "RotationReport",
+        "DisplacementCertificate", "Displaceable", "HermitianSymbol", "Monotone",
+        "NotDisplacedByTheseFlows", "RotationReport",
         "build_diagonal_rotation", "displace_chekanov", "displace_clifford",
         "enc_verdict", "swap_symbol", "symbol_flow",
     ),

@@ -150,6 +150,7 @@ class TorusType(enum.Enum):
     BOUNDARY = "boundary"
 
 
+# relative to |mu|: the circle counts as through the origin within 1e-9 |mu|
 _BOUNDARY_TOL = 1e-9
 
 
@@ -176,7 +177,7 @@ class ChekanovParams:
 def classify_type(params: ChekanovParams) -> TorusType:
     """Circle inside (a < |mu|), outside (a > |mu|) or through the origin."""
     gap = params.a - abs(params.mu)
-    if abs(gap) <= _BOUNDARY_TOL:
+    if abs(gap) <= _BOUNDARY_TOL * abs(params.mu):
         return TorusType.BOUNDARY
     return TorusType.CLIFFORD if gap > 0 else TorusType.CHEKANOV
 
@@ -210,7 +211,7 @@ def chekanov_torus(params: ChekanovParams,
     eps(t) = a e^{2 pi i t} - mu, with the orbit radius obtained from the
     closed-form level_radius inverse; s is the orbit angle.  Raises
     DegenerateFamily when the parameter circle passes through the singular
-    member (a = |mu| within 1e-9), and ZeroVector when |eps| can pass
+    member (a = |mu| within 1e-9 |mu|), and ZeroVector when |eps| can pass
     _EPS_RANGE, where 4 |eps|^2 overflows; both name the torus.
     """
     _require_regular(params)
@@ -477,16 +478,17 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
     For each grid torus the defect is max(orbit defect, best combined section
     defect); the report carries the minimum over the ok rows and its
     location.  A grid point whose periods raise one of ROW_ERRORS becomes a
-    failed row (see :class:`ScanRow`) and the scan goes on.  The grid must
-    stay in the a < |mu| regime.  Rows are computed in grid order so reports
-    are deterministic.
+    failed row (see :class:`ScanRow`) and the scan goes on; so does a point
+    within the boundary tolerance of |mu|, as a "degenerate" row.  The grid
+    must stay in the a < |mu| regime.  Rows are computed in grid order so
+    reports are deterministic.
     """
     mu = complex(mu)
     a_grid = [float(a) for a in a_grid]
     delta_grid = [float(d) for d in delta_grid]
     if not a_grid or not delta_grid:
         raise ValueError("scan grids must be nonempty")
-    if max(a_grid) >= abs(mu) - _BOUNDARY_TOL:
+    if max(a_grid) >= abs(mu):
         raise ValueError("a_grid must stay strictly inside (0, |mu|)")
     if min(a_grid) <= 0:
         raise ValueError("a_grid must be positive")

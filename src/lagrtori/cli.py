@@ -169,22 +169,20 @@ def _error_if_none_ok(rows: list[tuple[str, str | None]]) -> str | None:
 def _cmd_chekanov_scan(args, out, err) -> int:
     from .chekanov import (REPORT_DECIMALS, ROW_ERRORS, ChekanovParams, canonical_bs_scan,
                            row_failure)
-    from .displacement import (CERTIFICATE_THRESHOLD, DisplacementCertificate,
-                               displace_chekanov)
+    from .displacement import CertificateMethod, displace_chekanov
     from .geometry import LOOP_AGREEMENT, LOOP_FALLBACK, LOOP_MAX_NODES
 
     mu = complex(args.mu[0], args.mu[1])
     a_grid, delta_grid = args.a_grid, args.delta_grid
     report = canonical_bs_scan(mu, a_grid, delta_grid, args.quad_nodes)
 
-    certs = {"issued": 0, "inconclusive": 0, "nonconvergent": 0, "degenerate": 0}
+    certs = {"issued": 0, "nonconvergent": 0, "degenerate": 0}
     cert_rows = []
     for a in a_grid:
         for delta in delta_grid:
             row = {"a": a, "delta": delta}
             try:
-                res = displace_chekanov(
-                    ChekanovParams(a, mu, delta), samples=args.cert_samples)
+                res = displace_chekanov(ChekanovParams(a, mu, delta))
             except ROW_ERRORS as exc:
                 row["status"], row["error"] = row_failure(exc)
                 row["separation"] = None
@@ -192,11 +190,7 @@ def _cmd_chekanov_scan(args, out, err) -> int:
             else:
                 row["status"] = "ok"
                 row["separation"] = round(res.separation, REPORT_DECIMALS)
-                if isinstance(res, DisplacementCertificate):
-                    certs["issued"] += 1
-                else:
-                    certs["inconclusive"] += 1
-                    row["inconclusive"] = True
+                certs["issued"] += 1
             cert_rows.append(row)
     certs["total"] = len(cert_rows)
 
@@ -231,17 +225,16 @@ def _cmd_chekanov_scan(args, out, err) -> int:
             {
                 "mu": [mu.real, mu.imag],
                 "a_min": args.a_min, "a_max": args.a_max, "a_step": args.a_step,
-                "delta_step": args.delta_step, "cert_samples": args.cert_samples,
-                "format": args.format,
+                "delta_step": args.delta_step, "format": args.format,
             },
             results,
-            {"quadrature": {"method": "boundary-trapezoid",
-                            "nodes_per_axis": args.quad_nodes,
+            {"certificate_method": CertificateMethod.PENCIL_IMAGE_DISJOINT.value,
+             "quadrature": {"method": "mobius-trapezoid",
+                            "start_nodes": args.quad_nodes,
                             "max_nodes": LOOP_MAX_NODES,
                             "agreement": LOOP_AGREEMENT,
                             "max_disagreement": LOOP_FALLBACK},
-             "tolerances": {"certificate_threshold": CERTIFICATE_THRESHOLD,
-                            "report_decimals": REPORT_DECIMALS}},
+             "tolerances": {"report_decimals": REPORT_DECIMALS}},
         )
     if failed is None:
         return EXIT_OK
@@ -309,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--a-step", type=float, required=True)
     p_scan.add_argument("--delta-step", type=float, required=True)
     p_scan.add_argument("--quad-nodes", type=int, default=32)
-    p_scan.add_argument("--cert-samples", type=int, default=48,
-                        help="per-axis sample count for displacement certificates")
+    # parsed and ignored: the certificate is exact, but the benchmark still passes it
+    p_scan.add_argument("--cert-samples", type=int, help=argparse.SUPPRESS)
     p_scan.add_argument("--csv-out", default=None)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -342,8 +335,6 @@ def main(argv=None, out=None, err=None) -> int:
             parser.error("--delta-step must lie in (0, 1)")
         if args.quad_nodes < 4:
             parser.error("--quad-nodes must be at least 4")
-        if args.cert_samples < 1:
-            parser.error("--cert-samples must be positive")
         try:
             args.a_grid = _float_range(args.a_min, args.a_max, args.a_step, "--a-step")
             args.delta_grid = _float_range(-1.0 + args.delta_step, 1.0 - args.delta_step,

@@ -3,9 +3,9 @@
 Every flow used here is the projectivization of a one-parameter unitary
 group exp(i t A) with A Hermitian; the induced projective isotopy is the
 Hamiltonian flow of the symbol function <Az, z>/<z, z>.  Working with the
-exact unitaries (instead of integrating an ODE) makes displacement
-certificates exact wherever moment-image arithmetic decides them, and keeps
-the sampled checks honest elsewhere.
+exact unitaries (instead of integrating an ODE) makes both displacement
+certificates exact: the moment map separates a toric fiber from its image,
+and the pencil map z0 z1 / z2^2 a Chekanov-type torus from its image.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .chekanov import Anchor, ChekanovParams, TorusType, chekanov_torus, classify_type
+from .chekanov import ChekanovParams, TorusType, _require_regular, classify_type
 from .clifford import ActionCoords, CliffordFiber, clifford_fiber
 from .errors import (
     CriticalPointMiscount,
@@ -42,8 +42,6 @@ from .lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
 from .serialize import complex_pair, number_or_rational
 
 _HERM_TOL = 1e-12
-# least sampled separation for which displace_chekanov issues a certificate
-CERTIFICATE_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def symbol_flow(symbol: HermitianSymbol, t: float) -> np.ndarray:
 
 class CertificateMethod(str, enum.Enum):
     MOMENT_IMAGE_DISJOINT = "MomentImageDisjoint"
-    SAMPLED_DISTANCE = "SampledDistance"
+    PENCIL_IMAGE_DISJOINT = "PencilImageDisjoint"
 
 
 @dataclass(frozen=True)
@@ -138,14 +136,6 @@ class NotDisplacedByTheseFlows:
     """All coordinate-swap flows fix the moment value; no verdict implied."""
 
     base: tuple
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    """Sampled tori came closer than the separation threshold."""
-
-    separation: float
-    samples: int
 
 
 def displace_clifford(base: ActionCoords):
@@ -182,80 +172,39 @@ def _swap_certificate(base: ActionCoords, move: SwapImage) -> DisplacementCertif
     )
 
 
-# pairing-matrix entries per block of the all-pairs search: 2**14 complex
-# values are 256 KiB, which stays in cache with the block's float temporaries
-_PAIR_BLOCK = 2 ** 14
-
-
-def _min_pairwise_chordal(a: np.ndarray, b: np.ndarray) -> float:
-    """Minimum chordal distance between two unit-lift sample clouds.
-
-    The rows of ``b`` are searched in blocks of ``_PAIR_BLOCK // len(a)``
-    (at least one), so each block's pairing matrix has about 2**14 entries:
-    256 KiB of complex pairings plus three 128 KiB float temporaries, however
-    large ``b`` is.  Each entry is the same ``a @ conj(b).T`` product and the
-    maximum of re^2 + im^2 is exact, so the result does not depend on the
-    block size.
-    """
-    worst = 0.0  # largest squared pairing magnitude = closest pair
-    bt = np.conj(b.T)
-    cols = max(1, _PAIR_BLOCK // a.shape[0])
-    for j in range(0, bt.shape[1], cols):
-        inner = a @ bt[:, j:j + cols]
-        m = float(np.max(inner.real**2 + inner.imag**2))
-        if m > worst:
-            worst = m
-    return math.sqrt(max(0.0, 1.0 - worst))
-
-
-def displace_chekanov(params: ChekanovParams, samples: int = 128,
-                      threshold: float = CERTIFICATE_THRESHOLD,
-                      anchor: Anchor | str = Anchor.NEAR_Z0):
+def displace_chekanov(params: ChekanovParams) -> DisplacementCertificate:
     """Displacement of a Chekanov-type torus by the z2-phase rotation.
 
-    The flow of diag(0, 0, 1) at time pi/2 negates the pencil parameter, so
-    the torus over the circle centered at -mu lands over the circle centered
-    at +mu; the two parameter circles are disjoint exactly when a < |mu|.
-    Because every member conic passes through the base points, circle
-    disjointness alone is not a full certificate, so the minimum chordal
-    distance between the sampled tori is reported and must clear the
-    threshold; otherwise the result is Inconclusive.  The circle action
-    (z0, z1, z2) -> (e^{ia} z0, e^{-ia} z1, z2) preserves both tori and
-    commutes with the flow, so one orbit-angle slice of the torus against the
-    whole image (samples^3 pairs) gives the all-pairs minimum.  That search
-    runs in blocks of about 2**14 pairings (:func:`_min_pairwise_chordal`), so
-    memory grows as samples^2, the size of the two clouds: under 8 MiB at
-    samples = 128.  ZeroVector, naming (a, mu, delta), is raised by
-    :func:`~lagrtori.chekanov.chekanov_torus` when the lift would overflow.
+    The pencil map f = z0 z1 / z2^2 is exact on the torus: its lift
+    (1, eps lam^2, lam) has z2 = lam, never 0, and f = eps there, so f maps
+    the torus T onto the parameter circle C = {a e^{it} - mu}.  The flow of
+    diag(0, 0, 1) at time pi/2 is diag(1, 1, i), which sends f to -f, so f
+    maps the image torus onto -C.  C and -C are disjoint exactly when
+    a < |mu|, and then so are T and its image: the certificate is exact,
+    like the moment-image one of :func:`displace_clifford`, and depends on
+    neither delta nor the anchor.  Its separation is 2 (|mu| - a), the
+    distance between the two image circles.  DegenerateFamily and
+    ZeroVector name the torus as for
+    :func:`~lagrtori.chekanov.chekanov_torus`; NotChekanovType marks
+    a > |mu|, where the circles meet.
     """
+    _require_regular(params)
     if classify_type(params) is not TorusType.CHEKANOV:
         raise NotChekanovType(
             f"a = {params.a} vs |mu| = {abs(params.mu)}: not in the a < |mu| regime"
         )
-    torus = chekanov_torus(params, anchor)
-    g = (np.arange(samples) + 0.5) / samples
-    # axis 0: pencil angle t, axis 1: orbit angle s
-    cloud = _unit_rows(torus(g[:, None], g[None, :]))
-    flow_t = math.pi / 2.0
-    img = cloud.reshape(-1, 3) @ symbol_flow(diagonal_symbol(0.0, 0.0, 1.0), flow_t).T
-    # Shifting s by 1/samples permutes both clouds and commutes with the flow,
-    # so the s = g[0] slice meets every pair distance of the full search.
-    sep = _min_pairwise_chordal(cloud[:, 0], img)
-    total = samples * samples
-    if sep <= threshold:
-        return Inconclusive(separation=sep, samples=total)
+    a, mu = params.a, complex(params.mu)
     return DisplacementCertificate(
         symbol=diagonal_symbol(0.0, 0.0, 1.0),
-        time=flow_t,
-        separation=sep,
-        method=CertificateMethod.SAMPLED_DISTANCE,
-        samples=total,
+        time=math.pi / 2.0,
+        separation=2.0 * (abs(mu) - a),
+        method=CertificateMethod.PENCIL_IMAGE_DISJOINT,
+        samples=0,
         detail={
-            "grid": [samples, samples],
-            "pairs_examined": samples * total,
-            "pencil_circle_gap": 2.0 * (abs(params.mu) - params.a),
-            "a": params.a,
-            "mu": complex_pair(params.mu),
+            "source_circle": {"center": complex_pair(-mu), "radius": a},
+            "image_circle": {"center": complex_pair(mu), "radius": a},
+            "a": a,
+            "mu": complex_pair(mu),
             "delta": params.delta,
         },
     )

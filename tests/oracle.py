@@ -278,8 +278,9 @@ def random_unitary(rng: np.random.RandomState) -> np.ndarray:
 
 def min_pairwise_chordal(a: np.ndarray, b: np.ndarray) -> float:
     """Minimum chordal distance between two unit-lift clouds, from the whole
-    ``a @ conj(b).T`` pairing matrix at once: the reference for the blocked
-    search of :func:`lagrtori.displacement._min_pairwise_chordal`."""
+    ``a @ conj(b).T`` pairing matrix at once: the brute-force reference that
+    the pencil-image certificate of
+    :func:`lagrtori.displacement.displace_chekanov` is checked against."""
     inner = a @ np.conj(b.T)
     return math.sqrt(max(0.0, 1.0 - float(np.max(inner.real**2 + inner.imag**2))))
 

@@ -217,7 +217,7 @@ def test_criterion_10_displacement():
 
     worst_sep = math.inf
     for a in [round(0.1 * i, 10) for i in range(1, 10)]:
-        cert = displace_chekanov(ChekanovParams(a, 1.0, 0.0), samples=96)
+        cert = displace_chekanov(ChekanovParams(a, 1.0, 0.0))
         ok = ok and isinstance(cert, DisplacementCertificate)
         worst_sep = min(worst_sep, cert.separation)
     ok = ok and worst_sep > 1e-3

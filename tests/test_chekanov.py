@@ -110,6 +110,9 @@ def test_conic_circle_validates_delta():
         (0.5, 1.0, TorusType.CHEKANOV),
         (1.0, 1.0, TorusType.BOUNDARY),
         (1.0 + 5e-10, 1.0, TorusType.BOUNDARY),
+        # the tolerance is relative to |mu|
+        (0.5e-10, 1e-10, TorusType.CHEKANOV),
+        (1e6 + 1e-4, 1e6, TorusType.BOUNDARY),
     ],
 )
 def test_type_classification(a, mu, want):
@@ -351,6 +354,13 @@ def test_scan_validates_regime():
         canonical_bs_scan(1.0, [0.5, 1.1], [0.0], CHEAP)
     with pytest.raises(ValueError):
         canonical_bs_scan(1.0, [], [0.0], CHEAP)
+
+
+def test_scan_point_at_the_wall_is_a_degenerate_row():
+    report = canonical_bs_scan(1.0, [0.5, 0.9999999999], [0.0], CHEAP)
+    assert [r.status for r in report.rows] == ["ok", "degenerate"]
+    assert report.rows[1].error.startswith(
+        "DegenerateFamily: torus at a=0.9999999999, mu=(1+0j), delta=0.0")
 
 
 def test_scan_point_that_overflows_is_a_degenerate_row():

@@ -177,8 +177,6 @@ def test_bs_count_csv_lists_the_enumerated_fibers(level, closed):
      "--a-step", "-0.1", "--delta-step", "0.5"],
     ["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
      "--a-step", "0.1", "--delta-step", "0.5", "--quad-nodes", "3"],
-    ["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
-     "--a-step", "0.1", "--delta-step", "0.5", "--cert-samples", "0"],
 ])
 def test_usage_errors_exit_2(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -289,7 +287,7 @@ def test_one_failed_certificate_marks_its_row(monkeypatch):
     assert [c["status"] for c in certs] == ["ok", "degenerate", "ok"]
     assert certs[1]["separation"] is None and "delta=0.0" in certs[1]["error"]
     assert doc["results"]["summary"]["certificates"] == {
-        "issued": 2, "inconclusive": 0, "nonconvergent": 0, "degenerate": 1, "total": 3}
+        "issued": 2, "nonconvergent": 0, "degenerate": 1, "total": 3}
     assert doc["results"]["summary"]["rows"]["ok"] == 3
 
 
@@ -308,6 +306,43 @@ def test_scan_with_no_ok_row_writes_its_report_and_exits_4(monkeypatch):
     summary = doc["results"]["summary"]
     assert summary["rows"] == {"ok": 0, "nonconvergent": 3, "degenerate": 0}
     assert summary["min_defect"] is None and summary["argmin"] is None
+
+
+_WALL_SCAN = ["chekanov-scan", "--mu", "1,0", "--a-max", "0.9999999999",
+              "--a-step", "0.4999999999"]
+
+
+def test_scan_at_the_wall_writes_its_report_and_exits_4():
+    code, out, err = run_cli(_WALL_SCAN + ["--a-min", "0.9999999999", "--delta-step", "0.5"])
+    assert code == cli.EXIT_SCAN
+    assert err == ("error: DegenerateFamily: torus at a=0.9999999999, mu=(1+0j),"
+                   " delta=-0.5: parameter circle passes through the singular member\n")
+    doc = json.loads(out)
+    jsonschema.validate(doc, _schema())
+    summary = doc["results"]["summary"]
+    assert summary["rows"] == {"ok": 0, "nonconvergent": 0, "degenerate": 3}
+    assert summary["certificates"] == {"issued": 0, "nonconvergent": 0, "degenerate": 3,
+                                       "total": 3}
+
+
+def test_scan_next_to_the_wall_keeps_its_ok_rows():
+    code, out, err = run_cli(_WALL_SCAN + ["--a-min", "0.5", "--delta-step", "0.9"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    doc = json.loads(out)
+    jsonschema.validate(doc, _schema())
+    results = doc["results"]
+    for rows in (results["scan"]["rows"], results["certificate_rows"]):
+        assert [(r["a"], r["status"]) for r in rows] == [(0.5, "ok"), (0.9999999999, "degenerate")]
+    assert results["certificate_rows"][0]["separation"] == 1.0
+
+
+def test_cert_samples_is_hidden_and_changes_nothing(capsys):
+    args = GOLDEN_CASES["chekanov_scan_small.json"]
+    assert run_cli(args + ["--cert-samples", "80"]) == (
+        cli.EXIT_OK, read_golden("chekanov_scan_small.json"), "")
+    with pytest.raises(SystemExit):
+        run_cli(["chekanov-scan", "--help"])
+    assert "--cert-samples" not in capsys.readouterr().out
 
 
 def test_scan_grids_keep_the_stepped_points():

@@ -1,16 +1,17 @@
+import cmath
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrtori.clifford import ActionCoords, CliffordFiber, HomologyClass
 from lagrtori.displacement import (
     CertificateMethod,
     Displaceable,
     DisplacementCertificate,
-    Inconclusive,
     Monotone,
     NotDisplacedByTheseFlows,
     RotationReport,
@@ -23,15 +24,15 @@ from lagrtori.displacement import (
     symbol_flow,
     HermitianSymbol,
 )
-from lagrtori.chekanov import ChekanovParams, chekanov_torus
+from lagrtori.chekanov import Anchor, ChekanovParams, chekanov_torus
 from lagrtori.errors import (
+    DegenerateFamily,
     InternalContradiction,
     LagrtoriError,
     NormalizationFailure,
     NotChekanovType,
     NotHermitian,
 )
-from lagrtori.displacement import _PAIR_BLOCK, _min_pairwise_chordal
 from lagrtori.geometry import _unit_rows
 from lagrtori.serialize import stable_dumps
 from oracle import min_pairwise_chordal, standard_disc_surface, surface_symplectic_area
@@ -160,84 +161,88 @@ def test_displace_rejects_boundary_fiber():
 
 
 def test_displace_chekanov_certificate():
-    cert = displace_chekanov(ChekanovParams(0.5, 1.0, 0.0), samples=64)
+    params = ChekanovParams(0.5, 1.0 + 0.5j, 0.3)
+    cert = displace_chekanov(params)
     assert isinstance(cert, DisplacementCertificate)
-    assert cert.method is CertificateMethod.SAMPLED_DISTANCE
-    assert cert.samples == 64 * 64
-    assert cert.detail["pencil_circle_gap"] == pytest.approx(1.0)
-    assert cert.separation == pytest.approx(0.47868498575653584, abs=1e-9)
+    assert cert.method is CertificateMethod.PENCIL_IMAGE_DISJOINT
+    assert cert.samples == 0
+    assert cert.separation == 2 * (abs(params.mu) - params.a)
+    assert cert.time == math.pi / 2.0
+    assert np.array_equal(cert.symbol.matrix, np.diag([0.0, 0.0, 1.0]))
+    assert cert.detail == {
+        "source_circle": {"center": [-1.0, -0.5], "radius": 0.5},
+        "image_circle": {"center": [1.0, 0.5], "radius": 0.5},
+        "a": 0.5, "mu": [1.0, 0.5], "delta": 0.3,
+    }
+    payload = cert.to_json()
+    assert (payload["method"], payload["samples"]) == ("PencilImageDisjoint", 0)
+    stable_dumps(payload)  # JSON-clean: no complex value or NaN
 
 
 def test_displace_chekanov_narrow_margin():
-    cert = displace_chekanov(ChekanovParams(0.9, 1.0, 0.3), samples=64)
+    cert = displace_chekanov(ChekanovParams(0.9, 1.0, 0.3))
     assert 1e-3 < cert.separation < 0.25
 
 
-def test_displace_chekanov_threshold_yields_inconclusive():
-    out = displace_chekanov(ChekanovParams(0.5, 1.0, 0.0), samples=32, threshold=1.0)
-    assert isinstance(out, Inconclusive)
-    assert out.samples == 32 * 32
-    assert 0.0 < out.separation < 1.0
-
-
-def _sampled_torus(params, samples):
-    """The certificate's sample cloud, axis 0 pencil angle, axis 1 orbit angle,
+def _sampled_torus(params, samples, anchor=Anchor.NEAR_Z0):
+    """The torus sampled on a grid, axis 0 pencil angle, axis 1 orbit angle,
     and its image under the z2-phase flow as rows."""
     g = (np.arange(samples) + 0.5) / samples
     uu, vv = np.meshgrid(g, g, indexing="ij")
-    cloud = _unit_rows(chekanov_torus(params)(uu, vv))
+    cloud = _unit_rows(chekanov_torus(params, anchor)(uu, vv))
     img = cloud.reshape(-1, 3) @ symbol_flow(diagonal_symbol(0.0, 0.0, 1.0), math.pi / 2.0).T
     return cloud, img
 
 
-# samples = 48 splits the image into several blocks with a partial last one
+def _pencil(z):
+    return z[..., 0] * z[..., 1] / z[..., 2] ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.floats(1e-3, 1.0 - 1e-6),
+    arg=st.floats(-math.pi, math.pi),
+    delta=st.floats(-0.9, 0.9),
+    anchor=st.sampled_from(list(Anchor)),
+)
+def test_pencil_map_is_eps_on_the_torus_and_minus_eps_on_its_image(ratio, arg, delta, anchor):
+    samples = 16
+    params = ChekanovParams(ratio, cmath.rect(1.0, arg), delta)
+    cloud, img = _sampled_torus(params, samples, anchor)
+    cloud = cloud.reshape(-1, 3)
+    eps = np.repeat(params.eps_of((np.arange(samples) + 0.5) / samples), samples)
+    assert np.min(np.abs(cloud[:, 2])) > 0 and np.min(np.abs(img[:, 2])) > 0
+    assert np.max(np.abs(_pencil(cloud) - eps) / np.abs(eps)) <= 1e-13
+    assert np.max(np.abs(_pencil(img) + eps) / np.abs(eps)) <= 1e-13
+
+
 @pytest.mark.parametrize("samples", [8, 24, 48])
 @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
 def test_reduced_certificate_search_equals_brute_force(samples, a):
+    """The pencil-image reduction agrees with the brute-force search: a
+    certified torus misses its sampled image."""
     params = ChekanovParams(a, 1.0, 0.3)
     cloud, img = _sampled_torus(params, samples)
-    cert = displace_chekanov(params, samples=samples)
-    brute = min_pairwise_chordal(cloud.reshape(-1, 3), img)
-    assert cert.separation == pytest.approx(brute, abs=1e-14)
-    assert cert.detail["pairs_examined"] == samples ** 3
-
-
-def test_blocked_search_reaches_a_closest_pair_in_the_last_partial_block():
-    samples = 48
-    cloud, img = _sampled_torus(ChekanovParams(0.9, 1.0, 0.3), samples)
-    src = cloud[:, 0]
-    cols = _PAIR_BLOCK // samples
-    last = len(img) // cols * cols  # first image row of the last block
-    assert 0 < last < len(img)
-    inner = src @ np.conj(img.T)
-    closest = int(np.argmax(np.max(inner.real**2 + inner.imag**2, axis=0)))
-    rolled = np.roll(img, len(img) - 1 - closest, axis=0)  # closest pair -> last row
-    ref = min_pairwise_chordal(src, rolled)
-    assert min_pairwise_chordal(src, rolled[:last]) > ref  # the last block decides
-    assert _min_pairwise_chordal(src, rolled) == pytest.approx(ref, abs=1e-14)
-
-
-def test_certificate_memory_grows_as_samples_squared():
-    params = ChekanovParams(0.9, 1.0, 0.5)
-    displace_chekanov(params, samples=8)  # lazy imports and caches outside the trace
-    tracemalloc.start()
-    try:
-        displace_chekanov(params, samples=128)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2 ** 20
+    cert = displace_chekanov(params)
+    assert cert.separation == 2 * (abs(params.mu) - a)
+    assert min_pairwise_chordal(cloud.reshape(-1, 3), img) > 0
 
 
 def test_overflowed_lift_raises_naming_the_torus():
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(LagrtoriError, match=r"a=1e\+160, mu=2e\+160, delta=0\.3"):
-        displace_chekanov(ChekanovParams(1e160, 2e160, 0.3), samples=16)
+    with pytest.raises(LagrtoriError, match=r"a=1e\+160, mu=2e\+160, delta=0\.3"):
+        displace_chekanov(ChekanovParams(1e160, 2e160, 0.3))
 
 
 def test_displace_chekanov_rejects_wide_circles():
-    with pytest.raises(NotChekanovType):
-        displace_chekanov(ChekanovParams(1.5, 1.0, 0.0))
+    for a in (1.5, 1.0 + 1e-6):
+        with pytest.raises(NotChekanovType):
+            displace_chekanov(ChekanovParams(a, 1.0, 0.0))
+
+
+def test_displace_chekanov_at_the_wall_is_degenerate():
+    for a in (1.0, 0.9999999999):
+        with pytest.raises(DegenerateFamily, match=f"a={a!r}"):
+            displace_chekanov(ChekanovParams(a, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ PUBLIC = [
     "ActionCoords", "Anchor", "AreaEstimate", "BSFiberSet", "ChekanovParams",
     "CliffordFiber", "ConicCircle", "D1", "D2", "D3", "DeformationSpec",
     "DiscWithBoundary", "Displaceable", "DisplacementCertificate", "HermitianSymbol",
-    "HomologyClass", "Inconclusive", "MaslovResult", "Monotone",
+    "HomologyClass", "MaslovResult", "Monotone",
     "MonotoneWitness", "NotDisplacedByTheseFlows",
     "RotationReport", "ScanReport", "TorusType",
     "build_diagonal_rotation", "canonical_bs_defect",
