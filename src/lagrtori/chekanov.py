@@ -30,6 +30,7 @@ from .errors import (
 )
 from .geometry import (
     LOOP_NODES,
+    _mod_unit,
     doubled_until_agreed,
     loop_symplectic_area,
     rounding_floor,
@@ -241,10 +242,6 @@ class ChekanovPeriods(NamedTuple):
     orbit_error: float
     section_error: float
     nodes: int  # finest trapezoid node count behind the section period
-
-
-def _mod_unit(x: float) -> float:
-    return x - math.floor(x)
 
 
 # radial_area rounds about this many times, each within 2^-53 relative

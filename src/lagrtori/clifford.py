@@ -29,7 +29,7 @@ from .errors import (
     StencilOutOfDomain,
     UnsupportedClass,
 )
-from .geometry import loop_symplectic_area
+from .geometry import _mod_unit, loop_symplectic_area
 from .lattice import (  # re-exported: the exact layer lives in lattice
     ActionCoords,
     BSFiberSet,
@@ -48,6 +48,8 @@ _CHECK_GRID = 64
 # angle; a step such as 1e-3 rounds them and leaves a bias of about 2e-15 in
 # the periods.
 _FD_STEP = 2.0 ** -10
+# step of the central differences of ks_jacobian
+_KS_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -124,17 +126,12 @@ def standard_disc(fiber: CliffordFiber, cls: HomologyClass) -> DiscWithBoundary:
     boundary is the boundary loop (for d3 a positive multiple of it), so by
     Stokes the disc area is the boundary integral of ``boundary_loop``.
     """
-    if cls == D1:
-        loop = lambda t: fiber.lift(_TWO_PI * np.asarray(t), 0.0)
-        frame = lambda t: fiber.tangent_frame(_TWO_PI * np.asarray(t), 0.0)
-    elif cls == D2:
-        loop = lambda t: fiber.lift(0.0, _TWO_PI * np.asarray(t))
-        frame = lambda t: fiber.tangent_frame(0.0, _TWO_PI * np.asarray(t))
-    elif cls == D3:
-        loop = lambda t: fiber.lift(_TWO_PI * np.asarray(t), _TWO_PI * np.asarray(t))
-        frame = lambda t: fiber.tangent_frame(_TWO_PI * np.asarray(t), _TWO_PI * np.asarray(t))
-    else:
+    if cls not in (D1, D2, D3):
         raise UnsupportedClass(f"no standard disc for class ({cls.p}, {cls.q})")
+    # the boundary cycle of class (p, q) is t |-> (2 pi p t, 2 pi q t)
+    w0, w1 = _TWO_PI * cls.p, _TWO_PI * cls.q
+    loop = lambda t: fiber.lift(w0 * np.asarray(t), w1 * np.asarray(t))
+    frame = lambda t: fiber.tangent_frame(w0 * np.asarray(t), w1 * np.asarray(t))
     return DiscWithBoundary(boundary_loop=loop, frame=frame, chart=2)
 
 
@@ -143,10 +140,6 @@ class FiberPeriods(NamedTuple):
     p2: float
     p1_error: float
     p2_error: float
-
-
-def _mod_unit(x: float) -> float:
-    return x - math.floor(x)
 
 
 def _loop_periods(loops, level: int) -> FiberPeriods:
@@ -188,18 +181,19 @@ class KSResult(NamedTuple):
     determinant: float
 
 
-def ks_jacobian(base: ActionCoords | tuple, step: float = 1e-4) -> KSResult:
+def ks_jacobian(base: ActionCoords | tuple) -> KSResult:
     """Central finite-difference Jacobian of the lifted period map.
 
     The lift is fixed by requiring both periods nonnegative and vanishing on
     the edges where their cycles collapse; inside the triangle it is the map
     to the level-1 periods (p1, p2) of :func:`fiber_periods`, which the
-    stencil differences.  Raises StencilOutOfDomain when the stencil would
-    leave the open triangle.
+    stencil differences with step 1e-4.  Raises StencilOutOfDomain when the
+    stencil would leave the open triangle.
     """
     if not isinstance(base, ActionCoords):
         base = ActionCoords(*base)
     r0, r1 = base.as_floats()
+    step = _KS_STEP
     pts = [(r0 + step, r1), (r0 - step, r1), (r0, r1 + step), (r0, r1 - step)]
     for (a, b) in pts:
         if a <= 0 or b <= 0 or a + b >= 1:

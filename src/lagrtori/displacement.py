@@ -42,6 +42,11 @@ from .lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
 from .serialize import complex_pair, number_or_rational
 
 _HERM_TOL = 1e-12
+# build_diagonal_rotation: sample grid per axis of a reduced sphere, and the
+# gates on its area and weighted integral and on the flow's periodicity
+_ROTATION_GRID = 64
+_ROTATION_AREA_TOL = 1e-6
+_ROTATION_PERIOD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -341,8 +346,7 @@ class RotationReport:
         }
 
 
-def build_diagonal_rotation(alpha_samples, grid: int = 64, area_tol: float = 1e-6,
-                            period_tol: float = 1e-8) -> RotationReport:
+def build_diagonal_rotation(alpha_samples) -> RotationReport:
     """Assemble and validate the rotation flow on diagonal level sets.
 
     For each alpha in (0, 1): the level set {p1 + p2 = alpha} reduces to a
@@ -359,11 +363,9 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64, area_tol: float = 1e-
     p in [0, alpha] of the symbol's z1-orbit mean; the critical points are
     the eigenlines of the symbol matrix.  Each reported error is a level gap
     plus a rounding floor, never 0, and each NormalizationFailure gate tests
-    |value - target| + error against ``area_tol``.  The check points are
-    fixed, so the report is deterministic.
+    |value - target| + error against 1e-6.  The check points are fixed, so
+    the report is deterministic.
     """
-    if grid < 32:
-        raise ValueError("grid resolution must be at least 32")
     symbol = _rotation_symbol()
 
     reports = []
@@ -374,15 +376,15 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64, area_tol: float = 1e-
         section = _sphere_section(alpha)
         # the u = 0 edge of the section is a point, so the u = 1 edge bounds it
         area = loop_symplectic_area(lambda t: section(np.ones_like(t), t))
-        if abs(area.value - alpha) + area.error > area_tol:
+        if abs(area.value - alpha) + area.error > _ROTATION_AREA_TOL:
             raise NormalizationFailure(f"reduced area {area.value!r} (error {area.error:.1e})"
                                        f" differs from alpha = {alpha}")
         norm, norm_err = _weighted_integral(symbol, alpha)
-        if abs(norm - alpha * alpha) + norm_err > area_tol:
+        if abs(norm - alpha * alpha) + norm_err > _ROTATION_AREA_TOL:
             raise NormalizationFailure(f"rotation function integrates to {norm!r}"
                                        f" (error {norm_err:.1e}), want alpha^2")
 
-        g = (np.arange(grid) + 0.5) / grid
+        g = (np.arange(_ROTATION_GRID) + 0.5) / _ROTATION_GRID
         uu, tt = np.meshgrid(g, g, indexing="ij")
         pts = _unit_rows(section(uu, tt)).reshape(-1, 3)
         vals = symbol.value(pts)
@@ -418,7 +420,7 @@ def build_diagonal_rotation(alpha_samples, grid: int = 64, area_tol: float = 1e-
     # integer eigenvalue gaps make the rotation flow 2 pi periodic
     full_turn = symbol_flow(symbol, 2.0 * math.pi)
     per_dev = float(np.max(phase_aligned_residual(zs, zs @ full_turn.T)))
-    if per_dev > period_tol:
+    if per_dev > _ROTATION_PERIOD_TOL:
         raise NormalizationFailure(
             f"rotation flow misses 2 pi periodicity by {per_dev:.3e}"
         )
@@ -457,14 +459,14 @@ class Monotone:
         }
 
 
-def enc_verdict(base: ActionCoords, tol: float = 1e-9):
+def enc_verdict(base: ActionCoords):
     """Displaceable-or-monotone dichotomy for an interior toric fiber.
 
     The decision is :func:`lagrtori.lattice.dichotomy`; this wraps its swap
     in a :class:`DisplacementCertificate` or its witness in a
     :class:`Monotone` verdict.
     """
-    outcome = dichotomy(base, tol)
+    outcome = dichotomy(base)
     if isinstance(outcome, MonotoneWitness):
         return Monotone((base.r0, base.r1), outcome)
     return Displaceable((base.r0, base.r1), _swap_certificate(base, outcome))

@@ -97,6 +97,11 @@ LOOP_FALLBACK = 1e-6
 _ULP = 2.0 ** -53
 
 
+def _mod_unit(x: float) -> float:
+    """``x`` reduced mod 1 to [0, 1): a period's value."""
+    return x - math.floor(x)
+
+
 def rounding_floor(terms: int, scale: float) -> float:
     """Rounding error bound of a sum of ``terms`` values of size ``scale``."""
     return terms * _ULP * abs(scale)
@@ -131,8 +136,7 @@ def _loop_area_once(loop: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     return -0.5 * FS_SCALE * float(np.mean(np.imag(hermdot(dz, z))))
 
 
-def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
-                         nodes: int = LOOP_NODES) -> AreaEstimate:
+def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray]) -> AreaEstimate:
     """Integral of the primitive of the form around a closed lifted loop.
 
     ``loop(t)`` maps an array of t in [0, 1) to lifts along the last axis and
@@ -143,14 +147,12 @@ def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
 
     The trapezoid rule on equispaced samples, with the derivative taken
     spectrally, converges exponentially on smooth periodic loops.  The node
-    count starts at ``nodes`` (at least 4, else ValueError) and doubles
-    through :func:`doubled_until_agreed`; the spectral derivative needs every
-    node again at each level.
+    count starts at LOOP_NODES and doubles through
+    :func:`doubled_until_agreed`; the spectral derivative needs every node
+    again at each level.
     """
-    if nodes < 4:
-        raise ValueError("the boundary rule needs at least 4 start nodes")
     return doubled_until_agreed(
-        (nodes << k, _loop_area_once(loop, nodes << k)) for k in itertools.count())
+        (LOOP_NODES << k, _loop_area_once(loop, LOOP_NODES << k)) for k in itertools.count())
 
 
 def chordal_distance(z, w) -> np.ndarray:

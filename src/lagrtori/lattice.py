@@ -3,8 +3,9 @@ displaceable-or-monotone dichotomy.
 
 Everything here is exact arithmetic on the moment triangle
 {r0 >= 0, r1 >= 0, r0 + r1 <= 1}, decided on the numerators and
-denominators of ``Fraction`` coordinates, plus the few float tests that
-the dichotomy reports.  The module needs no numerics stack, so the exact
+denominators of the coordinates (a float is the binary rational it
+stores), plus the float tests of measured periods that the monotonicity
+witness reports.  The module needs no numerics stack, so the exact
 reports (``bs-count``, ``enc-report``, ``plot``) run without importing
 numpy.  :mod:`lagrtori.clifford`, :mod:`lagrtori.maslov` and
 :mod:`lagrtori.displacement` re-export these names as the same objects.
@@ -13,6 +14,7 @@ numpy.  :mod:`lagrtori.clifford`, :mod:`lagrtori.maslov` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -21,31 +23,43 @@ from .errors import InternalContradiction, NotCanonicalBS
 from .serialize import rational_pair
 
 
+# 3 p_i counts as integral within this distance of an integer
+_BS_TOL = 1e-5
+
+
+def _ratio(r) -> tuple[int, int]:
+    try:
+        return r.as_integer_ratio()
+    except AttributeError:  # numpy integers
+        return operator.index(r), 1
+
+
 @dataclass(frozen=True)
 class ActionCoords:
-    """A point of the closed moment triangle; floats or exact Fractions.
+    """A point of the closed moment triangle; ints, Fractions or floats.
 
-    ``exact`` is (n0, d0, n1, d1) when both coordinates are exact (Fraction
-    or int), else None.  The exact tests decide on these integers;
-    denominators are positive, so comparisons cross-multiply.
+    ``exact`` is (n0, d0, n1, d1), the coordinates in lowest terms with
+    positive denominators; a float is the binary rational it stores, so
+    float 1/3 is not the centroid.  Every test decides on these integers,
+    and comparisons cross-multiply.  A point outside the triangle by more
+    than 1e-12, or with a NaN or infinite coordinate, raises ValueError.
     """
 
     r0: float | Fraction
     r1: float | Fraction
-    exact: tuple[int, int, int, int] | None = field(init=False, repr=False, compare=False)
+    exact: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r0, r1 = self.r0, self.r1
-        exact = None
-        if isinstance(r0, (Fraction, int)) and isinstance(r1, (Fraction, int)):
-            exact = (r0.numerator, r0.denominator, r1.numerator, r1.denominator)
+        try:
+            exact = (*_ratio(r0), *_ratio(r1))
+        except (ValueError, OverflowError):  # NaN or an infinity
+            raise ValueError(f"({r0}, {r1}) is outside the moment triangle") from None
         object.__setattr__(self, "exact", exact)
-        # exact inputs first; the tolerant test below accepts a superset and
-        # decides everything else
-        if exact is not None:
-            n0, d0, n1, d1 = exact
-            if n0 >= 0 and n1 >= 0 and n0 * d1 + n1 * d0 <= d0 * d1:
-                return
+        # the exact test first; the tolerant one below accepts a superset
+        n0, d0, n1, d1 = exact
+        if n0 >= 0 and n1 >= 0 and n0 * d1 + n1 * d0 <= d0 * d1:
+            return
         eps = 1e-12
         if r0 < -eps or r1 < -eps or r0 + r1 > 1 + eps:
             raise ValueError(f"({r0}, {r1}) is outside the moment triangle")
@@ -55,10 +69,8 @@ class ActionCoords:
         return 1 - self.r0 - self.r1
 
     def is_interior(self) -> bool:
-        if self.exact is not None:
-            n0, d0, n1, d1 = self.exact
-            return n0 > 0 and n1 > 0 and n0 * d1 + n1 * d0 < d0 * d1
-        return self.r0 > 0 and self.r1 > 0 and self.r0 + self.r1 < 1
+        n0, d0, n1, d1 = self.exact
+        return n0 > 0 and n1 > 0 and n0 * d1 + n1 * d0 < d0 * d1
 
     def as_floats(self) -> tuple[float, float]:
         return (float(self.r0), float(self.r1))
@@ -172,24 +184,24 @@ def interior_rational_grid(n: int) -> list[tuple[Fraction, Fraction]]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_bs_defect(periods, multiple: int = 3) -> float:
-    """Distance of ``multiple * p_i`` from the integer lattice, worst case."""
-    vals = [float(p) * multiple for p in periods]
+def canonical_bs_defect(periods) -> float:
+    """Distance of 3 p_i from the integer lattice, worst case."""
+    vals = [float(p) * 3 for p in periods]
     return max(abs(v - round(v)) for v in vals)
 
 
-def universal_maslov_class(fiber_periods, mus, tol: float = 1e-5) -> tuple[int, ...]:
+def universal_maslov_class(fiber_periods, mus) -> tuple[int, ...]:
     """Integers mu_i - 3 * p_i for a torus whose tripled periods are integral.
 
     ``mus`` holds integers or objects with an integer ``mu`` attribute (a
     :class:`lagrtori.maslov.MaslovResult`).  Raises NotCanonicalBS when some
-    3 * p_i is farther than ``tol`` from an integer -- the class is well
+    3 * p_i is farther than 1e-5 from an integer -- the class is well
     defined exactly on that locus.
     """
     defect = canonical_bs_defect(fiber_periods)
-    if defect > tol:
+    if defect > _BS_TOL:
         raise NotCanonicalBS(
-            f"3*periods miss the integer lattice by {defect:.3e} > {tol:.1e}"
+            f"3*periods miss the integer lattice by {defect:.3e} > {_BS_TOL:.1e}"
         )
     out = []
     for p, m in zip(fiber_periods, mus):
@@ -221,11 +233,11 @@ class MonotoneWitness:
         }
 
 
-def is_monotone(fiber_periods, mus, tol: float = 1e-5) -> MonotoneWitness:
+def is_monotone(fiber_periods, mus) -> MonotoneWitness:
     """Monotonicity test: tripled periods integral and universal class zero."""
     defect = canonical_bs_defect(fiber_periods)
     try:
-        cls = universal_maslov_class(fiber_periods, mus, tol)
+        cls = universal_maslov_class(fiber_periods, mus)
     except NotCanonicalBS:
         return MonotoneWitness(False, False, defect, None)
     return MonotoneWitness(all(c == 0 for c in cls), True, defect, cls)
@@ -251,55 +263,42 @@ def swap_image(base: ActionCoords) -> SwapImage | None:
     The swaps are tried in the order (0, 1), (1, 2), (0, 2).  (0, 1) moves
     every point off the diagonal r0 = r1; on it, (1, 2) and (0, 2) both move
     exactly the points with r2 != r0, so (0, 2) is never the first to move.
-    All three fix the moment value only at the symmetric point (1/3, 1/3).
+    All three fix the moment value only at the symmetric point (1/3, 1/3),
+    which no float coordinate is.
 
-    On exact coordinates the choice is made on numerators and denominators,
-    and each separation component is one correctly rounded int division:
-    the same float as ``float`` of the Fraction difference.
+    The choice is made on numerators and denominators, and each separation
+    component is one correctly rounded int division: the same float as
+    ``float`` of the exact difference.
     """
-    if base.exact is not None:
-        n0, d0, n1, d1 = base.exact
-        if n0 * d1 != n1 * d0:
-            x = (n1 * d0 - n0 * d1) / (d0 * d1)  # r1 - r0
-            return SwapImage((0, 1), (base.r1, base.r0), math.hypot(x, -x))
-        if 3 * n0 == d0:
-            return None
-        # on the diagonal, r2 - r1 = 1 - 3 * r0
-        return SwapImage((1, 2), (base.r0, base.r2), math.hypot(0.0, (d0 - 3 * n0) / d0))
-    r0, r1 = base.r0, base.r1
-    if r0 != r1:
-        jk, img = (0, 1), (r1, r0)
-    else:
-        r2 = base.r2
-        if r2 == r0:
-            return None
-        jk, img = (1, 2), (r0, r2)
-    return SwapImage(jk, img, math.hypot(float(img[0] - r0), float(img[1] - r1)))
+    n0, d0, n1, d1 = base.exact
+    if n0 * d1 != n1 * d0:
+        x = (n1 * d0 - n0 * d1) / (d0 * d1)  # r1 - r0
+        return SwapImage((0, 1), (base.r1, base.r0), math.hypot(x, -x))
+    if 3 * n0 == d0:
+        return None
+    # on the diagonal, r2 - r1 = 1 - 3 * r0
+    return SwapImage((1, 2), (base.r0, base.r2), math.hypot(0.0, (d0 - 3 * n0) / d0))
 
 
-def _exact_canonical_bs(base: ActionCoords, tol: float) -> bool:
-    if base.exact is not None:
-        n0, d0, n1, d1 = base.exact
-        return 3 * n0 % d0 == 0 and 3 * n1 % d1 == 0
-    return all(abs(3 * float(v) - round(3 * float(v))) <= tol for v in (base.r0, base.r1))
-
-
-def dichotomy(base: ActionCoords, tol: float = 1e-9) -> SwapImage | MonotoneWitness:
+def dichotomy(base: ActionCoords) -> SwapImage | MonotoneWitness:
     """Displaceable-or-monotone decision for an interior toric fiber.
 
     Combines the exact swap-displacement test (:func:`swap_image`), the exact
-    tripled-period integrality test and the universal-class witness.  Returns
-    the swap that displaces the fiber, or the witness that it is monotone.
-    Exactly one verdict must fire, else InternalContradiction; both
-    diagonals of the dichotomy meet only at (1/3, 1/3).
+    tripled-period integrality test (3 r0 and 3 r1 integers) and the
+    universal-class witness.  Returns the swap that displaces the fiber, or
+    the witness that it is monotone.  Exactly one verdict must fire, else
+    InternalContradiction; both diagonals of the dichotomy meet only at
+    (1/3, 1/3).  A float is decided as the binary rational it stores, so
+    pass ``Fraction(1, 3)`` for the centroid.
     """
     if not base.is_interior():
         raise ValueError("verdict expects an interior fiber")
     move = swap_image(base)
     displaced = move is not None
 
+    n0, d0, n1, d1 = base.exact
     witness = None
-    if _exact_canonical_bs(base, tol):
+    if 3 * n0 % d0 == 0 and 3 * n1 % d1 == 0:
         r0, r1 = float(base.r0), float(base.r1)
         witness = is_monotone((r0, r1, r0 + r1), (1, 1, 2))
     monotone = witness is not None and witness.monotone

@@ -392,4 +392,4 @@ def enc_report_text(grid: int) -> str:
                "monotone_points": monotone_points, "monotone_count": len(monotone_points),
                "displaceable_count": len(rows) - len(monotone_points), "rows": rows}
     return _envelope_text("enc-report", {"grid": grid}, results,
-                          {"tolerances": {"arithmetic": "exact rational", "bs_tol": 1e-9}})
+                          {"tolerances": {"arithmetic": "exact rational"}})

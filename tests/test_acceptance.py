@@ -266,7 +266,7 @@ def test_criterion_11_cli_contract(tmp_path, monkeypatch):
     ok = ok and code == cli.EXIT_IO
 
     monkeypatch.setattr(cli, "dichotomy",
-                        lambda base, tol=1e-9: (_ for _ in ()).throw(InternalContradiction("x")))
+                        lambda base: (_ for _ in ()).throw(InternalContradiction("x")))
     code, _ = run(["enc-report", "--grid", "7"])
     ok = ok and code == cli.EXIT_CONTRADICTION
     monkeypatch.undo()

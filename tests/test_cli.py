@@ -209,7 +209,7 @@ def test_unwritable_plot_path_exits_5(tmp_path):
 
 
 def test_contradiction_exits_3(monkeypatch):
-    def boom(base, tol=1e-9):
+    def boom(base):
         raise InternalContradiction("forced for the exit-code check")
 
     monkeypatch.setattr(cli, "dichotomy", boom)

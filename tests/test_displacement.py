@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagrtori import displacement
 from lagrtori.clifford import ActionCoords, CliffordFiber, HomologyClass
 from lagrtori.displacement import (
     CertificateMethod,
@@ -289,13 +290,12 @@ def test_rotation_report_serializes(rotation_report):
     assert '"critical_values"' in text
 
 
-def test_rotation_validates_inputs():
-    with pytest.raises(ValueError):
-        build_diagonal_rotation([0.5], grid=16)
+def test_rotation_validates_inputs(monkeypatch):
     with pytest.raises(ValueError):
         build_diagonal_rotation([1.0])
+    monkeypatch.setattr(displacement, "_ROTATION_AREA_TOL", 1e-16)
     with pytest.raises(NormalizationFailure):
-        build_diagonal_rotation([0.5], area_tol=1e-16)
+        build_diagonal_rotation([0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Which modules each entry point loads, the package's public names, and
-that every module-level name outside ``__all__`` is used.
+"""Which modules each entry point loads, the package's public names and
+their parameters, and that every module-level name outside ``__all__`` is
+used.
 
 The exact reports (``bs-count``, ``enc-report``, ``plot``) and the parser
 must run without importing numpy; each case runs in a fresh interpreter
@@ -7,7 +8,9 @@ with the package imported from ``src/``.
 """
 
 import ast
+import enum
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -101,6 +104,73 @@ MOVED = {
                "universal_maslov_class"],
     "displacement": ["MonotoneWitness"],
 }
+
+
+# The parameter names of every public callable (for an enum, its members).
+# A new parameter, a new setting included, has to edit this pin.
+SIGNATURES = {
+    "ActionCoords": ("r0", "r1"),
+    "Anchor": ("NEAR_Z0", "NEAR_Z1"),
+    "AreaEstimate": ("value", "error", "nodes"),
+    "BSFiberSet": ("level", "closed", "fibers"),
+    "ChekanovParams": ("a", "mu", "delta"),
+    "CliffordFiber": ("base",),
+    "ConicCircle": ("eps", "delta", "anchor", "rho", "level"),
+    "DeformationSpec": ("c1", "c2", "f", "scale"),
+    "DiscWithBoundary": ("boundary_loop", "frame", "chart"),
+    "Displaceable": ("base", "certificate"),
+    "DisplacementCertificate": ("symbol", "time", "separation", "method", "samples",
+                                "detail"),
+    "HermitianSymbol": ("matrix",),
+    "HomologyClass": ("p", "q"),
+    "MaslovResult": ("mu", "raw_winding", "integrality_defect"),
+    "Monotone": ("base", "witness"),
+    "MonotoneWitness": ("monotone", "canonical_bs", "bs_defect", "universal_class"),
+    "NotDisplacedByTheseFlows": ("base",),
+    "RotationReport": ("symbol", "alphas", "critical_points", "critical_values",
+                       "swap_moment_deviation", "periodicity_deviation"),
+    "ScanReport": ("mu", "rows", "min_defect", "argmin"),
+    "TorusType": ("CLIFFORD", "CHEKANOV", "BOUNDARY"),
+    "build_diagonal_rotation": ("alpha_samples",),
+    "canonical_bs_defect": ("periods",),
+    "canonical_bs_scan": ("mu", "a_grid", "delta_grid", "nodes"),
+    "chekanov_torus": ("params", "anchor"),
+    "classify_type": ("params",),
+    "clifford_fiber": ("base",),
+    "conic_circle": ("eps", "delta", "anchor"),
+    "conic_total_area": ("eps",),
+    "deformed_fiber_periods": ("fiber", "spec", "level"),
+    "diagonal_period": ("base", "level"),
+    "disc_difference_check": ("d", "d_prime", "sphere_degree"),
+    "displace_chekanov": ("params",),
+    "displace_clifford": ("base",),
+    "enc_verdict": ("base",),
+    "enumerate_bs_fibers": ("level", "closed"),
+    "fiber_periods": ("base", "level"),
+    "hilbert_dimension": ("level", "closed"),
+    "interior_rational_grid": ("n",),
+    "is_monotone": ("fiber_periods", "mus"),
+    "ks_jacobian": ("base",),
+    "loop_symplectic_area": ("loop",),
+    "maslov_index": ("d",),
+    "moment_map": ("z",),
+    "standard_disc": ("fiber", "cls"),
+    "swap_symbol": ("j", "k"),
+    "symbol_flow": ("symbol", "t"),
+    "torus_periods_chekanov": ("params", "nodes", "anchor"),
+    "universal_maslov_class": ("fiber_periods", "mus"),
+}
+
+
+def test_public_parameters_are_pinned():
+    got = {}
+    for name in PUBLIC:
+        value = getattr(lagrtori, name)
+        if isinstance(value, enum.EnumMeta):
+            got[name] = tuple(value.__members__)
+        elif callable(value):
+            got[name] = tuple(inspect.signature(value).parameters)
+    assert got == SIGNATURES
 
 
 def _defining_object(name: str, value):

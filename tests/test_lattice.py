@@ -1,15 +1,18 @@
 """The exact layer: the triangle test of ActionCoords and the dichotomy."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lagrtori.displacement import Monotone, displace_clifford, enc_verdict
+from lagrtori.displacement import Displaceable, Monotone, displace_clifford, enc_verdict
 from lagrtori.lattice import (
     ActionCoords,
     MonotoneWitness,
+    SwapImage,
     dichotomy,
     interior_rational_grid,
     swap_image,
@@ -127,3 +130,73 @@ def test_integer_decisions_match_fraction_operators(pair):
         return
     got, want = dichotomy(base), reference_dichotomy(base)
     assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 0.5), (0.2, math.nan), (math.inf, 0.1),
+                                  (0.1, -math.inf)])
+def test_nan_and_infinite_coordinates_are_outside_the_triangle(pair):
+    with pytest.raises(ValueError, match="outside the moment triangle"):
+        ActionCoords(*pair)
+
+
+def test_numpy_scalars_are_their_exact_values():
+    assert ActionCoords(np.float64(0.25), np.float32(0.5)).exact == (1, 4, 1, 2)
+    assert ActionCoords(np.int64(0), 0.5).exact == (0, 1, 1, 2)
+
+
+def test_float_third_is_displaced_by_its_rounding_gap():
+    # fl(1/3) < 1/3, so r2 = 1 - 2 fl(1/3) exceeds r1 by 1 - 3 fl(1/3) = 2^-54
+    base = ActionCoords(1 / 3, 1 / 3)
+    move = dichotomy(base)
+    assert move.swap == (1, 2)
+    assert move.separation == 1 - 3 * Fraction(1 / 3) == 2.0 ** -54
+    assert f"{move.separation:.3g}" == "5.55e-17"
+    verdict = enc_verdict(base)
+    assert isinstance(verdict, Displaceable)
+    assert verdict.certificate == displace_clifford(base)
+    assert verdict.certificate.separation == move.separation
+
+
+def test_float_point_with_float_sum_one_is_interior():
+    # 0.7 + 0.3 rounds to 1.0, but the stored binary values sum to 1 - 2^-54
+    assert 0.7 + 0.3 == 1.0 and 1 - Fraction(0.7) - Fraction(0.3) == 2.0 ** -54
+    base = ActionCoords(0.7, 0.3)
+    assert base.is_interior()
+    assert dichotomy(base).swap == (0, 1)
+
+
+@st.composite
+def float_bases(draw):
+    """Float points of the closed triangle, up to the rounding of 1 - x:
+    anywhere, on the diagonal, or on the hypotenuse."""
+    x = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["any", "diagonal", "hypotenuse"]))
+    if kind == "diagonal":
+        pair = (x / 2, x / 2)
+    else:
+        pair = (x, 1.0 - x if kind == "hypotenuse" else draw(st.floats(0.0, 1.0 - x)))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@given(float_bases())
+@example((1 / 3, 1 / 3))
+@example((0.7, 0.3))
+@example((0.3, 0.3))
+@example((0.5, 0.25))
+@example((math.nextafter(1 / 3, 1), math.nextafter(1 / 3, 1)))
+@example((5e-324, 5e-324))
+@settings(max_examples=400, deadline=None)
+def test_a_float_point_is_decided_as_its_binary_rational(pair):
+    x, y = pair
+    exact = ActionCoords(Fraction(x), Fraction(y))
+    if not reference_is_interior(exact):
+        with pytest.raises(ValueError):
+            dichotomy(ActionCoords(x, y))
+        return
+    base = ActionCoords(x, y)
+    got, want = dichotomy(base), reference_dichotomy(exact)
+    assert type(got) is type(want) is SwapImage
+    assert got.swap == want.swap
+    assert got.separation.hex() == want.separation.hex()
+    cert = displace_clifford(base)
+    assert cert.detail["swap"] == list(got.swap) and cert.separation == got.separation
