@@ -125,6 +125,9 @@ def standard_disc(fiber: CliffordFiber, cls: HomologyClass) -> DiscWithBoundary:
     Each disc has a lift that is nonvanishing on the whole disc and whose
     boundary is the boundary loop (for d3 a positive multiple of it), so by
     Stokes the disc area is the boundary integral of ``boundary_loop``.
+    In chart c the frame determinant is sqrt(r0 r1 r2) / r_c^(3/2) times
+    e^{2 pi i m_c t}, m_c = p + q - 3 (p, q, 0)[c]: the index there is m_c and
+    ``det_lipschitz(c)`` is 2 pi |m_c| times that modulus.
     """
     if cls not in (D1, D2, D3):
         raise UnsupportedClass(f"no standard disc for class ({cls.p}, {cls.q})")
@@ -132,7 +135,11 @@ def standard_disc(fiber: CliffordFiber, cls: HomologyClass) -> DiscWithBoundary:
     w0, w1 = _TWO_PI * cls.p, _TWO_PI * cls.q
     loop = lambda t: fiber.lift(w0 * np.asarray(t), w1 * np.asarray(t))
     frame = lambda t: fiber.tangent_frame(w0 * np.asarray(t), w1 * np.asarray(t))
-    return DiscWithBoundary(boundary_loop=loop, frame=frame, chart=2)
+    r0, r1 = fiber.base.as_floats()
+    r = (r0, r1, 1.0 - r0 - r1)
+    m = [cls.p + cls.q - 3 * k for k in (cls.p, cls.q, 0)]
+    lip = lambda c: _TWO_PI * abs(m[c]) * math.sqrt(math.prod(r)) / r[c] ** 1.5
+    return DiscWithBoundary(boundary_loop=loop, frame=frame, chart=2, det_lipschitz=lip)
 
 
 class FiberPeriods(NamedTuple):

@@ -37,7 +37,7 @@ class LeavesTriangle(LagrtoriError):
 
 
 class DeterminantVanishes(LagrtoriError):
-    """The frame determinant is too small to track a winding number."""
+    """The frame determinant is too small to certify a winding number."""
 
 
 class ChartEscape(LagrtoriError):

@@ -267,8 +267,8 @@ def swap_image(base: ActionCoords) -> SwapImage | None:
     which no float coordinate is.
 
     The choice is made on numerators and denominators, and each separation
-    component is one correctly rounded int division: the same float as
-    ``float`` of the exact difference.
+    component, like a float image r2, is one correctly rounded int division:
+    the same float as ``float`` of the exact value.
     """
     n0, d0, n1, d1 = base.exact
     if n0 * d1 != n1 * d0:
@@ -276,8 +276,9 @@ def swap_image(base: ActionCoords) -> SwapImage | None:
         return SwapImage((0, 1), (base.r1, base.r0), math.hypot(x, -x))
     if 3 * n0 == d0:
         return None
-    # on the diagonal, r2 - r1 = 1 - 3 * r0
-    return SwapImage((1, 2), (base.r0, base.r2), math.hypot(0.0, (d0 - 3 * n0) / d0))
+    # on the diagonal, r2 = 1 - 2 * r0 and r2 - r1 = 1 - 3 * r0
+    r2 = base.r2 if isinstance(base.r2, Fraction) else (d0 - 2 * n0) / d0
+    return SwapImage((1, 2), (base.r0, r2), math.hypot(0.0, (d0 - 3 * n0) / d0))
 
 
 def dichotomy(base: ActionCoords) -> SwapImage | MonotoneWitness:

@@ -138,7 +138,8 @@ def test_criterion_05_maslov_indices():
     d1 = standard_disc(fiber, D1)
     # the d1 boundary closes up through the z0 != 0 chart too, over the
     # complementary disc lam -> (1, sqrt(r1/r0) lam, sqrt(r2/r0) lam)
-    companion = DiscWithBoundary(boundary_loop=d1.boundary_loop, frame=d1.frame, chart=0)
+    companion = DiscWithBoundary(boundary_loop=d1.boundary_loop, frame=d1.frame, chart=0,
+                                 det_lipschitz=d1.det_lipschitz)
     ok = ok and disc_difference_check(d1, companion, sphere_degree=-1)
     _gate(5, "basis disc indices 1, diagonal 2, gluing increment 3", ok)
 

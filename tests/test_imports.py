@@ -117,7 +117,7 @@ SIGNATURES = {
     "CliffordFiber": ("base",),
     "ConicCircle": ("eps", "delta", "anchor", "rho", "level"),
     "DeformationSpec": ("c1", "c2", "f", "scale"),
-    "DiscWithBoundary": ("boundary_loop", "frame", "chart"),
+    "DiscWithBoundary": ("boundary_loop", "frame", "chart", "det_lipschitz"),
     "Displaceable": ("base", "certificate"),
     "DisplacementCertificate": ("symbol", "time", "separation", "method", "samples",
                                 "detail"),

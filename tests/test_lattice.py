@@ -132,6 +132,18 @@ def test_integer_decisions_match_fraction_operators(pair):
     assert type(got) is type(want) and got == want
 
 
+@given(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+@example(0.06718212205620061)  # fl(1 - 2x) is one ulp above the rounded exact 1 - 2x
+@settings(max_examples=400, deadline=None)
+def test_diagonal_image_is_the_rounded_exact_r2(x):
+    move = swap_image(ActionCoords(x, x))
+    assert move.swap == (1, 2)
+    assert move.image[1] == float(1 - 2 * Fraction(x))
+    exact = swap_image(ActionCoords(Fraction(x), Fraction(x)))
+    assert exact.image == (Fraction(x), 1 - 2 * Fraction(x))
+    assert all(type(v) is Fraction for v in exact.image)
+
+
 @pytest.mark.parametrize("pair", [(math.nan, 0.5), (0.2, math.nan), (math.inf, 0.1),
                                   (0.1, -math.inf)])
 def test_nan_and_infinite_coordinates_are_outside_the_triangle(pair):

@@ -1,19 +1,25 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lagrtori import maslov
 from lagrtori.clifford import D1, D2, D3, clifford_fiber, standard_disc
 from lagrtori.errors import (
     BoundaryMismatch,
     ChartEscape,
+    DeterminantVanishes,
     NotCanonicalBS,
 )
 from lagrtori.maslov import (
     DiscWithBoundary,
     canonical_bs_defect,
     disc_difference_check,
+    frame_determinant,
     is_monotone,
     maslov_index,
     universal_maslov_class,
@@ -46,7 +52,8 @@ def companion_disc_chart0(base):
         return np.stack([one, c1 * lam, c2 * lam], axis=-1)
 
     d1 = standard_disc(fiber, D1)
-    disc = DiscWithBoundary(boundary_loop=d1.boundary_loop, frame=d1.frame, chart=0)
+    disc = DiscWithBoundary(boundary_loop=d1.boundary_loop, frame=d1.frame, chart=0,
+                            det_lipschitz=d1.det_lipschitz)
     return disc, Surface(lift, periodic=(False, True))
 
 
@@ -77,6 +84,51 @@ def test_index_is_chart_independent():
     d1 = standard_disc(clifford_fiber((0.2, 0.3)), D1)
     in_other_chart = dataclasses.replace(d1, chart=1)
     assert maslov_index(in_other_chart).mu == maslov_index(d1).mu
+
+
+@st.composite
+def interior_bases(draw):
+    r0 = draw(st.floats(1e-3, 0.998))
+    return r0, draw(st.floats(1e-3, 0.999 - r0))
+
+
+def chart_determinant(z, e1, e2, c):
+    """det of the frame's (1,0)-parts in chart c, by the quotient rule for
+    the affine coordinates z_a / z_c: the reference for frame_determinant."""
+    a, b = [i for i in range(3) if i != c]
+    push = lambda v, k: (v[..., k] * z[..., c] - z[..., k] * v[..., c]) / z[..., c] ** 2
+    return push(e1, a) * push(e2, b) - push(e1, b) * push(e2, a)
+
+
+@given(interior_bases(), st.sampled_from([D1, D2, D3]), st.sampled_from([0, 1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_standard_disc_bound_holds_and_certifies_in_one_pass(base, cls, chart):
+    disc = dataclasses.replace(standard_disc(clifford_fiber(base), cls), chart=chart)
+    bound = disc.det_lipschitz(chart)
+    # central differences of the closed loop's determinant on 4096 points
+    n = 4096
+    t = np.arange(n) / n
+    det = frame_determinant(disc, t)
+    want = chart_determinant(disc.boundary_loop(t), *disc.frame(t), chart)
+    assert np.allclose(det, want, rtol=1e-12, atol=0)
+    slope = np.abs(np.roll(det, -1) - np.roll(det, 1)) * (n / 2)
+    assert np.max(slope) <= bound * (1 + 1e-6)
+
+    with mock.patch.object(maslov, "frame_determinant",
+                           wraps=maslov.frame_determinant) as counted:
+        res = maslov_index(disc)
+    assert res.mu == cls.p + cls.q - 3 * (cls.p, cls.q, 0)[chart]
+    assert counted.call_count == 1
+    assert len(counted.call_args.args[1]) == 16 + 1
+
+
+def test_covering_failure_names_samples_and_bound():
+    d1 = standard_disc(clifford_fiber((0.2, 0.3)), D1)
+    # |det| = sqrt(r0 r1) / r2 = 0.4899 in chart 2, below 1e6 / 4096
+    rough = dataclasses.replace(d1, det_lipschitz=lambda chart: 1e6)
+    with pytest.raises(DeterminantVanishes,
+                       match=r"n = 4096 .*min \|det\| = 4\.899e-01, L = 1\.000e\+06"):
+        maslov_index(rough)
 
 
 def test_companion_disc_index_and_area():
