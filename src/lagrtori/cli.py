@@ -24,8 +24,9 @@ those outcomes; ``bs-count`` takes ``count`` from the enumeration and
 compares it with the closed-form dimension.  Each report is then written
 row by row through :class:`~lagrtori.serialize.Template`: the envelope
 and one row of each shape are rendered once, each distinct [n, d] pair
-once per index, and the rows go to ``out`` in bounded pieces, as does
-the ``bs-count`` CSV.  No per-row dict, and no string of the whole
+once per index, and the rows go to ``out`` in bounded pieces, one
+one-line row per line (the same parsed JSON as the indented text), as
+does the ``bs-count`` CSV.  No per-row dict, and no string of the whole
 report, is built.
 
 ``bs-count``, ``enc-report`` and ``plot`` use only the exact layer
@@ -98,7 +99,7 @@ def _cmd_bs_count(args, out) -> int:
         {"tolerances": {"arithmetic": "exact rational"}},
     ))
     fiber = report.item([Gap("r0"), Gap("r1")])
-    pair = [fiber.text(rational_pair(v), "r0") for v in vals]
+    pair = [Template.text(rational_pair(v)) for v in vals]
     report.dump((fiber.fill(r0=pair[i], r1=pair[j]) for i, j in points), out.write)
     out.write("\n")
     return EXIT_OK
@@ -126,15 +127,15 @@ def _cmd_enc_report(args, out) -> int:
     monotone = report.item({"base": base, "bs_defect": Gap("bs_defect"),
                             "universal_class": Gap("universal_class"),
                             "verdict": "monotone"})
-    pair = [displaced.text(rational_pair(v), "r0") for v in vals]
-    swaps = {jk: displaced.text(list(jk), "swap") for jk in ((0, 1), (1, 2))}
+    pair = [Template.text(rational_pair(v)) for v in vals]
+    swaps = {jk: Template.text(list(jk)) for jk in ((0, 1), (1, 2))}
     rows = (
         monotone.fill(
-            r0=pair[i], r1=pair[j], bs_defect=monotone.text(o.bs_defect, "bs_defect"),
-            universal_class=monotone.text(list(o.universal_class), "universal_class"))
+            r0=pair[i], r1=pair[j], bs_defect=Template.text(o.bs_defect),
+            universal_class=Template.text(list(o.universal_class)))
         if isinstance(o, MonotoneWitness) else
         displaced.fill(
-            r0=pair[i], r1=pair[j], separation=displaced.text(o.separation, "separation"),
+            r0=pair[i], r1=pair[j], separation=Template.text(o.separation),
             swap=swaps[o.swap])
         for (i, j), o in zip(points, outcomes)
     )

@@ -13,8 +13,9 @@ use.
 
 For the exact layer it holds the dichotomy in plain ``Fraction`` operators
 and the ``bs-count`` and ``enc-report`` texts built as one payload of row
-dicts and encoded by :func:`json.dumps`, the references for the integer
-decisions and the streamed reports.
+dicts and encoded by :func:`json.dumps` (indented, with the row list one
+compact item per line), the references for the integer decisions and the
+streamed reports, with a text comparison that names the first difference.
 
 The difference step ``step`` defaults to 1e-3.  The Chekanov torus needs
 3e-5, because its orbit radius varies steeply in t when the parameter
@@ -29,6 +30,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
+import pytest
 from numpy.polynomial.legendre import leggauss
 
 from lagrtori import __version__
@@ -351,11 +353,50 @@ def _pair(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
-def _envelope_text(command: str, params: dict, results: dict, diagnostics: dict) -> str:
+def reference_dumps(payload) -> str:
+    """The indented report text, by :func:`json.dumps`."""
+    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "),
+                      allow_nan=False)
+
+
+def rows_dumps(payload, *path) -> str:
+    """:func:`reference_dumps` of ``payload``, except that the list at the key
+    path ``path`` holds one ``json.dumps(item, sort_keys=True)`` line per item."""
+    mark = "\x01rows\x01"
+
+    def marked(node, keys):
+        return {**node, keys[0]: marked(node[keys[0]], keys[1:])} if keys else mark
+
+    rows = payload
+    for key in path:
+        rows = rows[key]
+    head, tail = reference_dumps(marked(payload, path)).split(json.dumps(mark))
+    line = head.rpartition("\n")[2]
+    pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+    lines = [json.dumps(row, sort_keys=True) for row in rows]
+    body = "[" + pad + "  " + ("," + pad + "  ").join(lines) + pad + "]" if lines else "[]"
+    return head + body + tail
+
+
+def assert_same_text(got, want):
+    """``got == want``; a failure names the first differing offset and line
+    rather than diffing texts of megabytes."""
+    if got == want:
+        return
+    at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    start = want.rfind("\n", 0, at) + 1
+    pytest.fail(f"texts differ at offset {at}, line {want.count(chr(10), 0, at) + 1} "
+                f"(lengths {len(got)} and {len(want)}): got "
+                f"{got[start:].partition(chr(10))[0]!r}, want "
+                f"{want[start:].partition(chr(10))[0]!r}")
+
+
+def _envelope_text(command: str, params: dict, results: dict, diagnostics: dict,
+                   rows: str) -> str:
     body = {"command": command, "version": __version__, "params": params,
             "results": results, "diagnostics": diagnostics}
-    return json.dumps(body, sort_keys=True, indent=2, separators=(",", ": "),
-                      allow_nan=False) + "\n"
+    return rows_dumps(body, "results", rows) + "\n"
 
 
 def bs_count_text(level: int, closed: bool = False) -> str:
@@ -368,7 +409,7 @@ def bs_count_text(level: int, closed: bool = False) -> str:
     results = {"count": len(fibers), "fibers": fibers,
                "hilbert_dimension": dimension, "match": len(fibers) == dimension}
     return _envelope_text("bs-count", {"level": level, "closed": closed, "format": "json"},
-                          results, {"tolerances": {"arithmetic": "exact rational"}})
+                          results, {"tolerances": {"arithmetic": "exact rational"}}, "fibers")
 
 
 def enc_report_text(grid: int) -> str:
@@ -392,4 +433,4 @@ def enc_report_text(grid: int) -> str:
                "monotone_points": monotone_points, "monotone_count": len(monotone_points),
                "displaceable_count": len(rows) - len(monotone_points), "rows": rows}
     return _envelope_text("enc-report", {"grid": grid}, results,
-                          {"tolerances": {"arithmetic": "exact rational"}})
+                          {"tolerances": {"arithmetic": "exact rational"}}, "rows")

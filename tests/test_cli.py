@@ -135,7 +135,15 @@ def test_enc_report_streams_the_reference_bytes():
 
 
 def test_large_enc_report_streams_the_reference_bytes():
-    assert run_cli(["enc-report", "--grid", "160"])[1] == oracle.enc_report_text(160)
+    text = run_cli(["enc-report", "--grid", "160"])[1]
+    oracle.assert_same_text(text, oracle.enc_report_text(160))
+
+
+@pytest.mark.parametrize("got, offset, line", [("ab\ncd\nXf", 6, 3), ("ab\ncd", 5, 2),
+                                               ("ab\ncd\nef\n", 8, 3)])
+def test_assert_same_text_names_the_first_difference(got, offset, line):
+    with pytest.raises(pytest.fail.Exception, match=f"offset {offset}, line {line} "):
+        oracle.assert_same_text(got, "ab\ncd\nef")
 
 
 @pytest.mark.parametrize("level, closed", [(1, False), (2, False), (3, False), (9, False),

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from lagrtori import cli
 from lagrtori import serialize
 from lagrtori.serialize import Gap, Template, stable_dump, stable_dumps
+from oracle import assert_same_text, reference_dumps, rows_dumps
 
-
-def reference_dumps(payload):
-    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "),
-                      allow_nan=False)
+ROWS = {"bs-count": "fibers", "enc-report": "rows"}  # the long list of a row-list report
 
 
 scalars = st.one_of(
@@ -118,7 +116,7 @@ def test_template_leaves_no_reference_cycles():
     gc.collect()
     report = Template({"d": "e", "rows": Gap("rows")})
     row = report.item({"b": [[1, 2]], "s": Gap("s")})
-    report.dump([row.fill(s=row.text(1.5, "s"))], io.StringIO().write)
+    report.dump([row.fill(s=row.text(1.5))], io.StringIO().write)
     del report, row
     assert gc.collect() == 0
 
@@ -134,19 +132,22 @@ def test_cli_payloads_reencode_to_identical_bytes(argv):
     out = io.StringIO()
     assert cli.main(argv, out=out) == cli.EXIT_OK
     payload = json.loads(out.getvalue())
-    assert stable_dumps(payload) + "\n" == out.getvalue()
-    assert reference_dumps(payload) + "\n" == out.getvalue()
+    if argv[0] in ROWS:
+        assert_same_text(out.getvalue(), rows_dumps(payload, "results", ROWS[argv[0]]) + "\n")
+    else:
+        assert stable_dumps(payload) + "\n" == out.getvalue()
+        assert reference_dumps(payload) + "\n" == out.getvalue()
 
 
 def test_cli_writes_a_large_report_in_bounded_pieces():
     # no string of the report's size is built, so heap peaks stay flat
-    for argv in (["enc-report", "--grid", "60"], ["bs-count", "--level", "120"]):
+    for argv in (["enc-report", "--grid", "100"], ["bs-count", "--level", "240"]):
         out = _Pieces()
         assert cli.main(argv, out=out) == cli.EXIT_OK
         text = "".join(out)
         assert len(text) > 400_000
         assert max(map(len, out)) <= 64 * serialize._PIECE
-        assert reference_dumps(json.loads(text)) + "\n" == text
+        assert_same_text(text, rows_dumps(json.loads(text), "results", ROWS[argv[0]]) + "\n")
 
 
 keys = st.text(max_size=4)
@@ -161,11 +162,11 @@ def test_template_fills_to_the_stable_dumps_text(head, rows, names):
     ka, kb = names
     report = Template({**head, "rows": Gap("rows")})
     row = report.item({ka: Gap("a"), kb: [Gap("b"), 1]})
-    texts = [row.fill(a=row.text(a, "a"), b=row.text(b, "b")) for a, b in rows]
+    texts = [row.fill(a=row.text(a), b=row.text(b)) for a, b in rows]
     pieces = []
     report.dump(texts, pieces.append)
     whole = {**head, "rows": [{ka: a, kb: [b, 1]} for a, b in rows]}
-    assert "".join(pieces) == reference_dumps(whole)
+    assert "".join(pieces) == rows_dumps(whole, "rows")
 
 
 @pytest.mark.parametrize("head", ["\x00", "\x00rows", "\\u0000rows"])
@@ -173,22 +174,31 @@ def test_template_head_strings_make_no_gap(head):
     report = Template({"h": head, head: [head], "rows": Gap("rows")})
     row = report.item([Gap("a"), 1])
     pieces = []
-    report.dump([row.fill(a=row.text(1.5, "a"))], pieces.append)
-    assert list(report.depths) == ["rows"]
-    assert "".join(pieces) == reference_dumps({"h": head, head: [head], "rows": [[1.5, 1]]})
+    report.dump([row.fill(a=row.text(1.5))], pieces.append)
+    assert len(report.pieces) == 2
+    whole = {"h": head, head: [head], "rows": [[1.5, 1]]}
+    assert "".join(pieces) == rows_dumps(whole, "rows")
 
 
 @pytest.mark.parametrize("depth", [0, 3])
-def test_template_gap_on_the_first_line_takes_the_template_depth(depth):
-    value = {"a": [1, 2]}
-    template = Template(Gap("x"), depth)
-    assert template.depths == {"x": depth}
-    expected = reference_dumps(value).replace("\n", "\n" + "  " * depth)
-    assert template.fill(x=template.text(value, "x")) == expected
+def test_template_list_gap_takes_the_indent_of_its_line(depth):
+    # at depth 0 the gap is the whole payload, on the first line
+    path = ["k"] * depth
+
+    def nested(value):
+        for key in path:
+            value = {key: value}
+        return value
+
+    report = Template(nested(Gap("rows")))
+    row = report.item({"a": Gap("a")})
+    pieces = []
+    report.dump([row.fill(a=row.text(v)) for v in (1.5, {"b": [1, 2]})], pieces.append)
+    assert "".join(pieces) == rows_dumps(nested([{"a": 1.5}, {"a": {"b": [1, 2]}}]), *path)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_template_text_rejects_out_of_range_floats(bad):
     row = Template({"rows": Gap("rows")}).item({"s": Gap("s")})
     with pytest.raises(ValueError):
-        row.text(bad, "s")
+        row.text(bad)
