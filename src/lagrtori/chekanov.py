@@ -34,6 +34,7 @@ from .geometry import (
     doubled_until_agreed,
     loop_symplectic_area,
     rounding_floor,
+    trapezoid_sums,
 )
 
 _EPS_FLOOR = 1e-12
@@ -103,7 +104,8 @@ def conic_total_area(eps: complex) -> tuple[float, float]:
         w = inv * np.exp(2j * math.pi * np.asarray(t, dtype=float))
         return np.stack([w * w, eps * np.ones_like(w), w], axis=-1)
 
-    ests = [loop_symplectic_area(loop) for loop in (near_loop, far_loop)]
+    ests = [loop_symplectic_area(near_loop, (0, 2, 1)),
+            loop_symplectic_area(far_loop, (2, 0, 1))]
     return (ests[0].value + ests[1].value, ests[0].error + ests[1].error)
 
 
@@ -257,7 +259,8 @@ def _section_levels(params: ChekanovParams, ell: float, nodes: int):
     e^{i theta} = (w + r) / (1 + r w) with w = e^{2 pi i tau} and
     r = (1 - s) / (1 + s).  Its weight d theta / (2 pi d tau) is
     s / (s^2 sin^2(pi tau) + cos^2(pi tau)), and it packs nodes near theta = 0,
-    where |eps| is least.  Each doubling evaluates only the new midpoints.
+    where |eps| is least.  The sums come from
+    :func:`~lagrtori.geometry.trapezoid_sums`.
     """
     a, m = params.a, abs(params.mu)
     s = min(1.0, max(math.sqrt(abs(1.0 - a / m)), abs(1.0 - ell)))
@@ -271,23 +274,20 @@ def _section_levels(params: ChekanovParams, ell: float, nodes: int):
         e2 = gap2 + cross * sin2 / den  # |eps|^2, free of cancellation near theta = 0
         x = _level_x(e2, ell)
         p = e2 + (a - m) * (a + m)
-        return float(np.sum((s / den) * x * x * p / (2.0 + x)))
+        return (s / den) * x * x * p / (2.0 + x)
 
-    n = nodes
-    acc = total(np.arange(n) / n)
-    while True:
-        yield n, 0.5 * (2.0 - ell) * acc / n
-        acc += total((np.arange(n) + 0.5) / n)
-        n *= 2
+    return ((n, 0.5 * (2.0 - ell) * acc / n) for n, acc in trapezoid_sums(total, nodes))
 
 
 def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
                            anchor: Anchor | str = Anchor.NEAR_Z0) -> ChekanovPeriods:
     """Periods of the orbit cycle and a fixed section cycle, mod 1.
 
-    Both are Stokes integrals of the primitive of the form, reduced to
-    closed form on the lift (1, eps lam^2, lam), whose disc areas are those
-    :func:`loop_symplectic_area` would integrate around the same loops.
+    Both are Stokes integrals of the primitive of the form on the lift
+    (1, eps lam^2, lam), reduced to closed-form real integrands.  The orbit
+    is in action-angle form, but the section loop (1, eps x, sqrt x) is not:
+    its coordinate phases are those of eps(t), not e^{2 pi i m t}.  So
+    neither period goes through :func:`loop_symplectic_area`.
 
     The orbit period is the area of the anchored in-conic disc bounded by
     the orbit at t = 0: ``radial_area`` at the ``level_radius`` of the area

@@ -9,7 +9,8 @@ The fiber over an interior point is the torus
 
 whose basis cycles d1, d2 (and their sum d3 = d1 + d2) bound standard discs
 with symplectic areas r0, r1 and r0 + r1.  Periods are boundary integrals
-(:func:`lagrtori.geometry.loop_symplectic_area`) around these cycles.
+(:func:`lagrtori.geometry.loop_symplectic_area`) around these cycles: the
+action means p |z0|^2 + q |z1|^2 along them.  Deformed periods are closed forms.
 
 Action coordinates and the exact integral-level enumeration live in
 :mod:`lagrtori.lattice` and are re-exported here.
@@ -29,7 +30,7 @@ from .errors import (
     StencilOutOfDomain,
     UnsupportedClass,
 )
-from .geometry import _mod_unit, loop_symplectic_area
+from .geometry import _mod_unit, loop_symplectic_area, rounding_floor
 from .lattice import (  # re-exported: the exact layer lives in lattice
     ActionCoords,
     BSFiberSet,
@@ -50,6 +51,8 @@ _CHECK_GRID = 64
 _FD_STEP = 2.0 ** -10
 # step of the central differences of ks_jacobian
 _KS_STEP = 1e-4
+# a deformed period level (r + scale c) rounds this many times
+_DEFORMED_ROUNDINGS = 4
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,10 @@ class FiberPeriods(NamedTuple):
     p2_error: float
 
 
-def _loop_periods(loops, level: int) -> FiberPeriods:
-    """``level`` times the boundary integrals around the d1 and d2 loops,
-    mod 1, with ``level`` times their errors."""
-    ests = [loop_symplectic_area(loop) for loop in loops]
-    return FiberPeriods(*(_mod_unit(level * e.value) for e in ests),
-                        *(level * e.error for e in ests))
+def _disc_area(fiber: CliffordFiber, cls: HomologyClass):
+    """Boundary integral around the standard disc of ``cls``, whose loop winds
+    (p, q, 0) times around the coordinate axes."""
+    return loop_symplectic_area(standard_disc(fiber, cls).boundary_loop, (cls.p, cls.q, 0))
 
 
 def fiber_periods(base: ActionCoords | tuple, level: int = 1) -> FiberPeriods:
@@ -167,14 +168,14 @@ def fiber_periods(base: ActionCoords | tuple, level: int = 1) -> FiberPeriods:
     disagreement plus a rounding floor.
     """
     fiber = clifford_fiber(base)
-    return _loop_periods([standard_disc(fiber, cls).boundary_loop for cls in (D1, D2)],
-                         level)
+    ests = [_disc_area(fiber, cls) for cls in (D1, D2)]
+    return FiberPeriods(*(_mod_unit(level * e.value) for e in ests),
+                        *(level * e.error for e in ests))
 
 
 def diagonal_period(base: ActionCoords | tuple, level: int = 1) -> tuple[float, float]:
     """Period of the diagonal cycle d3 (sum of the basis periods mod 1)."""
-    fiber = clifford_fiber(base)
-    est = loop_symplectic_area(standard_disc(fiber, D3).boundary_loop)
+    est = _disc_area(clifford_fiber(base), D3)
     return (_mod_unit(level * est.value), level * est.error)
 
 
@@ -273,40 +274,22 @@ def _check_stays_inside(fiber: CliffordFiber, spec: DeformationSpec) -> None:
         raise LeavesTriangle("deformed action values exit the open moment triangle")
 
 
-def _deformed_lift(fiber: CliffordFiber, spec: DeformationSpec, theta0, theta1):
-    """Coordinate lift of the graph torus at angle parameters (radians)."""
-    i0, i1 = _deformed_actions(fiber, spec, theta0, theta1)
-    z0 = np.sqrt(i0) * np.exp(1j * theta0)
-    z1 = np.sqrt(i1) * np.exp(1j * theta1)
-    z2 = np.sqrt(1.0 - i0 - i1) * np.ones_like(z0)
-    return np.stack([z0, z1, z2], axis=-1)
-
-
-def _deformed_cycle(fiber: CliffordFiber, spec: DeformationSpec, cls: HomologyClass):
-    """Lifted loop of the deformed d1 or d2 cycle (the other angle fixed at 0)."""
-
-    def loop(t):
-        theta = _TWO_PI * np.asarray(t, dtype=float)
-        zero = np.zeros_like(theta)
-        if cls == D1:
-            return _deformed_lift(fiber, spec, theta, zero)
-        return _deformed_lift(fiber, spec, zero, theta)
-
-    return loop
-
-
 def deformed_fiber_periods(fiber: CliffordFiber, spec: DeformationSpec,
                            level: int = 1) -> FiberPeriods:
-    """Periods of the deformed torus: one boundary integral per deformed cycle.
+    """Periods of the deformed torus: ``level`` (r_i + scale c_i) mod 1.
 
     The deformed d_i cycle bounds the fiber's standard disc glued to the tube
     that interpolates the action values between the two cycles at fixed
-    angle.  That chain has a nonvanishing lift (the interpolated actions stay
-    in the open triangle), so by Stokes its area is the boundary integral
-    around the deformed cycle alone.
+    angle, so its area is the mean of the action i_0 (or i_1) along the
+    cycle.  The exact part df has mean 0 there, so that is the closed form
+    :class:`DeformationSpec` promises; a sampled rule would alias a
+    high-frequency f.  The errors are rounding floors.  LeavesTriangle if the
+    actions leave the open triangle on the check grid.
     """
     if level < 1:
         raise ValueError("level must be positive")
     _check_stays_inside(fiber, spec)
-    return _loop_periods([_deformed_cycle(fiber, spec, cls) for cls in (D1, D2)],
-                         level)
+    areas = [level * (r + spec.scale * c)
+             for r, c in zip(fiber.base.as_floats(), (spec.c1, spec.c2))]
+    return FiberPeriods(*(_mod_unit(x) for x in areas),
+                        *(rounding_floor(_DEFORMED_ROUNDINGS, x) for x in areas))

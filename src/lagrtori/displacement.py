@@ -375,7 +375,7 @@ def build_diagonal_rotation(alpha_samples) -> RotationReport:
             raise ValueError("alpha values must lie strictly inside (0, 1)")
         section = _sphere_section(alpha)
         # the u = 0 edge of the section is a point, so the u = 1 edge bounds it
-        area = loop_symplectic_area(lambda t: section(np.ones_like(t), t))
+        area = loop_symplectic_area(lambda t: section(np.ones_like(t), t), (0, 1, 0))
         if abs(area.value - alpha) + area.error > _ROTATION_AREA_TOL:
             raise NormalizationFailure(f"reduced area {area.value!r} (error {area.error:.1e})"
                                        f" differs from alpha = {alpha}")

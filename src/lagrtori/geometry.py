@@ -7,37 +7,34 @@ the coordinate expression
 
     omega_p(u, v) = -(1/pi) * Im <u, v>,    <a, b> = sum_i a_i conj(b_i)
 
-for unit-norm ``p`` and horizontal ``u``, ``v``.  The sign is pinned by the
-line-area test in the suite, not by an external convention.
+for unit-norm ``p`` and horizontal ``u``, ``v``.  The sign, which makes
+complex curves positively oriented, is pinned by the line-area test in the
+suite, not by an external convention.
 
 The form is exact on coordinate space minus the origin, with primitive
-
-    alpha_z(u) = -(FS_SCALE / 2) * Im <u, z> / |z|^2,
-
-so the area of a disc lifted into that space is the integral of ``alpha``
-around its lifted boundary loop.  :func:`loop_symplectic_area` integrates it
-with the trapezoid rule and a spectral derivative; it is the one generic
-area primitive of the package, behind every disc area, fiber period and
-reduced-sphere area.  Where Stokes reduces a period to a closed-form real
-integrand (the Chekanov section and orbit periods), the caller integrates
-that integrand instead.  Either way the node count doubles through one
-driver, :func:`doubled_until_agreed`, which owns the stopping rule, the
-node cap and the rounding floor of every reported error.
+alpha_z(u) = (1 / 2 pi) Im <u, z> / |z|^2, so the area of a disc lifted into
+that space is the integral of ``alpha`` around its lifted boundary loop.
+Every loop the package integrates is in action-angle form: coordinate k is
+e^{2 pi i m_k t} times a function on one line through 0.  There alpha is the
+action mean sum_k m_k |z_k|^2 / |z|^2 dt, and :func:`loop_symplectic_area`
+takes its trapezoid mean; it is the one area primitive of the package,
+behind every disc area, fiber period and reduced-sphere area.  Where Stokes
+reduces a period to another closed-form real integrand (the Chekanov
+section and orbit periods), the caller integrates that integrand instead.
+Either way the sums come from one midpoint-doubling trapezoid,
+:func:`trapezoid_sums`, and one driver, :func:`doubled_until_agreed`, owns
+the stopping rule, the node cap and the rounding floor of every reported
+error.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import NonConvergent, ZeroVector
-
-# Single global constant multiplying Im<u, v>; its magnitude makes a line
-# have unit area and its sign makes complex curves positively oriented.
-FS_SCALE = -1.0 / math.pi
 
 
 def hermdot(a, b):
@@ -127,32 +124,50 @@ def doubled_until_agreed(levels: Iterator[tuple[int, float]]) -> AreaEstimate:
     raise ValueError("the levels ended before two of them agreed")
 
 
-def _loop_area_once(loop: Callable[[np.ndarray], np.ndarray], n: int) -> float:
-    z = _unit_rows(loop(np.arange(n) / n))
-    k = np.fft.fftfreq(n, 1.0 / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0  # the unpaired Nyquist mode has no real derivative
-    dz = np.fft.ifft((2j * math.pi * k)[:, None] * np.fft.fft(z, axis=0), axis=0)
-    return -0.5 * FS_SCALE * float(np.mean(np.imag(hermdot(dz, z))))
+def trapezoid_sums(f: Callable[[np.ndarray], np.ndarray],
+                   nodes: int) -> Iterator[tuple[int, float]]:
+    """(n, sum of ``f`` over the nodes k / n) for n = ``nodes``, 2 ``nodes``,
+    4 ``nodes``, ...: the sums of the trapezoid rule of a 1-periodic ``f`` on
+    [0, 1).  Each doubling evaluates ``f`` only at the n new midpoints."""
+    n = nodes
+    acc = float(np.sum(f(np.arange(n) / n)))
+    while True:
+        yield n, acc
+        acc += float(np.sum(f((np.arange(n) + 0.5) / n)))
+        n *= 2
 
 
-def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray]) -> AreaEstimate:
-    """Integral of the primitive of the form around a closed lifted loop.
+# |sum_t u^2| may fall short of sum_t |u|^2 by this much per node on a line
+_LINE_TOL = 1e-12
 
-    ``loop(t)`` maps an array of t in [0, 1) to lifts along the last axis and
-    must be smooth and 1-periodic in coordinate space, not only projectively.
-    By Stokes the result is the area of any disc whose lift in coordinate
-    space minus the origin has this loop as its boundary; a different lift of
-    the same projective loop changes it by a whole number.
 
-    The trapezoid rule on equispaced samples, with the derivative taken
-    spectrally, converges exponentially on smooth periodic loops.  The node
-    count starts at LOOP_NODES and doubles through
-    :func:`doubled_until_agreed`; the spectral derivative needs every node
-    again at each level.
+def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
+                         windings) -> AreaEstimate:
+    """Integral of the primitive of the form around a closed lifted loop in
+    action-angle form.
+
+    ``loop(t)`` maps an array of t in [0, 1) to lifts along the last axis;
+    coordinate k must be e^{2 pi i m_k t} times a function of t on one line
+    through 0, where m = ``windings``.  Then the primitive is
+    sum_k m_k |z_k|^2 / |z|^2 dt, and the result is its trapezoid mean, with
+    the node count doubled from LOOP_NODES through
+    :func:`doubled_until_agreed`.  For constant moduli the first two levels
+    agree and the error is the rounding floor.  By Stokes the result is the
+    area of any disc whose lift in coordinate space minus the origin has this
+    loop as its boundary.  ValueError if a coordinate, its windings taken
+    off, leaves its line: |sum_t u_k^2| < sum_t |u_k|^2.
     """
-    return doubled_until_agreed(
-        (LOOP_NODES << k, _loop_area_once(loop, LOOP_NODES << k)) for k in itertools.count())
+    m = np.asarray(windings, dtype=float)
+
+    def actions(t):
+        w = _unit_rows(loop(t))
+        moduli2 = np.abs(w) ** 2
+        u = w * np.exp(-2j * math.pi * t[:, None] * m)
+        if np.any(moduli2.sum(axis=0) - np.abs(np.sum(u * u, axis=0)) > _LINE_TOL * len(t)):
+            raise ValueError(f"the loop is not in action-angle form with windings {windings}")
+        return moduli2 @ m
+
+    return doubled_until_agreed((n, acc / n) for n, acc in trapezoid_sums(actions, LOOP_NODES))
 
 
 def chordal_distance(z, w) -> np.ndarray:

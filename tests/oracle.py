@@ -1,4 +1,4 @@
-"""Independent 2-D oracle for the areas the package computes by Stokes.
+"""Independent oracles for the areas the package computes by Stokes.
 
 Every area in ``lagrtori`` is a 1-D boundary integral of the primitive of
 the form, and the package keeps only loops and lift functions.  This module
@@ -6,10 +6,12 @@ holds the surfaces themselves: the line, the in-conic discs, the standard
 discs of a fiber, the fiber and its deformed graphs.  It integrates the form
 over them: it pulls the form back through fourth-order central differences
 of the lift and integrates with tensor Gauss-Legendre quadrature, refining
-once to estimate the error.  It also holds the linear coning of a loop to a
-basepoint, a random unitary, the consistency check of a disc with
-boundary and the one-matrix all-pairs chordal search, which only the tests
-use.
+once to estimate the error.  For loops it holds the generic boundary rule,
+the trapezoid rule with a spectral derivative, which needs no windings and
+so also integrates a loop whose coordinates a unitary has mixed.  It also
+holds the linear coning of a loop to a basepoint, a random unitary, the
+consistency check of a disc with boundary and the one-matrix all-pairs
+chordal search, which only the tests use.
 
 For the exact layer it holds the dichotomy in plain ``Fraction`` operators
 and the ``bs-count`` and ``enc-report`` texts built as one payload of row
@@ -24,6 +26,7 @@ circle passes near the singular member; the coned discs use 2.5e-4.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -41,7 +44,7 @@ from lagrtori.clifford import (
     DeformationSpec,
     HomologyClass,
     _check_stays_inside,
-    _deformed_lift,
+    _deformed_actions,
 )
 from lagrtori.errors import (
     BoundaryMismatch,
@@ -50,12 +53,21 @@ from lagrtori.errors import (
     LagrtoriError,
     NonConvergent,
 )
-from lagrtori.geometry import FS_SCALE, AreaEstimate, _unit_rows, hermdot
+from lagrtori.geometry import (
+    LOOP_NODES,
+    AreaEstimate,
+    _unit_rows,
+    doubled_until_agreed,
+    hermdot,
+)
 from lagrtori.lattice import ActionCoords, MonotoneWitness, SwapImage, is_monotone
 from lagrtori.maslov import _CHART_FLOOR, DiscWithBoundary
 
 _CONE_FLOOR = 1e-2
 _TWO_PI = 2.0 * math.pi
+# The form is FS_SCALE Im<u, v> on unit lifts: its magnitude makes a line
+# have unit area and its sign makes complex curves positively oriented.
+FS_SCALE = -1.0 / math.pi
 
 
 class Surface(NamedTuple):
@@ -165,15 +177,63 @@ def fiber_surface(fiber: CliffordFiber) -> Surface:
                    periodic=(True, True))
 
 
+def deformed_lift(fiber: CliffordFiber, spec: DeformationSpec, theta0, theta1):
+    """Coordinate lift of the graph torus at angle parameters (radians)."""
+    i0, i1 = _deformed_actions(fiber, spec, theta0, theta1)
+    z0 = np.sqrt(i0) * np.exp(1j * theta0)
+    z1 = np.sqrt(i1) * np.exp(1j * theta1)
+    z2 = np.sqrt(1.0 - i0 - i1) * np.ones_like(z0)
+    return np.stack([z0, z1, z2], axis=-1)
+
+
+def deformed_cycle(fiber: CliffordFiber, spec: DeformationSpec, cls: HomologyClass):
+    """Lifted loop of the deformed d1 or d2 cycle (the other angle fixed at 0)."""
+
+    def loop(t):
+        theta = _TWO_PI * np.asarray(t, dtype=float)
+        zero = np.zeros_like(theta)
+        if cls == D1:
+            return deformed_lift(fiber, spec, theta, zero)
+        return deformed_lift(fiber, spec, zero, theta)
+
+    return loop
+
+
 def deformed_surface(fiber: CliffordFiber, spec: DeformationSpec) -> Surface:
     """Graph torus of the deformation one-form over the fiber, in the fiber's
     angle parametrization; LeavesTriangle when it leaves the open triangle."""
     _check_stays_inside(fiber, spec)
     return Surface(
-        lambda s, t: _deformed_lift(fiber, spec, _TWO_PI * np.asarray(s, dtype=float),
+        lambda s, t: deformed_lift(fiber, spec, _TWO_PI * np.asarray(s, dtype=float),
                                     _TWO_PI * np.asarray(t, dtype=float)),
         periodic=(True, True),
     )
+
+
+# ---------------------------------------------------------------------------
+# the spectral boundary rule
+# ---------------------------------------------------------------------------
+
+
+def _spectral_area_once(loop: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    z = _unit_rows(loop(np.arange(n) / n))
+    k = np.fft.fftfreq(n, 1.0 / n)
+    if n % 2 == 0:
+        k[n // 2] = 0.0  # the unpaired Nyquist mode has no real derivative
+    dz = np.fft.ifft((2j * math.pi * k)[:, None] * np.fft.fft(z, axis=0), axis=0)
+    return -0.5 * FS_SCALE * float(np.mean(np.imag(hermdot(dz, z))))
+
+
+def spectral_loop_area(loop: Callable[[np.ndarray], np.ndarray]) -> AreaEstimate:
+    """Integral of the primitive -(FS_SCALE / 2) Im<z', z> / |z|^2 around any
+    smooth closed lifted loop, 1-periodic in coordinate space.
+
+    The trapezoid rule on equispaced samples, with the derivative taken
+    spectrally, converges exponentially on smooth periodic loops; the node
+    count doubles from LOOP_NODES through ``doubled_until_agreed``.
+    """
+    return doubled_until_agreed(
+        (LOOP_NODES << k, _spectral_area_once(loop, LOOP_NODES << k)) for k in itertools.count())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from lagrtori.clifford import (
     D3,
     DeformationSpec,
     HomologyClass,
-    _deformed_cycle,
     clifford_fiber,
     deformed_fiber_periods,
     diagonal_period,
@@ -33,6 +32,7 @@ from lagrtori.errors import (
 from lagrtori.geometry import loop_symplectic_area
 from oracle import (
     Surface,
+    deformed_cycle,
     deformed_surface,
     fiber_surface,
     standard_disc_surface,
@@ -153,7 +153,7 @@ BASES = [(0.15, 0.15), (0.3, 0.45), (0.45, 0.3)]
 @pytest.mark.parametrize("cls", [D1, D2, D3])
 def test_boundary_loop_matches_2d_disc_area(base, cls):
     fiber = clifford_fiber(base)
-    loop = loop_symplectic_area(standard_disc(fiber, cls).boundary_loop)
+    loop = loop_symplectic_area(standard_disc(fiber, cls).boundary_loop, (cls.p, cls.q, 0))
     assert loop.value == pytest.approx(
         surface_symplectic_area(standard_disc_surface(fiber, cls)).value, abs=1e-7)
 
@@ -309,6 +309,17 @@ def test_level_multiplies_deformed_periods():
     assert got.p2 == pytest.approx((3 * (0.35 + 0.0125)) % 1.0, abs=6e-6)
 
 
+def test_high_frequency_exact_part_moves_no_period():
+    # sampled at 32 and 64 nodes sin(64 theta0) aliases to its extreme on both
+    # levels, so a sampled rule agreed with itself on p1 = 0.0820; the torus
+    # stays inside, with i0 in [0.018, 0.082]
+    spec = DeformationSpec(0.0, 0.0, f=lambda a, b: 0.0005 * np.sin(64 * a))
+    got = deformed_fiber_periods(clifford_fiber((0.05, 0.3)), spec)
+    assert abs(got.p1 - 0.05) <= got.p1_error
+    assert abs(got.p2 - 0.3) <= got.p2_error
+    assert 0.0 < got.p1_error < 1e-15
+
+
 def test_deformation_leaving_triangle_rejected():
     fiber = clifford_fiber((0.1, 0.1))
     with pytest.raises(LeavesTriangle):
@@ -347,7 +358,7 @@ def test_deformed_cycle_matches_disc_plus_tube(base, cls_shift):
     got = deformed_fiber_periods(fiber, spec)
     for cls, period in ((D1, got.p1), (D2, got.p2)):
         disc = standard_disc(fiber, cls)
-        tube = _tube(disc.boundary_loop, _deformed_cycle(fiber, spec, cls))
+        tube = _tube(disc.boundary_loop, deformed_cycle(fiber, spec, cls))
         oracle = (surface_symplectic_area(standard_disc_surface(fiber, cls)).value
                   + surface_symplectic_area(tube).value)
         assert period == pytest.approx(oracle, abs=1e-7)

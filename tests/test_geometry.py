@@ -2,25 +2,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrtori.chekanov import ChekanovParams, conic_total_area, torus_periods_chekanov
-from lagrtori.clifford import diagonal_period, enumerate_bs_fibers, fiber_periods
+from lagrtori.clifford import (
+    D1,
+    D2,
+    D3,
+    DeformationSpec,
+    clifford_fiber,
+    diagonal_period,
+    enumerate_bs_fibers,
+    fiber_periods,
+    standard_disc,
+)
+from lagrtori.displacement import _sphere_section
 from lagrtori.errors import NonConvergent, ZeroVector
 from lagrtori.geometry import (
-    FS_SCALE,
     _unit_rows,
     canonical_gauge,
     chordal_distance,
     doubled_until_agreed,
     hermdot,
+    loop_symplectic_area,
     moment_map,
     phase_aligned_residual,
+    trapezoid_sums,
 )
 from oracle import (
+    FS_SCALE,
     Surface,
+    conic_disc_surface,
+    deformed_cycle,
     fs_pullback_raw,
     line_surface,
     random_unitary,
+    spectral_loop_area,
     surface_form_grid,
     surface_symplectic_area,
 )
@@ -201,3 +219,82 @@ def test_no_reported_error_is_zero():
             p = torus_periods_chekanov(ChekanovParams(a, 1.0, delta))
             errors += [p.orbit_error, p.section_error]
     assert min(errors) > 0.0
+
+
+def test_trapezoid_sums_evaluate_only_the_new_midpoints():
+    calls = []
+
+    def f(t):
+        calls.append(len(t))
+        return np.cos(2.0 * math.pi * t) ** 2
+
+    sums = trapezoid_sums(f, 3)
+    assert [next(sums)[0] for _ in range(4)] == [3, 6, 12, 24]
+    assert calls == [3, 3, 6, 12]
+    n, acc = next(sums)
+    assert acc / n == pytest.approx(0.5, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the action-angle mean against the spectral rule
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def action_angle_loops(draw):
+    """(loop, windings) from one of the four loop families the package
+    integrates; only the deformed cycles have moduli that vary along the loop."""
+    family = draw(st.sampled_from(["disc", "deformed", "conic", "sphere"]))
+    if family in ("disc", "deformed"):
+        r0 = draw(st.floats(0.1, 0.7))
+        fiber = clifford_fiber((r0, draw(st.floats(0.1, 0.8 - r0))))
+        if family == "disc":
+            cls = draw(st.sampled_from([D1, D2, D3]))
+            return standard_disc(fiber, cls).boundary_loop, (cls.p, cls.q, 0)
+        # a band-limited exact part: |df| <= 3 amp keeps the actions inside
+        j, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        amp, phase = draw(st.floats(0.0, 0.005)), draw(st.floats(0.0, 2.0 * math.pi))
+        spec = DeformationSpec(draw(st.floats(-0.03, 0.03)), draw(st.floats(-0.03, 0.03)),
+                               f=lambda a, b: amp * np.sin(j * a + k * b + phase))
+        cls = draw(st.sampled_from([D1, D2]))
+        return deformed_cycle(fiber, spec, cls), (cls.p, cls.q, 0)
+    if family == "conic":
+        eps = draw(st.floats(0.01, 10.0)) * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        inverted = draw(st.booleans())
+        disc = conic_disc_surface(eps, draw(st.floats(0.2, 5.0)), inverted)
+        return (lambda t: disc(np.ones_like(t), t)), ((2, 0, 1) if inverted else (0, 2, 1))
+    section = _sphere_section(draw(st.floats(0.01, 0.99)))
+    return (lambda t: section(np.ones_like(t), t)), (0, 1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=action_angle_loops())
+def test_action_mean_matches_the_spectral_rule(case):
+    loop, windings = case
+    got, want = loop_symplectic_area(loop, windings), spectral_loop_area(loop)
+    assert abs(got.value - want.value) <= got.error + want.error
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_area_rejects_a_moved_line(seed):
+    # a unitary mixes the coordinates, so the line's windings no longer fit
+    line = line_surface().moved(random_unitary(np.random.RandomState(seed)))
+    with pytest.raises(ValueError, match="action-angle form"):
+        loop_symplectic_area(lambda t: line(np.ones_like(t), t), (0, 1, 0))
+
+
+def test_area_rejects_wrong_windings():
+    fiber = clifford_fiber((0.2, 0.3))
+    with pytest.raises(ValueError, match="action-angle form"):
+        loop_symplectic_area(standard_disc(fiber, D1).boundary_loop, (0, 1, 0))
+    with pytest.raises(ValueError, match="action-angle form"):
+        loop_symplectic_area(standard_disc(fiber, D3).boundary_loop, (1, 0, 0))
+
+    # a circle off center in the line {z2 = 0} fits no windings at all
+    def off_center(t):
+        return np.stack([np.ones_like(t) + 0j, 0.5 + np.exp(2j * math.pi * t),
+                         np.zeros_like(t) + 0j], axis=-1)
+
+    for m in (0, 1, -1):
+        with pytest.raises(ValueError, match="action-angle form"):
+            loop_symplectic_area(off_center, (0, m, 0))

@@ -151,7 +151,7 @@ SIGNATURES = {
     "interior_rational_grid": ("n",),
     "is_monotone": ("fiber_periods", "mus"),
     "ks_jacobian": ("base",),
-    "loop_symplectic_area": ("loop",),
+    "loop_symplectic_area": ("loop", "windings"),
     "maslov_index": ("d",),
     "moment_map": ("z",),
     "standard_disc": ("fiber", "cls"),

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp
 
 from lagrtori.chekanov import ChekanovParams, torus_periods_chekanov
-from lagrtori.geometry import FS_SCALE
+from oracle import FS_SCALE
 
 
 def _section_period_reference(a: float, mu: float, delta: float):
