@@ -8,9 +8,8 @@ The fiber over an interior point is the torus
     (theta0, theta1) |-> [sqrt(r0) e^{i theta0} : sqrt(r1) e^{i theta1} : sqrt(1 - r0 - r1)]
 
 whose basis cycles d1, d2 (and their sum d3 = d1 + d2) bound standard discs
-with symplectic areas r0, r1 and r0 + r1.  Periods are boundary integrals
-(:func:`lagrtori.geometry.loop_symplectic_area`) around these cycles: the
-action means p |z0|^2 + q |z1|^2 along them.  Deformed periods are closed forms.
+with symplectic areas r0, r1 and r0 + r1 (Cho-Oh, Asian J. Math. 10, 2006);
+periods are these areas, exact and rounded once; deformed ones closed forms.
 
 Action coordinates and the exact integral-level enumeration live in
 :mod:`lagrtori.lattice` and are re-exported here.
@@ -19,6 +18,7 @@ Action coordinates and the exact integral-level enumeration live in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -30,7 +30,7 @@ from .errors import (
     StencilOutOfDomain,
     UnsupportedClass,
 )
-from .geometry import _mod_unit, loop_symplectic_area, rounding_floor
+from .geometry import _mod_unit, rounding_floor
 from .lattice import (  # re-exported: the exact layer lives in lattice
     ActionCoords,
     BSFiberSet,
@@ -152,31 +152,29 @@ class FiberPeriods(NamedTuple):
     p2_error: float
 
 
-def _disc_area(fiber: CliffordFiber, cls: HomologyClass):
-    """Boundary integral around the standard disc of ``cls``, whose loop winds
-    (p, q, 0) times around the coordinate axes."""
-    return loop_symplectic_area(standard_disc(fiber, cls).boundary_loop, (cls.p, cls.q, 0))
+def _period(base, cls: HomologyClass, level) -> tuple[float, float]:
+    """``level`` (p r0 + q r1) mod 1 on the base's exact integers, rounded
+    once, and its ulp as the error (a value rounded up to 1 reads 0)."""
+    level = operator.index(level)
+    if level < 1:
+        raise ValueError("level must be positive")
+    n0, d0, n1, d1 = clifford_fiber(base).base.exact
+    value = level * (cls.p * n0 * d1 + cls.q * n1 * d0) % (d0 * d1) / (d0 * d1)
+    return value % 1.0, math.ulp(value)
 
 
 def fiber_periods(base: ActionCoords | tuple, level: int = 1) -> FiberPeriods:
-    """Periods of the fiber's basis cycles at integrality level ``level``.
-
-    Each period is ``level`` times the standard-disc area, reduced mod 1 to
-    [0, 1); at level 1 they recover the action coordinates of the base.  The
-    areas are boundary integrals around the standard discs' boundary loops;
-    the errors are ``level`` times the boundary rule's error, its level
-    disagreement plus a rounding floor.
-    """
-    fiber = clifford_fiber(base)
-    ests = [_disc_area(fiber, cls) for cls in (D1, D2)]
-    return FiberPeriods(*(_mod_unit(level * e.value) for e in ests),
-                        *(level * e.error for e in ests))
+    """Periods of the basis cycles at integrality level ``level``: ``level``
+    r0 and ``level`` r1 mod 1 on the base's exact integers, rounded once to
+    [0, 1), with the ulp as error.  TypeError for a non-integer ``level``,
+    ValueError below 1."""
+    (p1, e1), (p2, e2) = (_period(base, cls, level) for cls in (D1, D2))
+    return FiberPeriods(p1, p2, e1, e2)
 
 
 def diagonal_period(base: ActionCoords | tuple, level: int = 1) -> tuple[float, float]:
-    """Period of the diagonal cycle d3 (sum of the basis periods mod 1)."""
-    est = _disc_area(clifford_fiber(base), D3)
-    return (_mod_unit(level * est.value), level * est.error)
+    """Period ``level`` (r0 + r1) mod 1 of d3 and its error, as in :func:`fiber_periods`."""
+    return _period(base, D3, level)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +192,9 @@ def ks_jacobian(base: ActionCoords | tuple) -> KSResult:
 
     The lift is fixed by requiring both periods nonnegative and vanishing on
     the edges where their cycles collapse; inside the triangle it is the map
-    to the level-1 periods (p1, p2) of :func:`fiber_periods`, which the
-    stencil differences with step 1e-4.  Raises StencilOutOfDomain when the
-    stencil would leave the open triangle.
+    to the exact level-1 periods (p1, p2) of :func:`fiber_periods`, which
+    the stencil differences with step 1e-4.  Raises StencilOutOfDomain when
+    the stencil would leave the open triangle.
     """
     if not isinstance(base, ActionCoords):
         base = ActionCoords(*base)

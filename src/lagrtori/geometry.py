@@ -18,9 +18,9 @@ Every loop the package integrates is in action-angle form: coordinate k is
 e^{2 pi i m_k t} times a function on one line through 0.  There alpha is the
 action mean sum_k m_k |z_k|^2 / |z|^2 dt, and :func:`loop_symplectic_area`
 takes its trapezoid mean; it is the one area primitive of the package,
-behind every disc area, fiber period and reduced-sphere area.  Where Stokes
-reduces a period to another closed-form real integrand (the Chekanov
-section and orbit periods), the caller integrates that integrand instead.
+behind the conic disc and reduced-sphere areas.  Where a period is in closed
+form (toric fibers) or Stokes reduces it to another closed-form real integrand
+(the Chekanov section and orbit periods), the caller uses that instead.
 Either way the sums come from one midpoint-doubling trapezoid,
 :func:`trapezoid_sums`, and one driver, :func:`doubled_until_agreed`, owns
 the stopping rule, the node cap and the rounding floor of every reported

@@ -286,11 +286,11 @@ def dichotomy(base: ActionCoords) -> SwapImage | MonotoneWitness:
 
     Combines the exact swap-displacement test (:func:`swap_image`), the exact
     tripled-period integrality test (3 r0 and 3 r1 integers) and the
-    universal-class witness.  Returns the swap that displaces the fiber, or
-    the witness that it is monotone.  Exactly one verdict must fire, else
-    InternalContradiction; both diagonals of the dichotomy meet only at
-    (1/3, 1/3).  A float is decided as the binary rational it stores, so
-    pass ``Fraction(1, 3)`` for the centroid.
+    universal-class witness on the same integers.  Returns the swap that
+    displaces the fiber, or the witness that it is monotone.  Exactly one
+    verdict must fire, else InternalContradiction; both diagonals of the
+    dichotomy meet only at (1/3, 1/3).  A float is decided as the binary
+    rational it stores, so pass ``Fraction(1, 3)`` for the centroid.
     """
     if not base.is_interior():
         raise ValueError("verdict expects an interior fiber")
@@ -300,8 +300,9 @@ def dichotomy(base: ActionCoords) -> SwapImage | MonotoneWitness:
     n0, d0, n1, d1 = base.exact
     witness = None
     if 3 * n0 % d0 == 0 and 3 * n1 % d1 == 0:
-        r0, r1 = float(base.r0), float(base.r1)
-        witness = is_monotone((r0, r1, r0 + r1), (1, 1, 2))
+        t0, t1 = 3 * n0 // d0, 3 * n1 // d1  # mu - 3 p on D1, D2, D3 below
+        cls = (1 - t0, 1 - t1, 2 - t0 - t1)
+        witness = MonotoneWitness(cls == (0, 0, 0), True, 0.0, cls)
     monotone = witness is not None and witness.monotone
 
     if displaced and not monotone:

@@ -171,6 +171,57 @@ def test_periods_match_closed_forms_within_their_errors(base, level):
         assert gap <= err + 1e-15
 
 
+def _exact_mod1_gap(value, exact) -> Fraction:
+    gap = (Fraction(value) - exact) % 1
+    return min(gap, 1 - gap)
+
+
+@st.composite
+def _interior_bases(draw):
+    if draw(st.booleans()):
+        d0, d1 = (draw(st.integers(2, 10**6)) for _ in range(2))
+        r0 = Fraction(draw(st.integers(1, d0 - 1)), d0)
+        r1 = Fraction(draw(st.integers(1, d1 - 1)), d1)
+    else:
+        r0, r1 = (draw(st.floats(1e-6, 1.0, exclude_max=True)) for _ in range(2))
+    assume(Fraction(r0) + Fraction(r1) < 1)
+    return r0, r1
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=_interior_bases(), level=st.integers(1, 60))
+def test_periods_are_the_exact_rationals_rounded_once(base, level):
+    r0, r1 = (Fraction(r) for r in base)
+    p = fiber_periods(base, level=level)
+    d3 = diagonal_period(base, level=level)
+    fiber = clifford_fiber(base)
+    for cls, (got, err), want in ((D1, (p.p1, p.p1_error), r0),
+                                  (D2, (p.p2, p.p2_error), r1), (D3, d3, r0 + r1)):
+        assert 0.0 <= got < 1.0 and err > 0.0
+        assert _exact_mod1_gap(got, level * want) <= Fraction(err)
+        loop = loop_symplectic_area(standard_disc(fiber, cls).boundary_loop,
+                                    (cls.p, cls.q, 0))
+        assert (_exact_mod1_gap(got, level * Fraction(loop.value))
+                <= Fraction(err) + level * Fraction(loop.error))
+
+
+def test_integral_periods_read_exactly_zero():
+    base = (Fraction(1, 15), Fraction(2, 15))
+    p = fiber_periods(base, level=15)
+    assert (p.p1, p.p2) == (0.0, 0.0)
+    assert p.p1_error > 0.0 and p.p2_error > 0.0
+    d3, err = diagonal_period(base, level=5)
+    assert d3 == 0.0 and err > 0.0
+
+
+@pytest.mark.parametrize("level, error", [(-2, ValueError), (0, ValueError),
+                                          (1.5, TypeError)])
+def test_bad_level_rejected(level, error):
+    for periods in (fiber_periods, diagonal_period):
+        with pytest.raises(error):
+            periods((0.2, 0.3), level=level)
+
+
 # ---------------------------------------------------------------------------
 # integral fiber enumeration
 # ---------------------------------------------------------------------------

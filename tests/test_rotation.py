@@ -76,3 +76,23 @@ def _random_uses(tree: ast.AST) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_draws_no_random_numbers(path):
     assert _random_uses(ast.parse(path.read_text())) == []
+
+
+_HEAVY = ("mpmath", "scipy")
+
+
+def _heavy_imports(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in _HEAVY]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.split(".")[0] in _HEAVY:
+                found.append(node.module)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_neither_mpmath_nor_scipy(path):
+    # both are installed where the tests run, so only the source can tell
+    assert _heavy_imports(ast.parse(path.read_text())) == []
