@@ -31,7 +31,7 @@ from .lattice import (
 # numeric module -> the names the package exports from it
 _NUMERIC = {
     "geometry": (
-        "AreaEstimate", "loop_symplectic_area", "moment_map",
+        "AreaEstimate", "moment_map",
     ),
     "clifford": (
         "CliffordFiber", "D1", "D2", "D3", "DeformationSpec", "HomologyClass",

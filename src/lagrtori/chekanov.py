@@ -32,20 +32,25 @@ from .geometry import (
     LOOP_NODES,
     _mod_unit,
     doubled_until_agreed,
-    loop_symplectic_area,
     rounding_floor,
     trapezoid_sums,
 )
 
 _EPS_FLOOR = 1e-12
+# Past this bound on |eps|, |eps|^2 in radial_area and level_radius overflows.
+_EPS_RANGE = 1e150
 
 
 def _require_smooth(eps: complex) -> complex:
+    """``eps`` as a complex; SingularConic for 0 or a value that is not
+    finite, ZeroVector past _EPS_RANGE."""
     eps = complex(eps)
     if not (np.isfinite(eps.real) and np.isfinite(eps.imag)):
         raise SingularConic("pencil parameter must be finite")
     if abs(eps) <= _EPS_FLOOR:
         raise SingularConic("pencil parameter 0 names the singular member")
+    if abs(eps) > _EPS_RANGE:
+        raise ZeroVector(f"no usable magnitude: |eps| = {abs(eps):.3e} > {_EPS_RANGE:.0e}")
     return eps
 
 
@@ -84,29 +89,19 @@ def _level_x(e2, ell) -> np.ndarray:
 
 
 def conic_total_area(eps: complex) -> tuple[float, float]:
-    """Total symplectic area of a smooth member and its error estimate.
+    """Total symplectic area of a smooth member, 2, and its error estimate.
 
-    The member is the union of the two anchored discs bounded by the
-    area-bisecting orbit of radius rho.  The disc around [1:0:0] has the
-    nonvanishing lift (1, eps lam^2, lam) over |lam| <= rho, the one around
-    [0:1:0] the lift (w^2, eps, w) over |w| <= 1/rho; so by Stokes each area
-    is the boundary integral around the orbit in its own lift.
+    The area-bisecting orbit has x = rho^2 = 1 / |eps|, where e^2 x^2 = 1
+    and :func:`radial_area` is (x + 2) / (2 + x) = 1.  The z0 <-> z1 swap
+    preserves the member and exchanges the disc anchored at [1:0:0] with the
+    one anchored at [0:1:0], so the far disc has area 1 too, and the total
+    is 2 radial_area(|eps|, 1 / sqrt|eps|).  The error is the rounding floor
+    of that float evaluation, so it is never 0.  SingularConic and ZeroVector
+    as for :func:`conic_circle`.
     """
-    eps = _require_smooth(eps)
-    mid = 1.0 / math.sqrt(abs(eps))  # the area-bisecting orbit
-    inv = 1.0 / mid
-
-    def near_loop(t):
-        lam = mid * np.exp(2j * math.pi * np.asarray(t, dtype=float))
-        return np.stack([np.ones_like(lam), eps * lam * lam, lam], axis=-1)
-
-    def far_loop(t):
-        w = inv * np.exp(2j * math.pi * np.asarray(t, dtype=float))
-        return np.stack([w * w, eps * np.ones_like(w), w], axis=-1)
-
-    ests = [loop_symplectic_area(near_loop, (0, 2, 1)),
-            loop_symplectic_area(far_loop, (2, 0, 1))]
-    return (ests[0].value + ests[1].value, ests[0].error + ests[1].error)
+    e = abs(_require_smooth(eps))
+    total = 2.0 * float(radial_area(e, 1.0 / math.sqrt(e)))
+    return total, rounding_floor(_BISECTOR_ROUNDINGS, total)
 
 
 class Anchor(str, enum.Enum):
@@ -131,7 +126,9 @@ def conic_circle(eps: complex, delta: float,
 
     The anchor names which pole's disc is measured; the default [1:0:0]
     choice is a convention recorded here and exposed as a flag.  The radius
-    is the closed-form :func:`level_radius` of the area level.
+    is the closed-form :func:`level_radius` of the area level.  SingularConic
+    for eps 0 or not finite; ZeroVector for |eps| > 1e150, where |eps|^2
+    overflows.
     """
     eps = _require_smooth(eps)
     if not -1.0 < delta < 1.0:
@@ -189,10 +186,6 @@ def _named(params: ChekanovParams, what: str) -> str:
     return f"{what} at a={params.a!r}, mu={params.mu!r}, delta={params.delta!r}"
 
 
-# Past this bound on |eps| <= a + |mu|, 4 |eps|^2 in level_radius overflows.
-_EPS_RANGE = 1e150
-
-
 def _require_regular(params: ChekanovParams) -> None:
     """DegenerateFamily if the parameter circle passes through the singular
     member, ZeroVector if the lift would overflow; both name the torus."""
@@ -246,8 +239,10 @@ class ChekanovPeriods(NamedTuple):
     nodes: int  # finest trapezoid node count behind the section period
 
 
-# radial_area rounds about this many times, each within 2^-53 relative
+# radial_area rounds about this many times, each within 2^-53 relative, and
+# the bisecting radius of conic_total_area and its square three more times
 _ORBIT_ROUNDINGS = 8
+_BISECTOR_ROUNDINGS = _ORBIT_ROUNDINGS + 3
 
 
 def _section_levels(params: ChekanovParams, ell: float, nodes: int):
@@ -286,8 +281,8 @@ def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
     Both are Stokes integrals of the primitive of the form on the lift
     (1, eps lam^2, lam), reduced to closed-form real integrands.  The orbit
     is in action-angle form, but the section loop (1, eps x, sqrt x) is not:
-    its coordinate phases are those of eps(t), not e^{2 pi i m t}.  So
-    neither period goes through :func:`loop_symplectic_area`.
+    its coordinate phases are those of eps(t), not e^{2 pi i m t}, so its
+    period is the integral of the real integrand below.
 
     The orbit period is the area of the anchored in-conic disc bounded by
     the orbit at t = 0: ``radial_area`` at the ``level_radius`` of the area

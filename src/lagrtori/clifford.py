@@ -24,12 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BoundaryFiber,
-    LeavesTriangle,
-    StencilOutOfDomain,
-    UnsupportedClass,
-)
+from .errors import BoundaryFiber, LeavesTriangle, UnsupportedClass
 from .geometry import _mod_unit, rounding_floor
 from .lattice import (  # re-exported: the exact layer lives in lattice
     ActionCoords,
@@ -49,8 +44,6 @@ _CHECK_GRID = 64
 # angle; a step such as 1e-3 rounds them and leaves a bias of about 2e-15 in
 # the periods.
 _FD_STEP = 2.0 ** -10
-# step of the central differences of ks_jacobian
-_KS_STEP = 1e-4
 # a deformed period level (r + scale c) rounds this many times
 _DEFORMED_ROUNDINGS = 4
 
@@ -188,29 +181,17 @@ class KSResult(NamedTuple):
 
 
 def ks_jacobian(base: ActionCoords | tuple) -> KSResult:
-    """Central finite-difference Jacobian of the lifted period map.
+    """Jacobian of the lifted period map at an interior base: the identity.
 
     The lift is fixed by requiring both periods nonnegative and vanishing on
-    the edges where their cycles collapse; inside the triangle it is the map
-    to the exact level-1 periods (p1, p2) of :func:`fiber_periods`, which
-    the stencil differences with step 1e-4.  Raises StencilOutOfDomain when
-    the stencil would leave the open triangle.
+    the edges where their cycles collapse.  Inside the triangle the level-1
+    periods of :func:`fiber_periods` are r0 and r1 themselves, since
+    0 < r0, r1 < 1 there, so the lifted period map is (r0, r1) -> (r0, r1),
+    with the identity as Jacobian and determinant 1.  BoundaryFiber for a
+    base on the boundary, as for :func:`clifford_fiber`.
     """
-    if not isinstance(base, ActionCoords):
-        base = ActionCoords(*base)
-    r0, r1 = base.as_floats()
-    step = _KS_STEP
-    pts = [(r0 + step, r1), (r0 - step, r1), (r0, r1 + step), (r0, r1 - step)]
-    for (a, b) in pts:
-        if a <= 0 or b <= 0 or a + b >= 1:
-            raise StencilOutOfDomain(
-                f"stencil point ({a}, {b}) leaves the open triangle"
-            )
-    vals = [np.array(fiber_periods((a, b))[:2]) for (a, b) in pts]
-    col0 = (vals[0] - vals[1]) / (2.0 * step)
-    col1 = (vals[2] - vals[3]) / (2.0 * step)
-    jac = np.stack([col0, col1], axis=-1)
-    return KSResult(jac, float(np.linalg.det(jac)))
+    clifford_fiber(base)
+    return KSResult(np.eye(2), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,41 +11,22 @@ and the pencil map z0 z1 / z2^2 a Chekanov-type torus from its image.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .chekanov import ChekanovParams, TorusType, _require_regular, classify_type
-from .clifford import ActionCoords, CliffordFiber, clifford_fiber
-from .errors import (
-    CriticalPointMiscount,
-    NormalizationFailure,
-    NotChekanovType,
-    NotHermitian,
-)
-from .geometry import (
-    _unit_rows,
-    canonical_gauge,
-    chordal_distance,
-    hermdot,
-    loop_symplectic_area,
-    moment_map,
-    phase_aligned_residual,
-    rounding_floor,
-)
+from .clifford import ActionCoords, CliffordFiber
+from .errors import NormalizationFailure, NotChekanovType, NotHermitian
+from .geometry import hermdot, moment_map, phase_aligned_residual, rounding_floor
 from .lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
 from .serialize import complex_pair, number_or_rational
 
 _HERM_TOL = 1e-12
-# build_diagonal_rotation: sample grid per axis of a reduced sphere, and the
-# gates on its area and weighted integral and on the flow's periodicity
-_ROTATION_GRID = 64
-_ROTATION_AREA_TOL = 1e-6
+# build_diagonal_rotation: the gate on the flow's periodicity
 _ROTATION_PERIOD_TOL = 1e-8
 
 
@@ -71,13 +52,6 @@ class HermitianSymbol:
         z = np.asarray(z, dtype=complex)
         num = hermdot(np.einsum("ij,...j->...i", self.matrix, z), z)
         return num.real / hermdot(z, z).real
-
-    def gradient_residual(self, z) -> np.ndarray:
-        """Norm of Az - f(z) z on unit lifts; zero exactly at critical points."""
-        z = _unit_rows(z)
-        az = np.einsum("ij,...j->...i", self.matrix, z)
-        f = hermdot(az, z).real
-        return np.linalg.norm(az - f[..., None] * z, axis=-1)
 
     def to_json(self) -> dict:
         return {"matrix": [[complex_pair(v) for v in row] for row in self.matrix]}
@@ -231,72 +205,15 @@ def _rotation_symbol() -> HermitianSymbol:
     return HermitianSymbol(m)
 
 
-def _sphere_section(alpha: float) -> Callable[..., np.ndarray]:
-    """Lift function ``lift(u, t)`` of a section of the reduced sphere of the
-    level set {p1 + p2 = alpha}.
-
-    The circle action (z0, z1) -> e^{i s}(z0, z1) preserves the level set;
-    the section fixes the z0 phase, covering the reduced sphere once, so its
-    symplectic area equals the reduced volume.
-    """
-    ra = math.sqrt(alpha)
-    rc = math.sqrt(1.0 - alpha)
-
-    def lift(u, t):
-        u = np.asarray(u, dtype=float)
-        t = np.asarray(t, dtype=float)
-        half = 0.5 * math.pi * u
-        z0 = ra * np.cos(half) * np.ones_like(t)
-        z1 = ra * np.sin(half) * np.exp(2j * math.pi * t)
-        z2 = rc * np.ones_like(z1)
-        return np.stack([z0 + 0j, z1, z2], axis=-1)
-
-    return lift
-
-
-# Duistermaat-Heckman node levels: (Gauss-Legendre nodes in p, orbit points)
-_DH_LEVELS = ((8, 32), (16, 64))
-_leggauss = functools.cache(leggauss)
-
-
-def _weighted_integral(symbol: HermitianSymbol, alpha: float) -> tuple[float, float]:
-    """Integral of the symbol against the form on the reduced sphere, and its error.
-
-    The phase rotation of z1 acts on the reduced sphere of {p1 + p2 = alpha}
-    with moment p = |z1|^2, which pushes the form forward to Lebesgue measure
-    on [0, alpha] (Duistermaat-Heckman); so the integral is that of the orbit
-    mean over p.  The error is the gap between the two node levels plus a
-    rounding floor of nodes * 2^-53 * max|H| * alpha, so it is never 0.
-    """
-    values = []
-    for n_p, n_orbit in _DH_LEVELS:
-        x, w = _leggauss(n_p)
-        p = 0.5 * alpha * (x[:, None] + 1.0)
-        phase = np.exp(2j * math.pi * np.arange(n_orbit) / n_orbit)
-        h = symbol.value(np.stack(np.broadcast_arrays(
-            np.sqrt(alpha - p), np.sqrt(p) * phase, math.sqrt(1.0 - alpha)), axis=-1))
-        values.append(0.5 * alpha * float(w @ h.mean(axis=1)))
-    floor = rounding_floor(n_p * n_orbit, float(np.max(np.abs(h))) * alpha)
-    return values[-1], abs(values[-1] - values[-2]) + floor
-
-
-def _critical_points(symbol: HermitianSymbol) -> list[np.ndarray]:
-    """The projective critical points of the symbol function, by eigh.
-
-    For a Hermitian form with distinct eigenvalues the critical points of
-    its Rayleigh quotient on the plane are exactly the three eigenlines.
-    Raises CriticalPointMiscount when the least eigenvalue gap is at most
-    1e-6 (a repeated eigenvalue makes a whole critical line) or when an
-    eigenline misses gradient_residual < 1e-10.
-    """
-    w, v = np.linalg.eigh(symbol.matrix)
-    points = [canonical_gauge(v[:, k]) for k in range(3)]
-    gaps, residuals = np.diff(w), symbol.gradient_residual(np.array(points))
-    if np.min(gaps) <= 1e-6 or np.max(residuals) >= 1e-10:
-        raise CriticalPointMiscount(
-            f"eigenvalue gaps {gaps.tolist()}, eigenline residuals"
-            f" {residuals.tolist()}: not exactly 3 critical points")
-    return points
+# the eigenlines of _rotation_symbol and their eigenvalues, in ascending order:
+# the matrix sends (1, -1, 0) to -(1, -1, 0), (0, 0, 1) to 0 and (1, 1, 0) to
+# 3 (1, 1, 0)
+_HALF = math.sqrt(0.5)
+_ROTATION_CRITICAL = (
+    (-1.0, (_HALF, -_HALF, 0.0)),
+    (0.0, (0.0, 0.0, 1.0)),
+    (3.0, (_HALF, _HALF, 0.0)),
+)
 
 
 class AlphaReport(NamedTuple):
@@ -349,22 +266,37 @@ class RotationReport:
 def build_diagonal_rotation(alpha_samples) -> RotationReport:
     """Assemble and validate the rotation flow on diagonal level sets.
 
-    For each alpha in (0, 1): the level set {p1 + p2 = alpha} reduces to a
-    sphere whose area must equal alpha; the rotation function restricted
-    there must integrate to alpha^2 and attain its extremes on the marked
-    diagonal circle (the image of the fiber with periods (alpha/2, alpha/2)).
-    Globally the function must have exactly three critical points, and the
-    exact swap flow realizing the same rotation must exchange fiber moment
-    values and be 2 pi periodic.
+    For each alpha in (0, 1) the level set {|z0|^2 + |z1|^2 = alpha} reduces
+    under the circle action (z0, z1) -> e^{i s}(z0, z1) to a sphere, and the
+    section
 
-    Three exact reductions do the work: the sphere area is, by Stokes, the
-    boundary rule on the one edge of the section not collapsed to a point;
-    the weighted integral is, by Duistermaat-Heckman, the integral over
-    p in [0, alpha] of the symbol's z1-orbit mean; the critical points are
-    the eigenlines of the symbol matrix.  Each reported error is a level gap
-    plus a rounding floor, never 0, and each NormalizationFailure gate tests
-    |value - target| + error against 1e-6.  The check points are fixed, so
-    the report is deterministic.
+        (sqrt(alpha) cos(pi u / 2), sqrt(alpha) sin(pi u / 2) e^{2 pi i t}, sqrt(1 - alpha))
+
+    covers it once.  On unit lifts the symbol is
+    |z0|^2 + |z1|^2 + 4 Re(z0 conj(z1)), which the action preserves, and on
+    the section it reads h = alpha (1 + 2 sin(pi u) cos(2 pi t)).  So:
+
+    - the reduced area is alpha: the u = 0 edge of the section is a point,
+      and by Stokes the area is the action mean |z1|^2 = alpha of the u = 1
+      edge (0, sqrt(alpha) e^{2 pi i t}, sqrt(1 - alpha));
+    - the normalization is alpha^2: the phase rotation of z1 has moment
+      p = |z1|^2 and pushes the form forward to Lebesgue measure on
+      [0, alpha] (Duistermaat-Heckman, Invent. Math. 69, 1982), and the
+      orbit mean of h is alpha at every p, as Re(z0 conj(z1)) has mean 0;
+    - the extremes are 3 alpha and -alpha, at u = 1/2 and t = 0 or 1/2: the
+      points (sqrt(alpha/2), +-sqrt(alpha/2), sqrt(1 - alpha)) of the marked
+      diagonal circle, the image of the fiber over (alpha/2, alpha/2), so the
+      gap between extreme and marked locations is 0;
+    - the critical points are the eigenlines of the integer matrix, with its
+      eigenvalues -1, 0 and 3 as values.
+
+    Each reported error is :func:`~lagrtori.geometry.rounding_floor` of one
+    rounding of its value, so it is never 0.  What is computed is the flow,
+    on fixed check points: the report gives how far the exact swap flow
+    realizing the same rotation misses exchanging the fiber moment values,
+    and the rotation flow of :func:`symbol_flow` must be 2 pi periodic
+    within 1e-8, else NormalizationFailure.  ValueError for an alpha outside
+    (0, 1).
     """
     symbol = _rotation_symbol()
 
@@ -373,36 +305,14 @@ def build_diagonal_rotation(alpha_samples) -> RotationReport:
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha values must lie strictly inside (0, 1)")
-        section = _sphere_section(alpha)
-        # the u = 0 edge of the section is a point, so the u = 1 edge bounds it
-        area = loop_symplectic_area(lambda t: section(np.ones_like(t), t), (0, 1, 0))
-        if abs(area.value - alpha) + area.error > _ROTATION_AREA_TOL:
-            raise NormalizationFailure(f"reduced area {area.value!r} (error {area.error:.1e})"
-                                       f" differs from alpha = {alpha}")
-        norm, norm_err = _weighted_integral(symbol, alpha)
-        if abs(norm - alpha * alpha) + norm_err > _ROTATION_AREA_TOL:
-            raise NormalizationFailure(f"rotation function integrates to {norm!r}"
-                                       f" (error {norm_err:.1e}), want alpha^2")
-
-        g = (np.arange(_ROTATION_GRID) + 0.5) / _ROTATION_GRID
-        uu, tt = np.meshgrid(g, g, indexing="ij")
-        pts = _unit_rows(section(uu, tt)).reshape(-1, 3)
-        vals = symbol.value(pts)
-        hi, lo = int(np.argmax(vals)), int(np.argmin(vals))
-        half, rest = math.sqrt(alpha / 2), math.sqrt(1 - alpha)
-        marked_hi, marked_lo = (_unit_rows(np.array([half, sign * half, rest], dtype=complex))
-                                for sign in (1.0, -1.0))
-        gap = max(float(chordal_distance(pts[hi], marked_hi)),
-                  float(chordal_distance(pts[lo], marked_lo)))
-        m_hi = moment_map(marked_hi)
+        norm = alpha * alpha
         reports.append(AlphaReport(
-            alpha, area.value, area.error, norm, norm_err,
-            (float(m_hi[..., 0]), float(m_hi[..., 1])),
-            (float(vals[hi]), float(vals[lo])), gap,
+            alpha, alpha, rounding_floor(1, alpha), norm, rounding_floor(1, norm),
+            (alpha / 2.0, alpha / 2.0), (3.0 * alpha, -alpha), 0.0,
         ))
 
-    crits = _critical_points(symbol)
-    crit_vals = tuple(float(symbol.value(p)) for p in crits)
+    crits = tuple(np.array(p, dtype=complex) for _, p in _ROTATION_CRITICAL)
+    crit_vals = tuple(v for v, _ in _ROTATION_CRITICAL)
 
     # fixed check points: the interior lattice fibers (i/10, j/10), i <= j,
     # at angles off the axes; none lies on a coordinate plane
@@ -425,7 +335,7 @@ def build_diagonal_rotation(alpha_samples) -> RotationReport:
             f"rotation flow misses 2 pi periodicity by {per_dev:.3e}"
         )
 
-    return RotationReport(symbol, tuple(reports), tuple(crits), crit_vals, dev, per_dev)
+    return RotationReport(symbol, tuple(reports), crits, crit_vals, dev, per_dev)
 
 
 # ---------------------------------------------------------------------------

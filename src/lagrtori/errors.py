@@ -28,10 +28,6 @@ class UnsupportedClass(LagrtoriError):
     """A homology class has no standard bounding disc."""
 
 
-class StencilOutOfDomain(LagrtoriError):
-    """A finite-difference stencil would leave the valid parameter domain."""
-
-
 class LeavesTriangle(LagrtoriError):
     """A deformation pushes action values outside the open moment triangle."""
 
@@ -66,10 +62,6 @@ class NotHermitian(LagrtoriError):
 
 class NotChekanovType(LagrtoriError):
     """An operation requires the a < |mu| regime."""
-
-
-class CriticalPointMiscount(LagrtoriError):
-    """The assembled rotation function does not have exactly 3 critical points."""
 
 
 class NormalizationFailure(LagrtoriError):

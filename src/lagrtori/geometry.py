@@ -13,18 +13,16 @@ suite, not by an external convention.
 
 The form is exact on coordinate space minus the origin, with primitive
 alpha_z(u) = (1 / 2 pi) Im <u, z> / |z|^2, so the area of a disc lifted into
-that space is the integral of ``alpha`` around its lifted boundary loop.
-Every loop the package integrates is in action-angle form: coordinate k is
-e^{2 pi i m_k t} times a function on one line through 0.  There alpha is the
-action mean sum_k m_k |z_k|^2 / |z|^2 dt, and :func:`loop_symplectic_area`
-takes its trapezoid mean; it is the one area primitive of the package,
-behind the conic disc and reduced-sphere areas.  Where a period is in closed
-form (toric fibers) or Stokes reduces it to another closed-form real integrand
-(the Chekanov section and orbit periods), the caller uses that instead.
-Either way the sums come from one midpoint-doubling trapezoid,
-:func:`trapezoid_sums`, and one driver, :func:`doubled_until_agreed`, owns
-the stopping rule, the node cap and the rounding floor of every reported
-error.
+that space is the integral of ``alpha`` around its lifted boundary loop.  On
+a loop in action-angle form, coordinate k being e^{2 pi i m_k t} times a
+function on one line through 0, alpha is the action mean
+sum_k m_k |z_k|^2 / |z|^2 dt.  That makes every area the package reports a
+closed form (toric fibers and their deformations, conic discs, the reduced
+spheres of the rotation), except the Chekanov section period, which Stokes
+reduces to a closed-form real integrand.  Its sums come from one
+midpoint-doubling trapezoid, :func:`trapezoid_sums`, and one driver,
+:func:`doubled_until_agreed`, owns the stopping rule, the node cap and the
+rounding floor of its reported error.
 """
 
 from __future__ import annotations
@@ -57,15 +55,6 @@ def _unit_rows(z):
     return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
-def canonical_gauge(z) -> np.ndarray:
-    """Unit representative rephased so its first non-negligible coordinate is
-    real and positive; used for serialization only, never for calculus."""
-    z = _unit_rows(z)
-    idx = int(np.argmax(np.abs(z) > 1e-9))
-    phase = z[idx] / abs(z[idx])
-    return z / phase
-
-
 def moment_map(z) -> np.ndarray:
     """Squared moduli (|z0|^2, |z1|^2) of the unit representatives of raw
     lifts with trailing axis 3; the result has trailing axis 2."""
@@ -74,7 +63,7 @@ def moment_map(z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the doubling driver and the boundary rule
+# the doubling driver
 # ---------------------------------------------------------------------------
 
 
@@ -135,45 +124,6 @@ def trapezoid_sums(f: Callable[[np.ndarray], np.ndarray],
         yield n, acc
         acc += float(np.sum(f((np.arange(n) + 0.5) / n)))
         n *= 2
-
-
-# |sum_t u^2| may fall short of sum_t |u|^2 by this much per node on a line
-_LINE_TOL = 1e-12
-
-
-def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
-                         windings) -> AreaEstimate:
-    """Integral of the primitive of the form around a closed lifted loop in
-    action-angle form.
-
-    ``loop(t)`` maps an array of t in [0, 1) to lifts along the last axis;
-    coordinate k must be e^{2 pi i m_k t} times a function of t on one line
-    through 0, where m = ``windings``.  Then the primitive is
-    sum_k m_k |z_k|^2 / |z|^2 dt, and the result is its trapezoid mean, with
-    the node count doubled from LOOP_NODES through
-    :func:`doubled_until_agreed`.  For constant moduli the first two levels
-    agree and the error is the rounding floor.  By Stokes the result is the
-    area of any disc whose lift in coordinate space minus the origin has this
-    loop as its boundary.  ValueError if a coordinate, its windings taken
-    off, leaves its line: |sum_t u_k^2| < sum_t |u_k|^2.
-    """
-    m = np.asarray(windings, dtype=float)
-
-    def actions(t):
-        w = _unit_rows(loop(t))
-        moduli2 = np.abs(w) ** 2
-        u = w * np.exp(-2j * math.pi * t[:, None] * m)
-        if np.any(moduli2.sum(axis=0) - np.abs(np.sum(u * u, axis=0)) > _LINE_TOL * len(t)):
-            raise ValueError(f"the loop is not in action-angle form with windings {windings}")
-        return moduli2 @ m
-
-    return doubled_until_agreed((n, acc / n) for n, acc in trapezoid_sums(actions, LOOP_NODES))
-
-
-def chordal_distance(z, w) -> np.ndarray:
-    """Projective (Fubini-Study chordal) distance between unit-norm rows."""
-    ip = np.abs(hermdot(z, w)) ** 2
-    return np.sqrt(np.maximum(0.0, 1.0 - ip))
 
 
 def phase_aligned_residual(z, w) -> np.ndarray:

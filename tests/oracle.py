@@ -1,17 +1,22 @@
 """Independent oracles for the areas the package computes by Stokes.
 
-Every area in ``lagrtori`` is a 1-D boundary integral of the primitive of
-the form, and the package keeps only loops and lift functions.  This module
-holds the surfaces themselves: the line, the in-conic discs, the standard
-discs of a fiber, the fiber and its deformed graphs.  It integrates the form
-over them: it pulls the form back through fourth-order central differences
-of the lift and integrates with tensor Gauss-Legendre quadrature, refining
-once to estimate the error.  For loops it holds the generic boundary rule,
-the trapezoid rule with a spectral derivative, which needs no windings and
-so also integrates a loop whose coordinates a unitary has mixed.  It also
-holds the linear coning of a loop to a basepoint, a random unitary, the
-consistency check of a disc with boundary and the one-matrix all-pairs
-chordal search, which only the tests use.
+Every area in ``lagrtori`` is a closed form or a 1-D boundary integral of
+the primitive of the form, and the package keeps only loops and lift
+functions.  This module holds the surfaces themselves: the line, the
+in-conic discs, the standard discs of a fiber, the fiber and its deformed
+graphs, and the section of a reduced sphere of the diagonal rotation.  It
+integrates the form over them: it pulls the form back through fourth-order
+central differences of the lift and integrates with tensor Gauss-Legendre
+quadrature, refining once to estimate the error.  For loops it holds the
+generic boundary rule, the trapezoid rule with a spectral derivative, which
+needs no windings and so also integrates a loop whose coordinates a unitary
+has mixed, and the action-angle trapezoid mean.  It holds the sampled rules
+the package replaced by closed forms, as references: that mean on the two
+bisecting loops of a conic member, the gradient residual of a symbol and
+the difference stencil of the period map.  It also holds the linear coning
+of a loop to a basepoint, a random unitary, the consistency check of a disc
+with boundary and the one-matrix all-pairs chordal search, which only the
+tests use.
 
 For the exact layer it holds the dichotomy in plain ``Fraction`` operators
 and the ``bs-count`` and ``enc-report`` texts built as one payload of row
@@ -45,6 +50,7 @@ from lagrtori.clifford import (
     HomologyClass,
     _check_stays_inside,
     _deformed_actions,
+    fiber_periods,
 )
 from lagrtori.errors import (
     BoundaryMismatch,
@@ -59,6 +65,7 @@ from lagrtori.geometry import (
     _unit_rows,
     doubled_until_agreed,
     hermdot,
+    trapezoid_sums,
 )
 from lagrtori.lattice import ActionCoords, MonotoneWitness, SwapImage, is_monotone
 from lagrtori.maslov import _CHART_FLOOR, DiscWithBoundary
@@ -234,6 +241,99 @@ def spectral_loop_area(loop: Callable[[np.ndarray], np.ndarray]) -> AreaEstimate
     """
     return doubled_until_agreed(
         (LOOP_NODES << k, _spectral_area_once(loop, LOOP_NODES << k)) for k in itertools.count())
+
+
+# ---------------------------------------------------------------------------
+# the action-angle rule and the sampled rules behind the package's closed forms
+# ---------------------------------------------------------------------------
+
+
+# |sum_t u^2| may fall short of sum_t |u|^2 by this much per node on a line
+_LINE_TOL = 1e-12
+
+
+def loop_symplectic_area(loop: Callable[[np.ndarray], np.ndarray],
+                         windings) -> AreaEstimate:
+    """Integral of the primitive of the form around a closed lifted loop in
+    action-angle form.
+
+    ``loop(t)`` maps an array of t in [0, 1) to lifts along the last axis;
+    coordinate k must be e^{2 pi i m_k t} times a function of t on one line
+    through 0, where m = ``windings``.  Then the primitive is
+    sum_k m_k |z_k|^2 / |z|^2 dt, and the result is its trapezoid mean, with
+    the node count doubled from LOOP_NODES through ``doubled_until_agreed``.
+    ValueError if a coordinate, its windings taken off, leaves its line:
+    |sum_t u_k^2| < sum_t |u_k|^2.
+    """
+    m = np.asarray(windings, dtype=float)
+
+    def actions(t):
+        w = _unit_rows(loop(t))
+        moduli2 = np.abs(w) ** 2
+        u = w * np.exp(-2j * math.pi * t[:, None] * m)
+        if np.any(moduli2.sum(axis=0) - np.abs(np.sum(u * u, axis=0)) > _LINE_TOL * len(t)):
+            raise ValueError(f"the loop is not in action-angle form with windings {windings}")
+        return moduli2 @ m
+
+    return doubled_until_agreed((n, acc / n) for n, acc in trapezoid_sums(actions, LOOP_NODES))
+
+
+def conic_total_area_by_loops(eps: complex) -> tuple[float, float]:
+    """Area and error of a conic member as its two anchored discs bounded by
+    the area-bisecting orbit, each by :func:`loop_symplectic_area`, as
+    ``lagrtori.chekanov.conic_total_area`` once computed it."""
+    mid = 1.0 / math.sqrt(abs(eps))
+    near_disc, far_disc = (conic_disc_surface(eps, mid, inverted) for inverted in (False, True))
+    near = loop_symplectic_area(lambda t: near_disc(np.ones_like(t), t), (0, 2, 1))
+    far = loop_symplectic_area(lambda t: far_disc(np.ones_like(t), t), (2, 0, 1))
+    return near.value + far.value, near.error + far.error
+
+
+def sphere_section(alpha: float) -> Surface:
+    """A section ``(u, t)`` of the reduced sphere of the level set
+    {|z0|^2 + |z1|^2 = alpha}: it fixes the z0 phase, so it meets each orbit
+    of (z0, z1) -> e^{i s}(z0, z1) once and its area is the reduced volume."""
+    ra, rc = math.sqrt(alpha), math.sqrt(1.0 - alpha)
+
+    def lift(u, t):
+        u, ph = _angles(u, t)
+        z = (ra * np.cos(0.5 * math.pi * u) + 0j, ra * np.sin(0.5 * math.pi * u) * ph, rc + 0j)
+        return np.stack(np.broadcast_arrays(*z), axis=-1)
+
+    return Surface(lift, periodic=(False, True))
+
+
+def gradient_residual(matrix, z) -> np.ndarray:
+    """Norm of Az - f(z) z on unit lifts, f the Rayleigh quotient of the
+    Hermitian ``matrix``; zero exactly at its critical points."""
+    z = _unit_rows(z)
+    az = np.einsum("ij,...j->...i", np.asarray(matrix, dtype=complex), z)
+    f = hermdot(az, z).real
+    return np.linalg.norm(az - f[..., None] * z, axis=-1)
+
+
+def chordal_distance(z, w) -> np.ndarray:
+    """Projective (Fubini-Study chordal) distance between unit-norm rows."""
+    ip = np.abs(hermdot(z, w)) ** 2
+    return np.sqrt(np.maximum(0.0, 1.0 - ip))
+
+
+def canonical_gauge(z) -> np.ndarray:
+    """Unit representative rephased so its first non-negligible coordinate is
+    real and positive."""
+    z = _unit_rows(z)
+    idx = int(np.argmax(np.abs(z) > 1e-9))
+    return z / (z[idx] / abs(z[idx]))
+
+
+def stencil_jacobian(base, step: float = 1e-4) -> np.ndarray:
+    """Central-difference Jacobian of the level-1 periods of ``fiber_periods``
+    in (r0, r1), with step ``step``; a stencil point off the open triangle
+    raises as ``fiber_periods`` does."""
+    r0, r1 = (float(r) for r in base)
+    pts = [(r0 + step, r1), (r0 - step, r1), (r0, r1 + step), (r0, r1 - step)]
+    vals = [np.array(fiber_periods(p)[:2]) for p in pts]
+    return np.stack([vals[0] - vals[1], vals[2] - vals[3]], axis=-1) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -22,15 +23,18 @@ from lagrtori.errors import (
     DegenerateFamily,
     NonConvergent,
     SingularConic,
+    ZeroVector,
 )
-from lagrtori.geometry import LOOP_FALLBACK, LOOP_MAX_NODES, loop_symplectic_area
+from lagrtori.geometry import LOOP_FALLBACK, LOOP_MAX_NODES
 from oracle import (
     ConingDegenerate,
     Surface,
     cone_disc,
     conic_disc_surface,
     conic_equation_residual,
+    conic_total_area_by_loops,
     line_surface,
+    loop_symplectic_area,
     random_unitary,
     spectral_loop_area,
     surface_form_grid,
@@ -82,6 +86,24 @@ def test_total_conic_area_by_boundary_rule_is_exact(eps):
     total, err = conic_total_area(eps)
     assert total == pytest.approx(2.0, abs=1e-12)
     assert abs(total - 2.0) <= err + 1e-15
+    loops, loops_err = conic_total_area_by_loops(eps)
+    assert abs(total - loops) <= err + loops_err
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_e=st.floats(-11.9, 150.0), arg=st.floats(0.0, 2.0 * math.pi))
+def test_total_conic_area_is_two_within_its_error(log_e, arg):
+    total, err = conic_total_area(10.0 ** log_e * cmath.exp(1j * arg))
+    assert 0.0 < err < 1e-14
+    assert abs(total - 2.0) <= err
+
+
+@pytest.mark.parametrize("eps", [1e151, -3e200j, 1e300])
+def test_members_past_the_range_are_rejected(eps):
+    with pytest.raises(ZeroVector, match="no usable magnitude"):
+        conic_total_area(eps)
+    with pytest.raises(ZeroVector, match="no usable magnitude"):
+        conic_circle(eps, 0.2)
 
 
 @pytest.mark.parametrize("delta", [-0.35, 0.0, 0.2, 0.8])

@@ -26,16 +26,16 @@ from lagrtori.clifford import (
 from lagrtori.errors import (
     BoundaryFiber,
     LeavesTriangle,
-    StencilOutOfDomain,
     UnsupportedClass,
 )
-from lagrtori.geometry import loop_symplectic_area
 from oracle import (
     Surface,
     deformed_cycle,
     deformed_surface,
     fiber_surface,
+    loop_symplectic_area,
     standard_disc_surface,
+    stencil_jacobian,
     surface_form_grid,
     surface_symplectic_area,
     validate_disc,
@@ -307,16 +307,23 @@ def test_interior_grid_contains_centroid_when_divisible():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("base", [(0.2, 0.3), (0.4, 0.25), (1 / 3, 1 / 3), (0.3, 0.3)])
+@pytest.mark.parametrize("base", [(0.2, 0.3), (0.4, 0.25), (1 / 3, 1 / 3), (0.3, 0.3),
+                                  (0.05, 0.9)])
 def test_ks_jacobian_is_identity(base):
     res = ks_jacobian(base)
-    assert res.determinant == pytest.approx(1.0, abs=1e-6)
-    assert res.jacobian[0, 0] > 0 and res.jacobian[1, 1] > 0
+    assert np.array_equal(res.jacobian, np.eye(2)) and res.determinant == 1.0
+    # the stencil quotient carries the rounding of the periods over the step
+    assert np.max(np.abs(stencil_jacobian(base) - res.jacobian)) < 1e-11
 
 
-def test_ks_jacobian_stencil_guard():
-    with pytest.raises(StencilOutOfDomain):
-        ks_jacobian((0.5, 0.49995))
+def test_ks_jacobian_near_an_edge_and_on_the_boundary():
+    # a stencil of step 1e-4 would leave the triangle at these interior bases
+    for base in [(1e-5, 0.3), (0.5, 0.49995), (0.3, 1e-9)]:
+        res = ks_jacobian(base)
+        assert np.array_equal(res.jacobian, np.eye(2)) and res.determinant == 1.0
+    for base in [(0.5, 0.5), (0.0, 0.3), (0.3, 0.0), (Fraction(1, 3), Fraction(2, 3))]:
+        with pytest.raises(BoundaryFiber):
+            ks_jacobian(base)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,12 @@ from lagrtori.errors import (
 )
 from lagrtori.geometry import _unit_rows
 from lagrtori.serialize import stable_dumps
-from oracle import min_pairwise_chordal, standard_disc_surface, surface_symplectic_area
+from oracle import (
+    gradient_residual,
+    min_pairwise_chordal,
+    standard_disc_surface,
+    surface_symplectic_area,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +87,9 @@ def test_symbol_value_is_rayleigh_quotient():
 def test_symbol_gradient_residual_vanishes_at_eigenvectors():
     sym = swap_symbol(0, 1)
     plus = np.array([1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    assert float(sym.gradient_residual(plus)) < 1e-14
+    assert float(gradient_residual(sym.matrix, plus)) < 1e-14
     off = np.array([1.0, 0.3, 0.0], dtype=complex)
-    assert float(sym.gradient_residual(off)) > 1e-3
+    assert float(gradient_residual(sym.matrix, off)) > 1e-3
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -258,26 +263,24 @@ def rotation_report():
 
 def test_rotation_reduced_areas(rotation_report):
     for rep in rotation_report.alphas:
-        assert rep.reduced_area == pytest.approx(rep.alpha, abs=1e-6)
-        assert rep.normalization == pytest.approx(rep.alpha ** 2, abs=1e-6)
+        assert rep.reduced_area == rep.alpha
+        assert rep.normalization == rep.alpha * rep.alpha
+        assert rep.reduced_area_error > 0.0 and rep.normalization_error > 0.0
 
 
 def test_rotation_marked_circle_carries_extremes(rotation_report):
     for rep in rotation_report.alphas:
-        assert rep.marked_moment[0] == pytest.approx(rep.alpha / 2.0, abs=1e-12)
-        assert rep.marked_moment[1] == pytest.approx(rep.alpha / 2.0, abs=1e-12)
-        hi, lo = rep.extreme_values
-        assert hi == pytest.approx(3.0 * rep.alpha, abs=0.01)
-        assert lo == pytest.approx(-rep.alpha, abs=0.01)
-        assert rep.extreme_location_gap < 0.05
+        assert rep.marked_moment == (rep.alpha / 2.0, rep.alpha / 2.0)
+        assert rep.extreme_values == (3.0 * rep.alpha, -rep.alpha)
+        assert rep.extreme_location_gap == 0.0
 
 
 def test_rotation_critical_points(rotation_report):
     assert len(rotation_report.critical_points) == 3
-    vals = sorted(rotation_report.critical_values)
-    assert vals[0] == pytest.approx(-1.0, abs=1e-9)
-    assert vals[1] == pytest.approx(0.0, abs=1e-9)
-    assert vals[2] == pytest.approx(3.0, abs=1e-9)
+    assert list(rotation_report.critical_values) == [-1.0, 0.0, 3.0]
+    matrix = rotation_report.symbol.matrix
+    for point in rotation_report.critical_points:
+        assert float(gradient_residual(matrix, point)) < 1e-15
 
 
 def test_rotation_swap_and_periodicity(rotation_report):
@@ -290,11 +293,17 @@ def test_rotation_report_serializes(rotation_report):
     assert '"critical_values"' in text
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, math.nan, math.inf])
+def test_rotation_rejects_alpha_outside_the_open_interval(alpha):
+    with pytest.raises(ValueError, match="strictly inside"):
+        build_diagonal_rotation([0.5, alpha])
+
+
 def test_rotation_validates_inputs(monkeypatch):
     with pytest.raises(ValueError):
         build_diagonal_rotation([1.0])
-    monkeypatch.setattr(displacement, "_ROTATION_AREA_TOL", 1e-16)
-    with pytest.raises(NormalizationFailure):
+    monkeypatch.setattr(displacement, "_ROTATION_PERIOD_TOL", 0.0)
+    with pytest.raises(NormalizationFailure, match="periodicity"):
         build_diagonal_rotation([0.5])
 
 

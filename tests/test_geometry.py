@@ -17,15 +17,11 @@ from lagrtori.clifford import (
     fiber_periods,
     standard_disc,
 )
-from lagrtori.displacement import _sphere_section
 from lagrtori.errors import NonConvergent, ZeroVector
 from lagrtori.geometry import (
     _unit_rows,
-    canonical_gauge,
-    chordal_distance,
     doubled_until_agreed,
     hermdot,
-    loop_symplectic_area,
     moment_map,
     phase_aligned_residual,
     trapezoid_sums,
@@ -33,11 +29,15 @@ from lagrtori.geometry import (
 from oracle import (
     FS_SCALE,
     Surface,
+    canonical_gauge,
+    chordal_distance,
     conic_disc_surface,
     deformed_cycle,
     fs_pullback_raw,
     line_surface,
+    loop_symplectic_area,
     random_unitary,
+    sphere_section,
     spectral_loop_area,
     surface_form_grid,
     surface_symplectic_area,
@@ -263,7 +263,7 @@ def action_angle_loops(draw):
         inverted = draw(st.booleans())
         disc = conic_disc_surface(eps, draw(st.floats(0.2, 5.0)), inverted)
         return (lambda t: disc(np.ones_like(t), t)), ((2, 0, 1) if inverted else (0, 2, 1))
-    section = _sphere_section(draw(st.floats(0.01, 0.99)))
+    section = sphere_section(draw(st.floats(0.01, 0.99)))
     return (lambda t: section(np.ones_like(t), t)), (0, 1, 0)
 
 

@@ -89,7 +89,7 @@ PUBLIC = [
     "disc_difference_check", "displace_chekanov", "displace_clifford",
     "displacement", "enc_verdict", "enumerate_bs_fibers", "errors", "fiber_periods",
     "geometry", "hilbert_dimension", "interior_rational_grid",
-    "is_monotone", "ks_jacobian", "loop_symplectic_area",
+    "is_monotone", "ks_jacobian",
     "maslov", "maslov_index", "moment_map",
     "serialize", "standard_disc",
     "swap_symbol", "symbol_flow",
@@ -151,7 +151,6 @@ SIGNATURES = {
     "interior_rational_grid": ("n",),
     "is_monotone": ("fiber_periods", "mus"),
     "ks_jacobian": ("base",),
-    "loop_symplectic_area": ("loop", "windings"),
     "maslov_index": ("d",),
     "moment_map": ("z",),
     "standard_disc": ("fiber", "cls"),
@@ -254,3 +253,18 @@ def test_every_private_module_name_is_used():
         public -= set(lagrtori.__all__)
         unused += [f"{path.stem}.{name}" for name in sorted(private | public)]
     assert unused == []
+
+
+def _defined_functions_and_classes(tree: ast.Module) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_no_oracle_rule_is_also_a_package_rule():
+    # a reference rule that came back to src/ would be a second code path;
+    # constants such as _TWO_PI may be shared
+    oracle = _defined_functions_and_classes(ast.parse((ROOT / "tests" / "oracle.py").read_text()))
+    shared = {f"{path.stem}.{name}"
+              for path in sorted((ROOT / "src" / "lagrtori").glob("*.py"))
+              for name in _module_names(ast.parse(path.read_text())) & oracle}
+    assert oracle and shared == set()

@@ -1,22 +1,17 @@
 """The diagonal rotation by its exact reductions, against the 2-D oracle."""
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagrtori.displacement import (
-    _critical_points,
-    _rotation_symbol,
-    _sphere_section,
-    build_diagonal_rotation,
-    diagonal_symbol,
-)
-from lagrtori.errors import CriticalPointMiscount
+from lagrtori.displacement import _rotation_symbol, build_diagonal_rotation
 from lagrtori.serialize import stable_dumps
-from oracle import Surface, surface_symplectic_area
+from oracle import canonical_gauge, sphere_section, surface_symplectic_area
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lagrtori"
 
@@ -25,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lagrtori"
 @given(alpha=st.floats(0.02, 0.98))
 def test_rotation_areas_match_the_2d_oracle_within_their_errors(alpha):
     rep, = build_diagonal_rotation([alpha]).alphas
-    symbol, section = _rotation_symbol(), Surface(_sphere_section(alpha), (False, True))
+    symbol, section = _rotation_symbol(), sphere_section(alpha)
     area = surface_symplectic_area(section)
     weighted = surface_symplectic_area(
         section, weight_fn=lambda surf, s, t: symbol.value(surf(s, t)))
@@ -36,17 +31,30 @@ def test_rotation_areas_match_the_2d_oracle_within_their_errors(alpha):
     assert rep.reduced_area_error > 0.0 and rep.normalization_error > 0.0
 
 
-def test_repeated_eigenvalue_is_a_miscount():
-    with pytest.raises(CriticalPointMiscount, match="gaps"):
-        _critical_points(diagonal_symbol(1.0, 1.0, 0.0))
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(0.02, 0.98))
+def test_symbol_on_the_section_is_the_closed_form(alpha):
+    # h = alpha (1 + 2 sin(pi u) cos(2 pi t)): extremes 3 alpha and -alpha,
+    # attained at u = 1/2, t = 0 and 1/2, the marked circle
+    rep, = build_diagonal_rotation([alpha]).alphas
+    g = np.linspace(0.0, 1.0, 129)
+    uu, tt = np.meshgrid(g, g, indexing="ij")
+    h = _rotation_symbol().value(sphere_section(alpha)(uu, tt))
+    want = alpha * (1.0 + 2.0 * np.sin(math.pi * uu) * np.cos(2.0 * math.pi * tt))
+    assert np.max(np.abs(h - want)) < 4e-15
+    hi, lo = rep.extreme_values
+    assert np.max(h) <= hi + 4e-15 and np.min(h) >= lo - 4e-15
+    marked = _rotation_symbol().value(sphere_section(alpha)(0.5, np.array([0.0, 0.5])))
+    assert marked == pytest.approx([hi, lo], abs=4e-15)
 
 
 def test_critical_points_are_the_eigenlines():
-    symbol = _rotation_symbol()
-    points = _critical_points(symbol)
-    values = [float(symbol.value(p)) for p in points]
-    assert values == pytest.approx([-1.0, 0.0, 3.0], abs=1e-12)
-    assert all(float(symbol.gradient_residual(p)) < 1e-10 for p in points)
+    # the rule the report replaced: the eigenlines of eigh, rephased
+    rep = build_diagonal_rotation([0.5])
+    w, v = np.linalg.eigh(_rotation_symbol().matrix)
+    assert w == pytest.approx(rep.critical_values, abs=1e-15)
+    for k, point in enumerate(rep.critical_points):
+        np.testing.assert_allclose(point, canonical_gauge(v[:, k]), rtol=0, atol=1e-15)
 
 
 def test_rotation_report_is_deterministic():
