@@ -42,9 +42,8 @@ _NUMERIC = {
         "DiscWithBoundary", "MaslovResult", "disc_difference_check", "maslov_index",
     ),
     "chekanov": (
-        "Anchor", "ChekanovParams", "ConicCircle", "ScanReport", "TorusType",
-        "canonical_bs_scan", "chekanov_torus", "classify_type", "conic_circle",
-        "conic_total_area", "torus_periods_chekanov",
+        "ChekanovParams", "ScanReport", "TorusType", "canonical_bs_scan",
+        "chekanov_torus", "classify_type", "conic_total_area", "torus_periods_chekanov",
     ),
     "displacement": (
         "DisplacementCertificate", "Displaceable", "HermitianSymbol", "Monotone",

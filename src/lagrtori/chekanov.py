@@ -8,9 +8,10 @@ members are mutually tangent.  The circle action
 
 preserves each member, and its orbits are the level circles of the in-conic
 disc area measured from the pole [1:0:0].  A torus is assembled by choosing,
-on each conic over a parameter circle {a e^{i t} - mu}, the orbit whose
-anchored disc has area 1 + delta; because that area level is a function of
-the global circle-action moment, the assembled torus is lagrangian.
+on each conic over a parameter circle {a e^{i t} - mu}, the orbit whose disc
+from [1:0:0] has area 1 + delta; because that area level is a function of
+the global circle-action moment, the assembled torus is lagrangian.  Seen
+from [0:1:0], it is the torus at -delta.
 """
 
 from __future__ import annotations
@@ -96,47 +97,12 @@ def conic_total_area(eps: complex) -> tuple[float, float]:
     preserves the member and exchanges the disc anchored at [1:0:0] with the
     one anchored at [0:1:0], so the far disc has area 1 too, and the total
     is 2 radial_area(|eps|, 1 / sqrt|eps|).  The error is the rounding floor
-    of that float evaluation, so it is never 0.  SingularConic and ZeroVector
-    as for :func:`conic_circle`.
+    of that float evaluation, so it is never 0.  SingularConic for eps 0 or
+    not finite; ZeroVector for |eps| > 1e150, where |eps|^2 overflows.
     """
     e = abs(_require_smooth(eps))
     total = 2.0 * float(radial_area(e, 1.0 / math.sqrt(e)))
     return total, rounding_floor(_BISECTOR_ROUNDINGS, total)
-
-
-class Anchor(str, enum.Enum):
-    NEAR_Z0 = "z0"
-    NEAR_Z1 = "z1"
-
-
-@dataclass(frozen=True)
-class ConicCircle:
-    """A circle orbit on a conic selected by its anchored disc area."""
-
-    eps: complex
-    delta: float
-    anchor: Anchor
-    rho: float
-    level: float  # disc area from the [1:0:0] side, in (0, 2)
-
-
-def conic_circle(eps: complex, delta: float,
-                 anchor: Anchor | str = Anchor.NEAR_Z0) -> ConicCircle:
-    """Orbit whose anchored in-conic disc has area 1 + delta.
-
-    The anchor names which pole's disc is measured; the default [1:0:0]
-    choice is a convention recorded here and exposed as a flag.  The radius
-    is the closed-form :func:`level_radius` of the area level.  SingularConic
-    for eps 0 or not finite; ZeroVector for |eps| > 1e150, where |eps|^2
-    overflows.
-    """
-    eps = _require_smooth(eps)
-    if not -1.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between -1 and 1")
-    anchor = Anchor(anchor)
-    target = 1.0 + delta if anchor is Anchor.NEAR_Z0 else 1.0 - delta
-    rho = float(level_radius(abs(eps), target))
-    return ConicCircle(eps, delta, anchor, rho, float(radial_area(abs(eps), rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +129,10 @@ class ChekanovParams:
     delta: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("circle radius a must be positive")
-        if abs(self.mu) <= _EPS_FLOOR:
-            raise ValueError("circle center mu must be nonzero")
+        if not 0 < self.a < math.inf:
+            raise ValueError("circle radius a must be positive and finite")
+        if not _EPS_FLOOR < abs(self.mu) < math.inf:
+            raise ValueError("circle center mu must be nonzero and finite")
         if not -1.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between -1 and 1")
 
@@ -188,8 +154,10 @@ def _named(params: ChekanovParams, what: str) -> str:
 
 def _require_regular(params: ChekanovParams) -> None:
     """DegenerateFamily if the parameter circle passes through the singular
-    member, ZeroVector if the lift would overflow; both name the torus."""
-    if classify_type(params) is TorusType.BOUNDARY:
+    member, within the boundary tolerance or within _EPS_FLOOR of eps = 0;
+    ZeroVector if the lift would overflow; both name the torus."""
+    if (classify_type(params) is TorusType.BOUNDARY
+            or abs(params.a - abs(params.mu)) <= _EPS_FLOOR):
         raise DegenerateFamily(f"{_named(params, 'torus')}: parameter circle passes"
                                " through the singular member")
     reach = params.a + abs(params.mu)
@@ -198,27 +166,24 @@ def _require_regular(params: ChekanovParams) -> None:
                          f" |eps| reaches {reach:.3e} > {_EPS_RANGE:.0e}")
 
 
-def chekanov_torus(params: ChekanovParams,
-                   anchor: Anchor | str = Anchor.NEAR_Z0) -> Callable[..., np.ndarray]:
+def chekanov_torus(params: ChekanovParams) -> Callable[..., np.ndarray]:
     """Lift function ``lift(t, s)`` of the lagrangian torus over the
     pencil-parameter circle, vectorized over both angle fractions.
 
-    For each t the fiber circle is the conic_circle of the member at
-    eps(t) = a e^{2 pi i t} - mu, with the orbit radius obtained from the
-    closed-form level_radius inverse; s is the orbit angle.  Raises
-    DegenerateFamily when the parameter circle passes through the singular
-    member (a = |mu| within 1e-9 |mu|), and ZeroVector when |eps| can pass
-    _EPS_RANGE, where 4 |eps|^2 overflows; both name the torus.
+    For each t the fiber circle is the level-(1 + delta) orbit of the member
+    at eps(t) = a e^{2 pi i t} - mu, with the radius from the closed-form
+    level_radius inverse; s is the orbit angle.  Raises DegenerateFamily
+    when the parameter circle passes through the singular member (a = |mu|
+    within 1e-9 |mu|, or within 1e-12 of eps = 0), and ZeroVector when |eps|
+    can pass _EPS_RANGE, where 4 |eps|^2 overflows; both name the torus.
     """
     _require_regular(params)
-    anchor = Anchor(anchor)
-    target = 1.0 + params.delta if anchor is Anchor.NEAR_Z0 else 1.0 - params.delta
 
     def lift(t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
         eps = params.eps_of(t)
-        lam = level_radius(np.abs(eps), target) * np.exp(2j * math.pi * s)
+        lam = level_radius(np.abs(eps), 1.0 + params.delta) * np.exp(2j * math.pi * s)
         eps, lam = np.broadcast_arrays(eps, lam)
         one = np.ones_like(lam)
         return np.stack([one, eps * lam * lam, lam], axis=-1)
@@ -274,8 +239,7 @@ def _section_levels(params: ChekanovParams, ell: float, nodes: int):
     return ((n, 0.5 * (2.0 - ell) * acc / n) for n, acc in trapezoid_sums(total, nodes))
 
 
-def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
-                           anchor: Anchor | str = Anchor.NEAR_Z0) -> ChekanovPeriods:
+def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES) -> ChekanovPeriods:
     """Periods of the orbit cycle and a fixed section cycle, mod 1.
 
     Both are Stokes integrals of the primitive of the form on the lift
@@ -284,17 +248,15 @@ def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
     its coordinate phases are those of eps(t), not e^{2 pi i m t}, so its
     period is the integral of the real integrand below.
 
-    The orbit period is the area of the anchored in-conic disc bounded by
-    the orbit at t = 0: ``radial_area`` at the ``level_radius`` of the area
-    level l, which is 1 + delta from the [1:0:0] side; the [0:1:0] anchor
-    takes the complement 2 - area.  Its error is |area - l| plus a rounding
+    The orbit period is the area of the in-conic disc from [1:0:0] bounded
+    by the orbit at t = 0: ``radial_area`` at the ``level_radius`` of the
+    area level l = 1 + delta.  Its error is |area - l| plus a rounding
     floor, so it checks the inversion.
 
     The section period is the integral around the s = 0 curve
-    (1, eps x, sqrt x) of the torus, with x = level_radius(|eps|, l)^2 and
-    l = 1 + delta for the z0 anchor, 1 - delta for z1.  There
-    Im<z', z> = pi x^2 P with P = |eps|^2 + a^2 - |mu|^2, and the level
-    equation gives |z|^2 = (2 + x) / (2 - l), so the period is
+    (1, eps x, sqrt x) of the torus, with x = level_radius(|eps|, l)^2.
+    There Im<z', z> = pi x^2 P with P = |eps|^2 + a^2 - |mu|^2, and the
+    level equation gives |z|^2 = (2 + x) / (2 - l), so the period is
 
         p_section(l) = integral_0^1 f_l dt,   f_l = (2 - l) x^2 P / (2 (2 + x)).
 
@@ -311,13 +273,11 @@ def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
     loop and the torus parameters; DegenerateFamily and ZeroVector name the
     torus as for :func:`chekanov_torus`.
     """
-    anchor = Anchor(anchor)
     _require_regular(params)
-    circle0 = conic_circle(complex(params.eps_of(0.0)), params.delta, anchor)
-    target = 1.0 + params.delta if anchor is Anchor.NEAR_Z0 else 1.0 - params.delta
-    orbit_error = (abs(circle0.level - target)
-                   + rounding_floor(_ORBIT_ROUNDINGS, circle0.level))
-    p_orbit = circle0.level if anchor is Anchor.NEAR_Z0 else 2.0 - circle0.level
+    target = 1.0 + params.delta
+    e0 = abs(params.a - params.mu)  # |eps(0)|
+    level = float(radial_area(e0, level_radius(e0, target)))
+    orbit_error = abs(level - target) + rounding_floor(_ORBIT_ROUNDINGS, level)
 
     low = 1.0 - abs(params.delta)
     try:
@@ -325,7 +285,7 @@ def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES,
     except NonConvergent as exc:
         raise NonConvergent(f"{_named(params, 'section loop of the torus')}: {exc}") from exc
     offset = 0.5 * (target - low) if params.a > abs(params.mu) else 0.0
-    return ChekanovPeriods(_mod_unit(p_orbit), _mod_unit(section.value + offset),
+    return ChekanovPeriods(_mod_unit(level), _mod_unit(section.value + offset),
                            orbit_error, section.error, section.nodes)
 
 
@@ -476,6 +436,8 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
     reports are deterministic.
     """
     mu = complex(mu)
+    if not abs(mu) < math.inf:  # also catches a NaN part
+        raise ValueError("mu must be finite")
     a_grid = [float(a) for a in a_grid]
     delta_grid = [float(d) for d in delta_grid]
     if not a_grid or not delta_grid:

@@ -268,7 +268,10 @@ def _complex_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected RE,IM")
-    return (float(parts[0]), float(parts[1]))
+    pair = (float(parts[0]), float(parts[1]))
+    if not all(math.isfinite(x) for x in pair):
+        raise argparse.ArgumentTypeError("RE and IM must be finite")
+    return pair
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -206,13 +206,18 @@ class DeformationSpec:
     ``c1``, ``c2`` are the closed-form class in area units: moving along the
     deformation shifts the d1/d2 periods by exactly (s*c1, s*c2).  ``f`` is a
     smooth real function of the two angle parameters (radians, 2pi-periodic);
-    its differential is the exact part and moves no period.
+    its differential is the exact part and moves no period.  ValueError for
+    a ``c1``, ``c2`` or ``scale`` that is not finite.
     """
 
     c1: float
     c2: float
     f: Callable | None = None
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.c1, self.c2, self.scale)):
+            raise ValueError("deformation c1, c2 and scale must be finite")
 
 
 def _angle_gradient(f: Callable, theta0, theta1, h: float):
@@ -249,7 +254,8 @@ def _check_stays_inside(fiber: CliffordFiber, spec: DeformationSpec) -> None:
     g0, g1 = np.meshgrid(grid, grid, indexing="ij")
     i0, i1 = _deformed_actions(fiber, spec, g0, g1)
     margin = 1e-9
-    if np.min(i0) <= margin or np.min(i1) <= margin or np.max(i0 + i1) >= 1 - margin:
+    # stated so that a NaN action fails it
+    if not (np.min(i0) > margin and np.min(i1) > margin and np.max(i0 + i1) < 1 - margin):
         raise LeavesTriangle("deformed action values exit the open moment triangle")
 
 
@@ -263,8 +269,10 @@ def deformed_fiber_periods(fiber: CliffordFiber, spec: DeformationSpec,
     cycle.  The exact part df has mean 0 there, so that is the closed form
     :class:`DeformationSpec` promises; a sampled rule would alias a
     high-frequency f.  The errors are rounding floors.  LeavesTriangle if the
-    actions leave the open triangle on the check grid.
+    actions leave the open triangle on the check grid, or are NaN there;
+    TypeError for a non-integer ``level``, ValueError below 1.
     """
+    level = operator.index(level)
     if level < 1:
         raise ValueError("level must be positive")
     _check_stays_inside(fiber, spec)

@@ -160,8 +160,8 @@ def displace_chekanov(params: ChekanovParams) -> DisplacementCertificate:
     diag(0, 0, 1) at time pi/2 is diag(1, 1, i), which sends f to -f, so f
     maps the image torus onto -C.  C and -C are disjoint exactly when
     a < |mu|, and then so are T and its image: the certificate is exact,
-    like the moment-image one of :func:`displace_clifford`, and depends on
-    neither delta nor the anchor.  Its separation is 2 (|mu| - a), the
+    like the moment-image one of :func:`displace_clifford`, and does not
+    depend on delta.  Its separation is 2 (|mu| - a), the
     distance between the two image circles.  DegenerateFamily and
     ZeroVector name the torus as for
     :func:`~lagrtori.chekanov.chekanov_torus`; NotChekanovType marks

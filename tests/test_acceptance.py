@@ -15,12 +15,11 @@ import pytest
 
 from lagrtori import cli
 from lagrtori.chekanov import (
-    Anchor,
     ChekanovParams,
     canonical_bs_scan,
     chekanov_torus,
-    conic_circle,
     conic_total_area,
+    level_radius,
     torus_periods_chekanov,
 )
 from lagrtori.clifford import (
@@ -190,11 +189,12 @@ def test_criterion_08_torus_family():
             continue
         ok = ok and abs(conic_total_area(eps)[0] - 2.0) <= 1e-6
 
+    eps = 0.7 + 0.2j
     for delta in (-0.6, -0.2, 0.2, 0.6):
-        for anchor in (Anchor.NEAR_Z0, Anchor.NEAR_Z1):
-            circle = conic_circle(0.7 + 0.2j, delta, anchor)
+        # the near disc at level 1 + delta and the far disc at 1 - delta
+        for level, far in ((1.0 + delta, False), (1.0 - delta, True)):
             disc_area = surface_symplectic_area(conic_disc_surface(
-                circle.eps, circle.rho, circle.anchor is Anchor.NEAR_Z1)).value
+                eps, float(level_radius(abs(eps), level)), inverted=far)).value
             ok = ok and abs((disc_area - 1.0) - delta) <= 1e-7
     _gate(8, "family lagrangian to 1e-8, conic area 2, delta round-trip", ok,
           f"residual worst {worst:.2e}")

@@ -7,18 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lagrtori.chekanov import (
-    Anchor,
     ChekanovParams,
     TorusType,
     canonical_bs_scan,
     chekanov_torus,
     classify_type,
-    conic_circle,
     conic_total_area,
     level_radius,
     radial_area,
     torus_periods_chekanov,
 )
+from lagrtori.displacement import displace_chekanov
 from lagrtori.errors import (
     DegenerateFamily,
     NonConvergent,
@@ -53,7 +52,9 @@ def test_singular_member_rejected():
     with pytest.raises(SingularConic):
         conic_total_area(0.0)
     with pytest.raises(SingularConic):
-        conic_circle(1e-14, 0.2)
+        conic_total_area(1e-14)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        ChekanovParams(0.5, 1e-14, 0.2)
 
 
 @pytest.mark.parametrize("rho", [0.4, 1.0, 2.3])
@@ -102,23 +103,27 @@ def test_total_conic_area_is_two_within_its_error(log_e, arg):
 def test_members_past_the_range_are_rejected(eps):
     with pytest.raises(ZeroVector, match="no usable magnitude"):
         conic_total_area(eps)
+    # a torus over the member: mu = eps, and the circle reaches past the range
     with pytest.raises(ZeroVector, match="no usable magnitude"):
-        conic_circle(eps, 0.2)
+        torus_periods_chekanov(ChekanovParams(0.5, eps, 0.2))
 
 
 @pytest.mark.parametrize("delta", [-0.35, 0.0, 0.2, 0.8])
-@pytest.mark.parametrize("anchor", [Anchor.NEAR_Z0, Anchor.NEAR_Z1])
-def test_delta_label_round_trip(delta, anchor):
+# the ids name the pole the disc is measured from: [1:0:0] or [0:1:0]
+@pytest.mark.parametrize("far", [False, True], ids=["z0", "z1"])
+def test_delta_label_round_trip(delta, far):
+    # the near disc at level 1 + delta; the far disc, from [0:1:0], at the
+    # complement 1 - delta, has the same area 1 + delta
     eps = 0.7 - 0.4j
-    circle = conic_circle(eps, delta, anchor)
-    est = surface_symplectic_area(
-        conic_disc_surface(circle.eps, circle.rho, circle.anchor is Anchor.NEAR_Z1))
-    assert est.value == pytest.approx(1.0 + delta, abs=1e-7)
+    level = 1.0 - delta if far else 1.0 + delta
+    disc = conic_disc_surface(eps, float(level_radius(abs(eps), level)), inverted=far)
+    assert surface_symplectic_area(disc).value == pytest.approx(1.0 + delta, abs=1e-7)
 
 
 def test_conic_circle_validates_delta():
-    with pytest.raises(ValueError):
-        conic_circle(0.5, 1.0)
+    for delta in (1.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            ChekanovParams(0.5, 1.0, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +159,10 @@ def test_params_validate():
         ChekanovParams(0.5, 0.0, 0.0)
     with pytest.raises(ValueError):
         ChekanovParams(0.5, 1.0, 1.0)
+    for a, mu in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                  (0.5, complex(1.0, math.inf)), (0.5, complex(math.nan, 0.0))):
+        with pytest.raises(ValueError, match="finite"):
+            ChekanovParams(a, mu, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -216,11 +225,6 @@ def test_boundary_periods_match_the_coned_disc_oracle(a, delta):
     assert p.section_error <= 1e-12
 
 
-def test_orbit_period_near_z1_anchor():
-    p = torus_periods_chekanov(ChekanovParams(0.5, 1.0, 0.3), anchor=Anchor.NEAR_Z1)
-    assert _mod1_distance(p.p_orbit, 0.3) <= 1e-12
-
-
 def test_section_period_independent_of_basepoint():
     params = ChekanovParams(0.5, 1.0, 0.2)
     p = torus_periods_chekanov(params)
@@ -270,10 +274,13 @@ def test_boundary_area_matches_2d_area_on_moved_lines(seed):
     mu=st.sampled_from([1.0, 1j, 0.6 + 0.8j, 2.0]),
 )
 def test_periods_under_delta_reflection(a, delta, mu):
-    # delta -> -delta keeps the section period and negates the orbit period
+    # delta -> -delta negates the orbit period.  For a < |mu| both section
+    # periods are the one integral on the branch 1 - |delta|, so they agree
+    # as floats: the far-pole torus at delta is the near one at -delta.
+    assert a < abs(mu)
     p = torus_periods_chekanov(ChekanovParams(a, mu, delta))
     q = torus_periods_chekanov(ChekanovParams(a, mu, -delta))
-    assert _mod1_distance(p.p_section, q.p_section) <= 1e-12
+    assert (p.p_section, p.section_error, p.nodes) == (q.p_section, q.section_error, q.nodes)
     assert _mod1_distance(p.p_orbit + q.p_orbit, 0.0) <= 1e-12
 
 
@@ -380,6 +387,9 @@ def test_scan_validates_regime():
         canonical_bs_scan(1.0, [0.5, 1.1], [0.0], CHEAP)
     with pytest.raises(ValueError):
         canonical_bs_scan(1.0, [], [0.0], CHEAP)
+    for mu in (complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            canonical_bs_scan(mu, [0.5], [0.0], CHEAP)
 
 
 def test_scan_point_at_the_wall_is_a_degenerate_row():
@@ -403,3 +413,17 @@ def test_scan_point_that_overflows_is_a_degenerate_row():
 def test_periods_reject_the_degenerate_family_naming_it():
     with pytest.raises(DegenerateFamily, match=r"a=1\.0, mu=1\.0, delta=0\.2"):
         torus_periods_chekanov(ChekanovParams(1.0, 1.0, 0.2))
+
+
+def test_circle_within_the_floor_of_eps_zero_is_degenerate_everywhere():
+    # the circle is of Chekanov type, far outside the 1e-9 |mu| boundary
+    # tolerance, but comes within 5e-13 of eps = 0
+    params = ChekanovParams(1e-11 - 5e-13, 1e-11, 0.2)
+    for entry in (chekanov_torus, torus_periods_chekanov, displace_chekanov):
+        with pytest.raises(DegenerateFamily) as exc:
+            entry(params)
+        assert str(exc.value) == (f"torus at a={params.a!r}, mu=1e-11, delta=0.2: parameter"
+                                  " circle passes through the singular member")
+    row = canonical_bs_scan(params.mu, [params.a], [params.delta]).rows[0]
+    assert row.status == "degenerate"
+    assert row.error.endswith("delta=0.2: parameter circle passes through the singular member")

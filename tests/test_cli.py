@@ -185,6 +185,12 @@ def test_bs_count_csv_lists_the_enumerated_fibers(level, closed):
      "--a-step", "-0.1", "--delta-step", "0.5"],
     ["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
      "--a-step", "0.1", "--delta-step", "0.5", "--quad-nodes", "3"],
+    ["chekanov-scan", "--mu", "nan,0", "--a-min", "0.1", "--a-max", "0.3",
+     "--a-step", "0.1", "--delta-step", "0.5"],
+    ["chekanov-scan", "--mu", "1,nan", "--a-min", "0.1", "--a-max", "0.3",
+     "--a-step", "0.1", "--delta-step", "0.5"],
+    ["chekanov-scan", "--mu", "inf,0", "--a-min", "0.1", "--a-max", "0.3",
+     "--a-step", "0.1", "--delta-step", "0.5"],
 ])
 def test_usage_errors_exit_2(args, capsys):
     with pytest.raises(SystemExit) as exc:

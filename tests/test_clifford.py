@@ -217,7 +217,10 @@ def test_integral_periods_read_exactly_zero():
 @pytest.mark.parametrize("level, error", [(-2, ValueError), (0, ValueError),
                                           (1.5, TypeError)])
 def test_bad_level_rejected(level, error):
-    for periods in (fiber_periods, diagonal_period):
+    def deformed(base, level):
+        return deformed_fiber_periods(clifford_fiber(base), DeformationSpec(0.01, 0.0), level)
+
+    for periods in (fiber_periods, diagonal_period, deformed):
         with pytest.raises(error):
             periods((0.2, 0.3), level=level)
 
@@ -384,6 +387,19 @@ def test_deformation_leaving_triangle_rejected():
         deformed_surface(fiber, DeformationSpec(-0.2, 0.0))
     with pytest.raises(LeavesTriangle):
         deformed_fiber_periods(fiber, DeformationSpec(-0.2, 0.0))
+
+
+def test_nan_exact_part_fails_the_stay_inside_check():
+    spec = DeformationSpec(0.0, 0.0, f=lambda a, b: np.full(np.shape(a), math.nan))
+    with pytest.raises(LeavesTriangle):
+        deformed_fiber_periods(clifford_fiber((0.2, 0.3)), spec)
+
+
+@pytest.mark.parametrize("field", [{"c1": math.nan}, {"c2": math.inf},
+                                   {"scale": math.inf}, {"scale": -math.inf}])
+def test_deformation_spec_rejects_non_finite_values(field):
+    with pytest.raises(ValueError, match="must be finite"):
+        DeformationSpec(**{"c1": 0.01, "c2": 0.0, **field})
 
 
 def _tube(inner, outer) -> Surface:

@@ -76,16 +76,15 @@ def test_scan_imports_numpy_and_matches_golden(tmp_path):
 
 
 PUBLIC = [
-    "ActionCoords", "Anchor", "AreaEstimate", "BSFiberSet", "ChekanovParams",
-    "CliffordFiber", "ConicCircle", "D1", "D2", "D3", "DeformationSpec",
+    "ActionCoords", "AreaEstimate", "BSFiberSet", "ChekanovParams",
+    "CliffordFiber", "D1", "D2", "D3", "DeformationSpec",
     "DiscWithBoundary", "Displaceable", "DisplacementCertificate", "HermitianSymbol",
     "HomologyClass", "MaslovResult", "Monotone",
     "MonotoneWitness", "NotDisplacedByTheseFlows",
     "RotationReport", "ScanReport", "TorusType",
     "build_diagonal_rotation", "canonical_bs_defect",
     "canonical_bs_scan", "chekanov", "chekanov_torus", "classify_type", "clifford",
-    "clifford_fiber", "conic_circle",
-    "conic_total_area", "deformed_fiber_periods", "diagonal_period",
+    "clifford_fiber", "conic_total_area", "deformed_fiber_periods", "diagonal_period",
     "disc_difference_check", "displace_chekanov", "displace_clifford",
     "displacement", "enc_verdict", "enumerate_bs_fibers", "errors", "fiber_periods",
     "geometry", "hilbert_dimension", "interior_rational_grid",
@@ -110,12 +109,10 @@ MOVED = {
 # A new parameter, a new setting included, has to edit this pin.
 SIGNATURES = {
     "ActionCoords": ("r0", "r1"),
-    "Anchor": ("NEAR_Z0", "NEAR_Z1"),
     "AreaEstimate": ("value", "error", "nodes"),
     "BSFiberSet": ("level", "closed", "fibers"),
     "ChekanovParams": ("a", "mu", "delta"),
     "CliffordFiber": ("base",),
-    "ConicCircle": ("eps", "delta", "anchor", "rho", "level"),
     "DeformationSpec": ("c1", "c2", "f", "scale"),
     "DiscWithBoundary": ("boundary_loop", "frame", "chart", "det_lipschitz"),
     "Displaceable": ("base", "certificate"),
@@ -134,10 +131,9 @@ SIGNATURES = {
     "build_diagonal_rotation": ("alpha_samples",),
     "canonical_bs_defect": ("periods",),
     "canonical_bs_scan": ("mu", "a_grid", "delta_grid", "nodes"),
-    "chekanov_torus": ("params", "anchor"),
+    "chekanov_torus": ("params",),
     "classify_type": ("params",),
     "clifford_fiber": ("base",),
-    "conic_circle": ("eps", "delta", "anchor"),
     "conic_total_area": ("eps",),
     "deformed_fiber_periods": ("fiber", "spec", "level"),
     "diagonal_period": ("base", "level"),
@@ -156,7 +152,7 @@ SIGNATURES = {
     "standard_disc": ("fiber", "cls"),
     "swap_symbol": ("j", "k"),
     "symbol_flow": ("symbol", "t"),
-    "torus_periods_chekanov": ("params", "nodes", "anchor"),
+    "torus_periods_chekanov": ("params", "nodes"),
     "universal_maslov_class": ("fiber_periods", "mus"),
 }
 
