@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     DegenerateFamily,
     NonConvergent,
+    NotChekanovType,
     SingularConic,
     ZeroVector,
 )
@@ -110,6 +111,13 @@ def conic_total_area(eps: complex) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+class CertificateMethod(str, enum.Enum):
+    """How a displacement certificate separates a torus from its image."""
+
+    MOMENT_IMAGE_DISJOINT = "MomentImageDisjoint"
+    PENCIL_IMAGE_DISJOINT = "PencilImageDisjoint"
+
+
 class TorusType(enum.Enum):
     CLIFFORD = "clifford"
     CHEKANOV = "chekanov"
@@ -164,6 +172,20 @@ def _require_regular(params: ChekanovParams) -> None:
     if not reach <= _EPS_RANGE:  # also catches a NaN
         raise ZeroVector(f"{_named(params, 'torus')}: no usable magnitude:"
                          f" |eps| reaches {reach:.3e} > {_EPS_RANGE:.0e}")
+
+
+def pencil_separation(params: ChekanovParams) -> float:
+    """2 (|mu| - a), the distance between the parameter circle C and -C:
+    the separation of the PENCIL_IMAGE_DISJOINT certificate of
+    :func:`~lagrtori.displacement.displace_chekanov`.  DegenerateFamily and
+    ZeroVector name the torus as for :func:`chekanov_torus`; NotChekanovType
+    marks a > |mu|, where C and -C meet."""
+    _require_regular(params)
+    if classify_type(params) is not TorusType.CHEKANOV:
+        raise NotChekanovType(
+            f"a = {params.a} vs |mu| = {abs(params.mu)}: not in the a < |mu| regime"
+        )
+    return 2.0 * (abs(params.mu) - params.a)
 
 
 def chekanov_torus(params: ChekanovParams) -> Callable[..., np.ndarray]:
@@ -333,6 +355,10 @@ def row_failure(exc: Exception) -> tuple[str, str]:
     return status, f"{type(exc).__name__}: {exc}"
 
 
+def _status_counts(rows) -> dict[str, int]:
+    return {status: sum(r.status == status for r in rows) for status in STATUSES}
+
+
 @dataclass(frozen=True)
 class ScanRow:
     """One grid torus.  Periods and defects are rounded to REPORT_DECIMALS,
@@ -355,17 +381,32 @@ class ScanRow:
 
 
 @dataclass(frozen=True)
+class CertificateRow:
+    """The certificate of one grid torus: its :func:`pencil_separation`,
+    rounded to REPORT_DECIMALS, or None with a failure ``status`` and
+    ``error`` as in :class:`ScanRow`.  It does not depend on the periods."""
+
+    a: float
+    delta: float
+    separation: float | None
+    status: str = "ok"
+    error: str | None = None
+
+
+@dataclass(frozen=True)
 class ScanReport:
-    """The rows of a scan; ``min_defect`` and ``argmin`` cover the ok rows
+    """The period and certificate rows of a scan, one each per grid point
+    in grid order; ``min_defect`` and ``argmin`` cover the ok period rows
     only and are None when there is none."""
 
     mu: complex
     rows: tuple[ScanRow, ...]
+    certificates: tuple[CertificateRow, ...]
     min_defect: float | None
     argmin: tuple[float, float] | None
 
     def status_counts(self) -> dict[str, int]:
-        return {status: sum(r.status == status for r in self.rows) for status in STATUSES}
+        return _status_counts(self.rows)
 
     def to_csv(self) -> str:
         """The table of (a, delta, p_orbit, p_section, defect); a failed row
@@ -377,6 +418,8 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
+        """The ``results`` object of the scan report: the summary counts,
+        the scan and the certificate rows."""
         rows = []
         for r in self.rows:
             row = {
@@ -396,17 +439,36 @@ class ScanReport:
             if r.error is not None:
                 row["error"] = r.error
             rows.append(row)
+        cert_rows = []
+        for c in self.certificates:
+            row = {"a": c.a, "delta": c.delta, "separation": c.separation, "status": c.status}
+            if c.error is not None:
+                row["error"] = c.error
+            cert_rows.append(row)
+        certs = _status_counts(self.certificates)
+        argmin = None if self.argmin is None else list(self.argmin)
         return {
-            "mu": [self.mu.real, self.mu.imag],
-            "rows": rows,
-            "min_defect": self.min_defect,
-            "argmin": None if self.argmin is None else list(self.argmin),
+            "summary": {
+                "min_defect": self.min_defect,
+                "argmin": argmin,
+                "rows": self.status_counts(),
+                "certificates": {"issued": certs.pop("ok"), **certs,
+                                 "total": len(self.certificates)},
+            },
+            "scan": {
+                "mu": [self.mu.real, self.mu.imag],
+                "rows": rows,
+                "min_defect": self.min_defect,
+                "argmin": argmin,
+            },
+            "certificate_rows": cert_rows,
         }
 
 
-def _scan_point(mu: complex, a: float, delta: float, nodes: int) -> ScanRow:
+def _scan_row(params: ChekanovParams, nodes: int) -> ScanRow:
+    a, delta = params.a, params.delta
     try:
-        periods = torus_periods_chekanov(ChekanovParams(a, mu, delta), nodes)
+        periods = torus_periods_chekanov(params, nodes)
     except ROW_ERRORS as exc:
         status, error = row_failure(exc)
         return ScanRow(a, delta, *[None] * 8, status=status, error=error)
@@ -423,17 +485,28 @@ def _scan_point(mu: complex, a: float, delta: float, nodes: int) -> ScanRow:
                    _reported_error(periods.section_error), periods.nodes)
 
 
+def _certificate_row(params: ChekanovParams) -> CertificateRow:
+    try:
+        separation = pencil_separation(params)
+    except ROW_ERRORS as exc:
+        return CertificateRow(params.a, params.delta, None, *row_failure(exc))
+    return CertificateRow(params.a, params.delta, _reported(separation))
+
+
 def canonical_bs_scan(mu: complex, a_grid, delta_grid,
                       nodes: int = LOOP_NODES) -> ScanReport:
-    """Tripled-period integrality defects over an (a, delta) grid.
+    """Tripled-period integrality defects and displacement certificates
+    over an (a, delta) grid.
 
     For each grid torus the defect is max(orbit defect, best combined section
     defect); the report carries the minimum over the ok rows and its
-    location.  A grid point whose periods raise one of ROW_ERRORS becomes a
-    failed row (see :class:`ScanRow`) and the scan goes on; so does a point
-    within the boundary tolerance of |mu|, as a "degenerate" row.  The grid
-    must stay in the a < |mu| regime.  Rows are computed in grid order so
-    reports are deterministic.
+    location.  A grid point whose periods or certificate raise one of
+    ROW_ERRORS becomes a failed row (see :class:`ScanRow` and
+    :class:`CertificateRow`) and the scan goes on; so does a point within
+    the boundary tolerance of |mu|, as a "degenerate" row.  Every a must lie
+    in (0, |mu|) and every delta in (-1, 1); ValueError before any row
+    otherwise.  Rows are computed in grid order so reports are
+    deterministic.
     """
     mu = complex(mu)
     if not abs(mu) < math.inf:  # also catches a NaN part
@@ -442,13 +515,16 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
     delta_grid = [float(d) for d in delta_grid]
     if not a_grid or not delta_grid:
         raise ValueError("scan grids must be nonempty")
-    if max(a_grid) >= abs(mu):
+    # comparisons that a NaN fails
+    if not all(0.0 < a < abs(mu) for a in a_grid):
         raise ValueError("a_grid must stay strictly inside (0, |mu|)")
-    if min(a_grid) <= 0:
-        raise ValueError("a_grid must be positive")
-    rows = tuple(_scan_point(mu, a, d, nodes) for a in a_grid for d in delta_grid)
+    if not all(-1.0 < d < 1.0 for d in delta_grid):
+        raise ValueError("delta_grid must stay strictly inside (-1, 1)")
+    points = [ChekanovParams(a, mu, d) for a in a_grid for d in delta_grid]
+    rows = tuple(_scan_row(p, nodes) for p in points)
+    certificates = tuple(_certificate_row(p) for p in points)
     ok = [r for r in rows if r.status == "ok"]
     if not ok:
-        return ScanReport(mu, rows, None, None)
+        return ScanReport(mu, rows, certificates, None, None)
     best = min(ok, key=lambda r: r.defect)
-    return ScanReport(mu, rows, best.defect, (best.a, best.delta))
+    return ScanReport(mu, rows, certificates, best.defect, (best.a, best.delta))

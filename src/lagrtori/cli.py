@@ -11,11 +11,15 @@ All reports are wrapped in a versioned JSON envelope with the parameters and
 the diagnostics (tolerances, quadrature settings) actually used; identical
 inputs produce byte-identical output.  Exit codes: 0 success,
 2 usage, 3 dichotomy contradiction, 4 scan failure, 5 IO error.
-A ``chekanov-scan`` grid point whose periods or certificate fail becomes a
-row with a failure ``status`` and its ``error`` text; the scan still writes
-its report and exits 4 exactly when no scan row is ok, with the first
-failure's text on one stderr line.  (A certificate fails only where the
-scan row of the same point has failed with the same text.)
+``chekanov-scan`` renders the report of
+:func:`~lagrtori.chekanov.canonical_bs_scan`, which computes a period row
+and a certificate row per grid point and the whole ``results`` object; the
+command adds the envelope, the CSV and the exit code.  A grid point whose
+periods or certificate fail becomes a row with a failure ``status`` and its
+``error`` text; the scan still writes its report and exits 4 exactly when
+no scan row is ok, with the first failure's text on one stderr line.  (A
+certificate fails only where the scan row of the same point has failed
+with the same text.)
 
 ``bs-count`` and ``enc-report`` work on the lattice indices (i, j) of their
 points, with one Fraction per index.  ``enc-report`` decides every point
@@ -31,8 +35,9 @@ report, is built.
 
 ``bs-count``, ``enc-report`` and ``plot`` use only the exact layer
 (:mod:`lagrtori.lattice`, :mod:`lagrtori.serialize`, :mod:`lagrtori.svgplot`)
-and run without importing numpy; ``chekanov-scan`` imports the numeric
-modules when it runs.
+and run without importing numpy; ``chekanov-scan`` imports
+:mod:`lagrtori.chekanov` and :mod:`lagrtori.geometry`, with numpy, when it
+runs, and no other numeric module.
 """
 
 from __future__ import annotations
@@ -163,59 +168,30 @@ def _float_range(lo: float, hi: float, step: float, flag: str) -> list[float]:
     return vals
 
 
+def _write_file(path: str, text: str, what: str, err) -> int:
+    """Write ``text`` to ``path``: EXIT_OK, or EXIT_IO after one stderr line."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {what}: {exc}", file=err)
+        return EXIT_IO
+    return EXIT_OK
+
+
 def _cmd_chekanov_scan(args, out, err) -> int:
-    from .chekanov import (REPORT_DECIMALS, ROW_ERRORS, ChekanovParams, canonical_bs_scan,
-                           row_failure)
-    from .displacement import CertificateMethod, displace_chekanov
+    from .chekanov import REPORT_DECIMALS, CertificateMethod, canonical_bs_scan
     from .geometry import LOOP_AGREEMENT, LOOP_FALLBACK, LOOP_MAX_NODES
 
     mu = complex(args.mu[0], args.mu[1])
-    a_grid, delta_grid = args.a_grid, args.delta_grid
-    report = canonical_bs_scan(mu, a_grid, delta_grid, args.quad_nodes)
-
-    certs = {"issued": 0, "nonconvergent": 0, "degenerate": 0}
-    cert_rows = []
-    for a in a_grid:
-        for delta in delta_grid:
-            row = {"a": a, "delta": delta}
-            try:
-                res = displace_chekanov(ChekanovParams(a, mu, delta))
-            except ROW_ERRORS as exc:
-                row["status"], row["error"] = row_failure(exc)
-                row["separation"] = None
-                certs[row["status"]] += 1
-            else:
-                row["status"] = "ok"
-                row["separation"] = round(res.separation, REPORT_DECIMALS)
-                certs["issued"] += 1
-            cert_rows.append(row)
-    certs["total"] = len(cert_rows)
-
-    # the scan fails only when no grid row is ok
-    failed = None if any(r.status == "ok" for r in report.rows) else report.rows[0].error
+    report = canonical_bs_scan(mu, args.a_grid, args.delta_grid, args.quad_nodes)
 
     csv_text = report.to_csv()
-    if args.csv_out:
-        try:
-            with open(args.csv_out, "w") as fh:
-                fh.write(csv_text)
-        except OSError as exc:
-            print(f"error: cannot write CSV: {exc}", file=err)
-            return EXIT_IO
+    if args.csv_out and _write_file(args.csv_out, csv_text, "CSV", err) != EXIT_OK:
+        return EXIT_IO
     if args.format == "csv":
         out.write(csv_text)
     else:
-        scan = report.to_json()
-        results = {
-            "summary": {
-                "min_defect": scan["min_defect"],
-                "argmin": scan["argmin"],
-                "rows": report.status_counts(),
-                "certificates": certs,
-            },
-            "scan": scan,
-            "certificate_rows": cert_rows,
-        }
         _envelope(
             out, "chekanov-scan",
             {
@@ -223,7 +199,7 @@ def _cmd_chekanov_scan(args, out, err) -> int:
                 "a_min": args.a_min, "a_max": args.a_max, "a_step": args.a_step,
                 "delta_step": args.delta_step, "format": args.format,
             },
-            results,
+            report.to_json(),
             {"certificate_method": CertificateMethod.PENCIL_IMAGE_DISJOINT.value,
              "quadrature": {"method": "mobius-trapezoid",
                             "start_nodes": args.quad_nodes,
@@ -232,9 +208,10 @@ def _cmd_chekanov_scan(args, out, err) -> int:
                             "max_disagreement": LOOP_FALLBACK},
              "tolerances": {"report_decimals": REPORT_DECIMALS}},
         )
-    if failed is None:
+    # the scan fails only when no grid row is ok, and then min_defect is None
+    if report.min_defect is not None:
         return EXIT_OK
-    print(f"error: {failed}", file=err)
+    print(f"error: {report.rows[0].error}", file=err)
     return EXIT_SCAN
 
 
@@ -243,13 +220,7 @@ def _cmd_plot(args, out, err) -> int:
     if args.out is None:
         out.write(svg)
         return EXIT_OK
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        print(f"error: cannot write SVG: {exc}", file=err)
-        return EXIT_IO
-    return EXIT_OK
+    return _write_file(args.out, svg, "SVG", err)
 
 
 # ---------------------------------------------------------------------------

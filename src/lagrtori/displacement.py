@@ -10,7 +10,6 @@ and the pencil map z0 z1 / z2^2 a Chekanov-type torus from its image.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chekanov import ChekanovParams, TorusType, _require_regular, classify_type
+from .chekanov import CertificateMethod, ChekanovParams, pencil_separation
 from .clifford import ActionCoords, CliffordFiber
-from .errors import NormalizationFailure, NotChekanovType, NotHermitian
+from .errors import NormalizationFailure, NotHermitian
 from .geometry import hermdot, moment_map, phase_aligned_residual, rounding_floor
 from .lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
 from .serialize import complex_pair, number_or_rational
@@ -78,11 +77,6 @@ def symbol_flow(symbol: HermitianSymbol, t: float) -> np.ndarray:
     """The unitary exp(i t A), computed by diagonalization."""
     w, v = np.linalg.eigh(symbol.matrix)
     return (v * np.exp(1j * t * w)) @ v.conj().T
-
-
-class CertificateMethod(str, enum.Enum):
-    MOMENT_IMAGE_DISJOINT = "MomentImageDisjoint"
-    PENCIL_IMAGE_DISJOINT = "PencilImageDisjoint"
 
 
 @dataclass(frozen=True)
@@ -161,22 +155,18 @@ def displace_chekanov(params: ChekanovParams) -> DisplacementCertificate:
     maps the image torus onto -C.  C and -C are disjoint exactly when
     a < |mu|, and then so are T and its image: the certificate is exact,
     like the moment-image one of :func:`displace_clifford`, and does not
-    depend on delta.  Its separation is 2 (|mu| - a), the
-    distance between the two image circles.  DegenerateFamily and
-    ZeroVector name the torus as for
-    :func:`~lagrtori.chekanov.chekanov_torus`; NotChekanovType marks
-    a > |mu|, where the circles meet.
+    depend on delta.  Its separation is
+    :func:`~lagrtori.chekanov.pencil_separation`, 2 (|mu| - a), the
+    distance between the two image circles, which raises DegenerateFamily
+    and ZeroVector naming the torus, and NotChekanovType for a > |mu|,
+    where the circles meet.
     """
-    _require_regular(params)
-    if classify_type(params) is not TorusType.CHEKANOV:
-        raise NotChekanovType(
-            f"a = {params.a} vs |mu| = {abs(params.mu)}: not in the a < |mu| regime"
-        )
+    separation = pencil_separation(params)
     a, mu = params.a, complex(params.mu)
     return DisplacementCertificate(
         symbol=diagonal_symbol(0.0, 0.0, 1.0),
         time=math.pi / 2.0,
-        separation=2.0 * (abs(mu) - a),
+        separation=separation,
         method=CertificateMethod.PENCIL_IMAGE_DISJOINT,
         samples=0,
         detail={

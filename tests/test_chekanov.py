@@ -94,12 +94,20 @@ def test_total_conic_area_by_boundary_rule_is_exact(eps):
 @settings(max_examples=200, deadline=None)
 @given(log_e=st.floats(-11.9, 150.0), arg=st.floats(0.0, 2.0 * math.pi))
 def test_total_conic_area_is_two_within_its_error(log_e, arg):
-    total, err = conic_total_area(10.0 ** log_e * cmath.exp(1j * arg))
+    eps = 10.0 ** log_e * cmath.exp(1j * arg)
+    # at log_e = 150 the product can round above the range, where ZeroVector
+    # is right (test_members_past_the_range_are_rejected)
+    assume(abs(eps) <= 1e150)
+    total, err = conic_total_area(eps)
     assert 0.0 < err < 1e-14
     assert abs(total - 2.0) <= err
 
 
-@pytest.mark.parametrize("eps", [1e151, -3e200j, 1e300])
+# 1e150 e^{i theta} at this theta rounds to |eps| = 1.0000000000000002e150
+_ROUNDS_PAST_THE_RANGE = 10.0 ** 150 * cmath.exp(1j * 1.3239255445563303)
+
+
+@pytest.mark.parametrize("eps", [1e151, -3e200j, 1e300, _ROUNDS_PAST_THE_RANGE])
 def test_members_past_the_range_are_rejected(eps):
     with pytest.raises(ZeroVector, match="no usable magnitude"):
         conic_total_area(eps)
@@ -385,6 +393,12 @@ def test_scan_rows_carry_their_evidence():
 def test_scan_validates_regime():
     with pytest.raises(ValueError):
         canonical_bs_scan(1.0, [0.5, 1.1], [0.0], CHEAP)
+    # every point is checked before the first row, NaN included
+    with pytest.raises(ValueError, match="a_grid"):
+        canonical_bs_scan(1.0, [0.5, math.nan], [0.0], CHEAP)
+    for delta in (1.0, math.nan):
+        with pytest.raises(ValueError, match="delta_grid"):
+            canonical_bs_scan(1.0, [0.5], [0.0, delta], CHEAP)
     with pytest.raises(ValueError):
         canonical_bs_scan(1.0, [], [0.0], CHEAP)
     for mu in (complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0)):
@@ -397,6 +411,23 @@ def test_scan_point_at_the_wall_is_a_degenerate_row():
     assert [r.status for r in report.rows] == ["ok", "degenerate"]
     assert report.rows[1].error.startswith(
         "DegenerateFamily: torus at a=0.9999999999, mu=(1+0j), delta=0.0")
+
+
+def test_scan_certificates_are_the_displacement_separations():
+    report = canonical_bs_scan(1.0, [0.5, 0.9999999999], [-0.5, 0.0], CHEAP)
+    assert [(c.a, c.delta) for c in report.certificates] == [
+        (r.a, r.delta) for r in report.rows]
+    for cert, row in zip(report.certificates, report.rows):
+        params = ChekanovParams(cert.a, report.mu, cert.delta)
+        try:
+            separation = displace_chekanov(params).separation
+        except DegenerateFamily as exc:
+            assert (cert.status, cert.separation) == ("degenerate", None)
+            assert cert.error == f"DegenerateFamily: {exc}" == row.error
+        else:
+            assert (cert.status, cert.error) == ("ok", None)
+            assert cert.separation == round(separation, 10)
+    assert [c.status for c in report.certificates] == ["ok", "ok", "degenerate", "degenerate"]
 
 
 def test_scan_point_that_overflows_is_a_degenerate_row():

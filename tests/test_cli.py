@@ -290,9 +290,9 @@ def test_one_failed_scan_point_marks_its_row(monkeypatch):
 
 
 def test_one_failed_certificate_marks_its_row(monkeypatch):
-    import lagrtori.displacement as displacement
+    import lagrtori.chekanov as chekanov
     from lagrtori.errors import ZeroVector
-    _fail_at_delta_zero(monkeypatch, displacement, "displace_chekanov", ZeroVector)
+    _fail_at_delta_zero(monkeypatch, chekanov, "pencil_separation", ZeroVector)
     code, out, err = run_cli(GOLDEN_CASES["chekanov_scan_small.json"])
     assert code == cli.EXIT_OK and err == ""
     doc = json.loads(out)

@@ -69,10 +69,12 @@ def test_scan_imports_numpy_and_matches_golden(tmp_path):
             "--a-step", "0.1", "--delta-step", "0.5", "--quad-nodes", "24"]
     code = ("import io, json, sys\nfrom lagrtori import cli\nout = io.StringIO()\n"
             f"assert cli.main({argv!r}, out=out, err=io.StringIO()) == 0\n"
-            "print(json.dumps(['numpy' in sys.modules, out.getvalue()]))")
-    numpy_loaded, text = json.loads(_run(code, tmp_path))
-    assert numpy_loaded
+            "print(json.dumps([sorted(sys.modules), out.getvalue()]))")
+    loaded, text = json.loads(_run(code, tmp_path))
+    assert "numpy" in loaded
     assert text == (GOLDEN / "chekanov_scan_small.json").read_text()
+    # the scan computes its certificate rows without the displacement layer
+    assert {"lagrtori.displacement", "lagrtori.clifford", "lagrtori.maslov"}.isdisjoint(loaded)
 
 
 PUBLIC = [
@@ -126,7 +128,7 @@ SIGNATURES = {
     "NotDisplacedByTheseFlows": ("base",),
     "RotationReport": ("symbol", "alphas", "critical_points", "critical_values",
                        "swap_moment_deviation", "periodicity_deviation"),
-    "ScanReport": ("mu", "rows", "min_defect", "argmin"),
+    "ScanReport": ("mu", "rows", "certificates", "min_defect", "argmin"),
     "TorusType": ("CLIFFORD", "CHEKANOV", "BOUNDARY"),
     "build_diagonal_rotation": ("alpha_samples",),
     "canonical_bs_defect": ("periods",),
