@@ -30,17 +30,12 @@ from .errors import (
     SingularConic,
     ZeroVector,
 )
-from .geometry import (
-    LOOP_NODES,
-    _mod_unit,
-    doubled_until_agreed,
-    rounding_floor,
-    trapezoid_sums,
-)
+from .geometry import LOOP_NODES, _mod_unit, doubled_trapezoid, rounding_floor
 
 _EPS_FLOOR = 1e-12
 # Past this bound on |eps|, |eps|^2 in radial_area and level_radius overflows.
 _EPS_RANGE = 1e150
+_TINY = np.finfo(float).tiny
 
 
 def _require_smooth(eps: complex) -> complex:
@@ -86,8 +81,9 @@ def _level_x(e2, ell) -> np.ndarray:
     """x = rho^2 of the level-``ell`` orbit on the member with |eps|^2 = e2."""
     b = 1.0 - ell
     root = np.sqrt(b * b + 4.0 * ell * (2.0 - ell) * e2)
-    denom = 2.0 * np.maximum(e2, np.finfo(float).tiny) * (2.0 - ell)
-    return np.where(b > 0.0, 2.0 * ell / (b + root), (root - b) / denom)
+    denom = 2.0 * np.maximum(e2, _TINY) * (2.0 - ell)
+    # |b| leaves the b > 0 lanes as they are and keeps the others from dividing by 0
+    return np.where(b > 0.0, 2.0 * ell / (np.abs(b) + root), (root - b) / denom)
 
 
 def conic_total_area(eps: complex) -> tuple[float, float]:
@@ -232,33 +228,91 @@ _ORBIT_ROUNDINGS = 8
 _BISECTOR_ROUNDINGS = _ORBIT_ROUNDINGS + 3
 
 
-def _section_levels(params: ChekanovParams, ell: float, nodes: int):
-    """(nodes, value) of the trapezoid rule for the section integral at area
-    level ``ell``, doubling the node count from ``nodes``.
+def _section_key(params: ChekanovParams) -> tuple[float, float, float]:
+    """(a, |mu|, 1 - |delta|): what the section integral of a torus depends
+    on, shared by the tori at +-delta.  DegenerateFamily and ZeroVector
+    name the torus as for :func:`chekanov_torus`."""
+    _require_regular(params)
+    return params.a, abs(params.mu), 1.0 - abs(params.delta)
 
-    The rule runs in the Mobius variable tau of the pencil angle theta,
+
+def _section_integrand(keys):
+    """The section integrands at the keys (a, |mu|, area level) in the form
+    :func:`~lagrtori.geometry.doubled_trapezoid` takes, and their weights.
+
+    Each integral runs in the Mobius variable tau of the pencil angle theta,
     measured from arg mu: tan(theta / 2) = s tan(pi tau), which is
     e^{i theta} = (w + r) / (1 + r w) with w = e^{2 pi i tau} and
     r = (1 - s) / (1 + s).  Its weight d theta / (2 pi d tau) is
     s / (s^2 sin^2(pi tau) + cos^2(pi tau)), and it packs nodes near theta = 0,
-    where |eps| is least.  The sums come from
-    :func:`~lagrtori.geometry.trapezoid_sums`.
+    where |eps| is least.  The sines of tau are shared by all rows.
     """
-    a, m = params.a, abs(params.mu)
-    s = min(1.0, max(math.sqrt(abs(1.0 - a / m)), abs(1.0 - ell)))
-    gap2, cross = (m - a) ** 2, 4.0 * a * m * s * s
+    consts = []
+    for a, m, ell in keys:
+        s = min(1.0, max(math.sqrt(abs(1.0 - a / m)), abs(1.0 - ell)))
+        consts.append((s, (m - a) ** 2, 4.0 * a * m * s * s, (a - m) * (a + m), ell))
+    table = np.array(consts)
 
-    def total(tau):
+    def integrand(tau):
         # sin and cos of pi tau, each to full relative precision near its zero
         u = np.minimum(tau, 1.0 - tau)
         sin2 = np.sin(math.pi * u) ** 2
-        den = s * s * sin2 + np.sin(math.pi * (0.5 - u)) ** 2
-        e2 = gap2 + cross * sin2 / den  # |eps|^2, free of cancellation near theta = 0
-        x = _level_x(e2, ell)
-        p = e2 + (a - m) * (a + m)
-        return (s / den) * x * x * p / (2.0 + x)
+        cos2 = np.sin(math.pi * (0.5 - u)) ** 2
 
-    return ((n, 0.5 * (2.0 - ell) * acc / n) for n, acc in trapezoid_sums(total, nodes))
+        def rows(idx):
+            s, gap2, cross, shift, ell = table[idx].T[:, :, None]
+            den = s * s * sin2 + cos2
+            e2 = gap2 + cross * sin2 / den  # |eps|^2, free of cancellation near theta = 0
+            x = _level_x(e2, ell)
+            p = e2 + shift
+            return (s / den) * x * x * p / (2.0 + x)
+
+        return rows
+
+    return integrand, [0.5 * (2.0 - ell) for _, _, ell in keys]
+
+
+def _periods(points, nodes: int) -> list[ChekanovPeriods | Exception]:
+    """The :class:`ChekanovPeriods` of each torus in ``points``, or the row
+    error (one of ROW_ERRORS) it raised, in one batched pass.
+
+    Every orbit level comes from one array call, and each distinct section
+    key (:func:`_section_key`) is integrated once, all of them as rows of
+    one :func:`~lagrtori.geometry.doubled_trapezoid`.  NonConvergent names
+    the section loop and each torus's own parameters.
+    """
+    results: list[ChekanovPeriods | Exception] = [None] * len(points)
+    keys: dict[tuple[float, float, float], int] = {}
+    live = []  # (point index, key)
+    for i, params in enumerate(points):
+        try:
+            key = _section_key(params)
+        except ROW_ERRORS as exc:
+            results[i] = exc
+        else:
+            keys.setdefault(key, len(keys))
+            live.append((i, key))
+    if not live:
+        return results
+
+    targets = [1.0 + points[i].delta for i, _ in live]
+    e0 = np.array([abs(points[i].a - points[i].mu) for i, _ in live])  # |eps(0)|
+    levels = radial_area(e0, level_radius(e0, targets)).tolist()
+    sections = doubled_trapezoid(*_section_integrand(list(keys)), nodes)
+
+    for (i, key), target, level in zip(live, targets, levels):
+        params, section = points[i], sections[keys[key]]
+        if isinstance(section, NonConvergent):
+            exc = NonConvergent(f"{_named(params, 'section loop of the torus')}: {section}")
+            exc.__cause__ = section
+            results[i] = exc
+            continue
+        a, m, low = key
+        orbit_error = abs(level - target) + rounding_floor(_ORBIT_ROUNDINGS, level)
+        offset = 0.5 * (target - low) if a > m else 0.0
+        results[i] = ChekanovPeriods(_mod_unit(level), _mod_unit(section.value + offset),
+                                     orbit_error, section.error, section.nodes)
+    return results
 
 
 def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES) -> ChekanovPeriods:
@@ -288,27 +342,20 @@ def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES) -> C
         p_section(l) = p_section(1 - |delta|) + [a > |mu|] (l - (1 - |delta|)) / 2,
 
     and the integral runs on the branch l = 1 - |delta|, where x stays
-    bounded, by the Mobius-mapped trapezoid rule of :func:`_section_levels`
-    through :func:`~lagrtori.geometry.doubled_until_agreed`.  The section
-    class is the s = 0 convention; combined classes (section plus or minus
-    the orbit) are reported by the scan.  NonConvergent names the section
-    loop and the torus parameters; DegenerateFamily and ZeroVector name the
-    torus as for :func:`chekanov_torus`.
+    bounded, by the Mobius-mapped trapezoid rule of
+    :func:`_section_integrand`, doubling from ``nodes`` through
+    :func:`~lagrtori.geometry.doubled_trapezoid`.  This is the one-torus
+    case of the batched pass :func:`_periods` that a scan makes over its
+    whole grid, so the two give the same bits.  The section class is the
+    s = 0 convention; combined classes (section plus or minus the orbit)
+    are reported by the scan.  NonConvergent names the section loop and
+    the torus parameters; DegenerateFamily and ZeroVector name the torus
+    as for :func:`chekanov_torus`.
     """
-    _require_regular(params)
-    target = 1.0 + params.delta
-    e0 = abs(params.a - params.mu)  # |eps(0)|
-    level = float(radial_area(e0, level_radius(e0, target)))
-    orbit_error = abs(level - target) + rounding_floor(_ORBIT_ROUNDINGS, level)
-
-    low = 1.0 - abs(params.delta)
-    try:
-        section = doubled_until_agreed(_section_levels(params, low, nodes))
-    except NonConvergent as exc:
-        raise NonConvergent(f"{_named(params, 'section loop of the torus')}: {exc}") from exc
-    offset = 0.5 * (target - low) if params.a > abs(params.mu) else 0.0
-    return ChekanovPeriods(_mod_unit(level), _mod_unit(section.value + offset),
-                           orbit_error, section.error, section.nodes)
+    periods = _periods([params], nodes)[0]
+    if isinstance(periods, Exception):
+        raise periods
+    return periods
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +512,10 @@ class ScanReport:
         }
 
 
-def _scan_row(params: ChekanovParams, nodes: int) -> ScanRow:
+def _scan_row(params: ChekanovParams, periods: ChekanovPeriods | Exception) -> ScanRow:
     a, delta = params.a, params.delta
-    try:
-        periods = torus_periods_chekanov(params, nodes)
-    except ROW_ERRORS as exc:
-        status, error = row_failure(exc)
+    if isinstance(periods, Exception):
+        status, error = row_failure(periods)
         return ScanRow(a, delta, *[None] * 8, status=status, error=error)
     # reduce after rounding, so a period within 5e-11 below 1 reads 0.0
     p_orb = _mod_unit(_reported(periods.p_orbit))
@@ -505,8 +550,9 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
     :class:`CertificateRow`) and the scan goes on; so does a point within
     the boundary tolerance of |mu|, as a "degenerate" row.  Every a must lie
     in (0, |mu|) and every delta in (-1, 1); ValueError before any row
-    otherwise.  Rows are computed in grid order so reports are
-    deterministic.
+    otherwise.  The periods of the whole grid come from one batched pass,
+    :func:`_periods`, which integrates each distinct section once; rows
+    are in grid order, so reports are deterministic.
     """
     mu = complex(mu)
     if not abs(mu) < math.inf:  # also catches a NaN part
@@ -521,7 +567,7 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
     if not all(-1.0 < d < 1.0 for d in delta_grid):
         raise ValueError("delta_grid must stay strictly inside (-1, 1)")
     points = [ChekanovParams(a, mu, d) for a in a_grid for d in delta_grid]
-    rows = tuple(_scan_row(p, nodes) for p in points)
+    rows = tuple(map(_scan_row, points, _periods(points, nodes)))
     certificates = tuple(_certificate_row(p) for p in points)
     ok = [r for r in rows if r.status == "ok"]
     if not ok:

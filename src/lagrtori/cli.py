@@ -10,7 +10,8 @@ plot           SVG of the moment triangle and fiber lattices
 All reports are wrapped in a versioned JSON envelope with the parameters and
 the diagnostics (tolerances, quadrature settings) actually used; identical
 inputs produce byte-identical output.  Exit codes: 0 success,
-2 usage, 3 dichotomy contradiction, 4 scan failure, 5 IO error.
+2 usage, 3 dichotomy contradiction, 4 scan failure, 5 IO error (writing
+an output file or the report to ``out``, a closed pipe included).
 ``chekanov-scan`` renders the report of
 :func:`~lagrtori.chekanov.canonical_bs_scan`, which computes a period row
 and a certificate row per grid point and the whole ``results`` object; the
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from itertools import chain
 
@@ -314,21 +316,33 @@ def main(argv=None, out=None, err=None) -> int:
 
     try:
         if args.command == "bs-count":
-            return _cmd_bs_count(args, out)
-        if args.command == "enc-report":
-            return _cmd_enc_report(args, out)
-        if args.command == "chekanov-scan":
-            return _cmd_chekanov_scan(args, out, err)
-        if args.command == "plot":
-            return _cmd_plot(args, out, err)
+            code = _cmd_bs_count(args, out)
+        elif args.command == "enc-report":
+            code = _cmd_enc_report(args, out)
+        elif args.command == "chekanov-scan":
+            code = _cmd_chekanov_scan(args, out, err)
+        elif args.command == "plot":
+            code = _cmd_plot(args, out, err)
+        else:
+            parser.error(f"unknown command {args.command!r}")
+            return EXIT_USAGE
+        if out is sys.stdout:
+            out.flush()  # so a buffered write fails here, not at interpreter exit
+        return code
     except InternalContradiction as exc:
         print(f"error: dichotomy contradiction: {exc}", file=err)
         return EXIT_CONTRADICTION
     except LagrtoriError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)
         return EXIT_SCAN
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    except OSError as exc:  # writing the report to out; the output files catch their own
+        if out is sys.stdout:
+            # the interpreter flushes stdout at exit: send what is left to
+            # devnull, or that flush raises again (the SIGPIPE note in the
+            # Python documentation)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write report: {exc}", file=err)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -19,16 +19,17 @@ function on one line through 0, alpha is the action mean
 sum_k m_k |z_k|^2 / |z|^2 dt.  That makes every area the package reports a
 closed form (toric fibers and their deformations, conic discs, the reduced
 spheres of the rotation), except the Chekanov section period, which Stokes
-reduces to a closed-form real integrand.  Its sums come from one
-midpoint-doubling trapezoid, :func:`trapezoid_sums`, and one driver,
-:func:`doubled_until_agreed`, owns the stopping rule, the node cap and the
-rounding floor of its reported error.
+reduces to a closed-form real integrand.  One row-batched driver,
+:func:`doubled_trapezoid`, runs the midpoint-doubling trapezoid rule on
+many such integrands at once, one numpy pass per doubling level over the
+rows still running, and owns the stopping rule, the node cap and the
+rounding floor of each reported error.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,37 +94,56 @@ def rounding_floor(terms: int, scale: float) -> float:
     return terms * _ULP * abs(scale)
 
 
-def doubled_until_agreed(levels: Iterator[tuple[int, float]]) -> AreaEstimate:
-    """The last of the (nodes, value) levels of a rule that doubles its node
-    count, once two successive values agree to LOOP_AGREEMENT.
+# Rows of a level are evaluated in blocks of at most this many integrand
+# values (one row at least), which bounds the temporaries of a level.
+_BLOCK_ELEMENTS = 2 ** 17
 
-    The error is their disagreement plus :func:`rounding_floor` at the node
-    count, so it is never 0.  At LOOP_MAX_NODES the value is returned if the
-    levels agree to LOOP_FALLBACK; otherwise NonConvergent is raised.
+
+def doubled_trapezoid(f: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+                      weights, nodes: int) -> list[AreaEstimate | NonConvergent]:
+    """Trapezoid rules of 1-periodic integrands on [0, 1), one per row,
+    each doubling its node count from ``nodes`` until two levels agree.
+
+    ``f(tau)`` returns a function of an array of row indices whose value is
+    the (rows, len(tau)) array of the integrands at the nodes ``tau``; the
+    value of row i at a level of n nodes is weights[i] (its sum over the
+    nodes k / n) / n.  Each doubling evaluates only the n new midpoints,
+    and a row leaves as soon as it stops: once two successive values agree
+    to LOOP_AGREEMENT, or at LOOP_MAX_NODES nodes if they agree to
+    LOOP_FALLBACK.  Its error is their disagreement plus
+    :func:`rounding_floor` at the node count, so it is never 0.  A row
+    still running at LOOP_MAX_NODES gets a NonConvergent instead.
     """
-    _, prev = next(levels)
-    for n, value in levels:
-        gap = abs(value - prev)
-        if gap <= LOOP_AGREEMENT or (n >= LOOP_MAX_NODES and gap <= LOOP_FALLBACK):
-            return AreaEstimate(value, gap + rounding_floor(n, value), n)
-        if n >= LOOP_MAX_NODES:
-            raise NonConvergent(f"trapezoid rule at n = {n} nodes: levels disagree"
-                                f" by {gap:.3e} > {LOOP_FALLBACK:.1e}")
-        prev = value
-    raise ValueError("the levels ended before two of them agreed")
-
-
-def trapezoid_sums(f: Callable[[np.ndarray], np.ndarray],
-                   nodes: int) -> Iterator[tuple[int, float]]:
-    """(n, sum of ``f`` over the nodes k / n) for n = ``nodes``, 2 ``nodes``,
-    4 ``nodes``, ...: the sums of the trapezoid rule of a 1-periodic ``f`` on
-    [0, 1).  Each doubling evaluates ``f`` only at the n new midpoints."""
+    weights = np.asarray(weights, dtype=float)
+    results: list[AreaEstimate | NonConvergent] = [None] * len(weights)
+    live = np.arange(len(weights))
     n = nodes
-    acc = float(np.sum(f(np.arange(n) / n)))
-    while True:
-        yield n, acc
-        acc += float(np.sum(f((np.arange(n) + 0.5) / n)))
+    acc = _row_sums(f, np.arange(n) / n, live)
+    prev = weights * acc / n
+    while live.size:
+        acc = acc + _row_sums(f, (np.arange(n) + 0.5) / n, live)
         n *= 2
+        value = weights[live] * acc / n
+        gap = np.abs(value - prev)
+        capped = n >= LOOP_MAX_NODES
+        agreed = (gap <= LOOP_AGREEMENT) | (capped & (gap <= LOOP_FALLBACK))
+        done = agreed | capped
+        for k in np.flatnonzero(done):
+            v, g = float(value[k]), float(gap[k])
+            results[live[k]] = (
+                AreaEstimate(v, g + rounding_floor(n, v), n) if agreed[k] else
+                NonConvergent(f"trapezoid rule at n = {n} nodes: levels disagree"
+                              f" by {g:.3e} > {LOOP_FALLBACK:.1e}"))
+        live, acc, prev = live[~done], acc[~done], value[~done]
+    return results
+
+
+def _row_sums(f, tau: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sums over ``tau`` of the integrands of ``rows``, _BLOCK_ELEMENTS at a time."""
+    at = f(tau)
+    step = max(1, _BLOCK_ELEMENTS // len(tau))
+    return np.concatenate([np.sum(at(rows[i:i + step]), axis=1)
+                           for i in range(0, rows.size, step)])
 
 
 def phase_aligned_residual(z, w) -> np.ndarray:

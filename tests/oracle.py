@@ -10,7 +10,9 @@ central differences of the lift and integrates with tensor Gauss-Legendre
 quadrature, refining once to estimate the error.  For loops it holds the
 generic boundary rule, the trapezoid rule with a spectral derivative, which
 needs no windings and so also integrates a loop whose coordinates a unitary
-has mixed, and the action-angle trapezoid mean.  It holds the sampled rules
+has mixed, and the action-angle trapezoid mean.  It holds the one-row doubling trapezoid and the
+Chekanov periods computed one torus at a time, the bitwise references of
+the package's row-batched pass.  It holds the sampled rules
 the package replaced by closed forms, as references: that mean on the two
 bisecting loops of a conic member, the gradient residual of a symbol and
 the difference stencil of the period map.  It also holds the linear coning
@@ -35,7 +37,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import pytest
@@ -59,13 +61,26 @@ from lagrtori.errors import (
     LagrtoriError,
     NonConvergent,
 )
+from lagrtori.chekanov import (
+    _ORBIT_ROUNDINGS,
+    ChekanovPeriods,
+    ChekanovParams,
+    _level_x,
+    _named,
+    _require_regular,
+    level_radius,
+    radial_area,
+)
 from lagrtori.geometry import (
+    LOOP_AGREEMENT,
+    LOOP_FALLBACK,
+    LOOP_MAX_NODES,
     LOOP_NODES,
     AreaEstimate,
+    _mod_unit,
     _unit_rows,
-    doubled_until_agreed,
     hermdot,
-    trapezoid_sums,
+    rounding_floor,
 )
 from lagrtori.lattice import ActionCoords, MonotoneWitness, SwapImage, is_monotone
 from lagrtori.maslov import _CHART_FLOOR, DiscWithBoundary
@@ -215,6 +230,79 @@ def deformed_surface(fiber: CliffordFiber, spec: DeformationSpec) -> Surface:
                                     _TWO_PI * np.asarray(t, dtype=float)),
         periodic=(True, True),
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-row trapezoid driver and the per-torus section period
+# ---------------------------------------------------------------------------
+
+
+def doubled_until_agreed(levels: Iterator[tuple[int, float]]) -> AreaEstimate:
+    """The last of the (nodes, value) levels of a rule that doubles its node
+    count, once two successive values agree to LOOP_AGREEMENT: the one-row
+    stopping rule of ``lagrtori.geometry.doubled_trapezoid``, with the same
+    error, cap and fallback."""
+    _, prev = next(levels)
+    for n, value in levels:
+        gap = abs(value - prev)
+        if gap <= LOOP_AGREEMENT or (n >= LOOP_MAX_NODES and gap <= LOOP_FALLBACK):
+            return AreaEstimate(value, gap + rounding_floor(n, value), n)
+        if n >= LOOP_MAX_NODES:
+            raise NonConvergent(f"trapezoid rule at n = {n} nodes: levels disagree"
+                                f" by {gap:.3e} > {LOOP_FALLBACK:.1e}")
+        prev = value
+    raise ValueError("the levels ended before two of them agreed")
+
+
+def trapezoid_sums(f: Callable[[np.ndarray], np.ndarray],
+                   nodes: int) -> Iterator[tuple[int, float]]:
+    """(n, sum of ``f`` over the nodes k / n) for n = ``nodes``, 2 ``nodes``,
+    4 ``nodes``, ...: the sums of the trapezoid rule of a 1-periodic ``f`` on
+    [0, 1).  Each doubling evaluates ``f`` only at the n new midpoints."""
+    n = nodes
+    acc = float(np.sum(f(np.arange(n) / n)))
+    while True:
+        yield n, acc
+        acc += float(np.sum(f((np.arange(n) + 0.5) / n)))
+        n *= 2
+
+
+def _section_levels(params: ChekanovParams, ell: float, nodes: int):
+    """(nodes, value) of the Mobius-mapped trapezoid rule for the section
+    integral of one torus at area level ``ell``, one row at a time."""
+    a, m = params.a, abs(params.mu)
+    s = min(1.0, max(math.sqrt(abs(1.0 - a / m)), abs(1.0 - ell)))
+    gap2, cross = (m - a) ** 2, 4.0 * a * m * s * s
+
+    def total(tau):
+        u = np.minimum(tau, 1.0 - tau)
+        sin2 = np.sin(math.pi * u) ** 2
+        den = s * s * sin2 + np.sin(math.pi * (0.5 - u)) ** 2
+        e2 = gap2 + cross * sin2 / den
+        x = _level_x(e2, ell)
+        p = e2 + (a - m) * (a + m)
+        return (s / den) * x * x * p / (2.0 + x)
+
+    return ((n, 0.5 * (2.0 - ell) * acc / n) for n, acc in trapezoid_sums(total, nodes))
+
+
+def torus_periods_per_row(params: ChekanovParams, nodes: int = LOOP_NODES) -> ChekanovPeriods:
+    """``lagrtori.chekanov.torus_periods_chekanov`` one torus at a time, as
+    it was computed before the scan batched its periods: the bitwise
+    reference of the batched pass."""
+    _require_regular(params)
+    target = 1.0 + params.delta
+    e0 = abs(params.a - params.mu)
+    level = float(radial_area(e0, level_radius(e0, target)))
+    orbit_error = abs(level - target) + rounding_floor(_ORBIT_ROUNDINGS, level)
+    low = 1.0 - abs(params.delta)
+    try:
+        section = doubled_until_agreed(_section_levels(params, low, nodes))
+    except NonConvergent as exc:
+        raise NonConvergent(f"{_named(params, 'section loop of the torus')}: {exc}") from exc
+    offset = 0.5 * (target - low) if params.a > abs(params.mu) else 0.0
+    return ChekanovPeriods(_mod_unit(level), _mod_unit(section.value + offset),
+                           orbit_error, section.error, section.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lagrtori.chekanov as chekanov
+from lagrtori import geometry
 from lagrtori.chekanov import (
     ChekanovParams,
     TorusType,
@@ -38,6 +40,7 @@ from oracle import (
     spectral_loop_area,
     surface_form_grid,
     surface_symplectic_area,
+    torus_periods_per_row,
 )
 
 CHEAP = 16
@@ -315,6 +318,96 @@ def test_past_the_node_cap_raises_naming_the_point():
     assert "section loop" in msg
     for part in ("a=0.999999998", f"mu={params.mu!r}", "delta=0.0"):
         assert part in msg
+
+
+# ---------------------------------------------------------------------------
+# the batched pass against the per-row reference
+# ---------------------------------------------------------------------------
+
+# a wall point that converges only at the node cap, and one that does not
+WALL_POINT = ChekanovParams(1.0 - 1e-8, 1.0, 0.0)
+NONCONVERGENT_POINT = ChekanovParams(0.999999998, 1.0, 0.0)
+
+
+def _per_row(params, nodes):
+    try:
+        return torus_periods_per_row(params, nodes)
+    except NonConvergent as exc:
+        return exc
+
+
+@st.composite
+def chamber_points(draw):
+    """A torus of either chamber, at least 1e-3 |mu| from the wall."""
+    mu = draw(st.floats(0.01, 100.0)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    ratio = draw(st.one_of(st.floats(0.01, 0.999), st.floats(1.001, 5.0)))
+    return ChekanovParams(ratio * abs(mu), mu, draw(st.floats(-0.99, 0.99)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(chamber_points(), min_size=1, max_size=8),
+       nodes=st.sampled_from([16, 32, 48]))
+def test_batched_periods_equal_the_per_row_reference(points, nodes):
+    points = points + [WALL_POINT, NONCONVERGENT_POINT]
+    for got, params in zip(chekanov._periods(points, nodes), points):
+        want = _per_row(params, nodes)
+        assert type(got) is type(want)
+        if isinstance(want, NonConvergent):
+            assert str(got) == str(want)
+        else:
+            assert tuple(got) == tuple(want)  # bit for bit, field for field
+
+
+def _record_rows(monkeypatch):
+    """Wrap the section integrand so each call records (rows, nodes) of its block."""
+    blocks = []
+    real = chekanov._section_integrand
+
+    def recording(keys):
+        integrand, weights = real(keys)
+
+        def at_nodes(tau):
+            rows = integrand(tau)
+
+            def block(idx):
+                out = rows(idx)
+                blocks.append(out.shape)
+                return out
+
+            return block
+
+        return at_nodes, weights
+
+    monkeypatch.setattr(chekanov, "_section_integrand", recording)
+    return blocks
+
+
+def test_scan_integrates_each_distinct_section_once(monkeypatch):
+    batches = []
+    real = chekanov.doubled_trapezoid
+
+    def counting(f, weights, nodes):
+        batches.append(len(weights))
+        return real(f, weights, nodes)
+
+    monkeypatch.setattr(chekanov, "doubled_trapezoid", counting)
+    blocks = _record_rows(monkeypatch)
+    a_grid, delta_grid = [0.1, 0.5, 0.9], [-0.6, -0.3, 0.0, 0.3, 0.6, 0.8]
+    report = canonical_bs_scan(1.0, a_grid, delta_grid, 48)
+    assert report.status_counts()["ok"] == 18
+    # one batch; per a, the branches 1 - |delta| are 0.4, 0.7, 1.0 and 0.2
+    assert batches == [3 * 4]
+    assert blocks[0] == (12, 48)
+
+
+def test_no_block_passes_the_element_budget(monkeypatch):
+    blocks = _record_rows(monkeypatch)
+    report = canonical_bs_scan(1.0, [1 - k * 1e-8 for k in range(1, 9)], [-0.5, 0.0, 0.5], 32)
+    assert report.status_counts()["ok"] == 24
+    assert max(rows * n for rows, n in blocks) <= geometry._BLOCK_ELEMENTS
+    # the last level of the rule evaluates a row at a time
+    assert max(n for _, n in blocks) == LOOP_MAX_NODES // 2
+    assert max(rows for rows, _ in blocks) == 16
 
 
 def _section_integrand(a, mu, level, t):

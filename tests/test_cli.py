@@ -222,6 +222,33 @@ def test_unwritable_plot_path_exits_5(tmp_path):
     assert "error" in err
 
 
+class _FullDevice(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("name", ["bs_count_level3.json", "enc_report_grid7.json",
+                                  "chekanov_scan_small.json", "plot_level3.svg"])
+def test_unwritable_stdout_exits_5(name):
+    err = io.StringIO()
+    assert cli.main(GOLDEN_CASES[name], out=_FullDevice(), err=err) == cli.EXIT_IO
+    assert err.getvalue() == "error: cannot write report: [Errno 28] No space left on device\n"
+
+
+def test_reader_that_closes_early_gets_no_traceback():
+    # bs-count 240 writes ~800 kB, far past the pipe buffer, into a reader
+    # that closes after one byte
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "lagrtori.cli", "bs-count", "--level", "240"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == cli.EXIT_IO
+    assert stderr == "error: cannot write report: [Errno 32] Broken pipe\n"
+
+
 def test_contradiction_exits_3(monkeypatch):
     def boom(base):
         raise InternalContradiction("forced for the exit-code check")
@@ -266,7 +293,7 @@ def _fail_at_delta_zero(monkeypatch, module, name, error):
 
 def test_one_failed_scan_point_marks_its_row(monkeypatch):
     import lagrtori.chekanov as chekanov
-    _fail_at_delta_zero(monkeypatch, chekanov, "torus_periods_chekanov", NonConvergent)
+    _fail_at_delta_zero(monkeypatch, chekanov, "_section_key", NonConvergent)
     code, out, err = run_cli(GOLDEN_CASES["chekanov_scan_small.json"])
     assert code == cli.EXIT_OK and err == ""
     doc = json.loads(out)
@@ -311,7 +338,7 @@ def test_scan_with_no_ok_row_writes_its_report_and_exits_4(monkeypatch):
     def boom(params, *args, **kwargs):
         raise NonConvergent(f"forced at a={params.a!r}, delta={params.delta!r}")
 
-    monkeypatch.setattr(chekanov, "torus_periods_chekanov", boom)
+    monkeypatch.setattr(chekanov, "_section_key", boom)
     code, out, err = run_cli(GOLDEN_CASES["chekanov_scan_small.json"])
     assert code == cli.EXIT_SCAN
     assert err == "error: NonConvergent: forced at a=0.3, delta=-0.5\n"

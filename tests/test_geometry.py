@@ -19,12 +19,12 @@ from lagrtori.clifford import (
 )
 from lagrtori.errors import NonConvergent, ZeroVector
 from lagrtori.geometry import (
+    LOOP_MAX_NODES,
     _unit_rows,
-    doubled_until_agreed,
+    doubled_trapezoid,
     hermdot,
     moment_map,
     phase_aligned_residual,
-    trapezoid_sums,
 )
 from oracle import (
     FS_SCALE,
@@ -33,6 +33,7 @@ from oracle import (
     chordal_distance,
     conic_disc_surface,
     deformed_cycle,
+    doubled_until_agreed,
     fs_pullback_raw,
     line_surface,
     loop_symplectic_area,
@@ -41,6 +42,7 @@ from oracle import (
     spectral_loop_area,
     surface_form_grid,
     surface_symplectic_area,
+    trapezoid_sums,
 )
 
 
@@ -202,9 +204,43 @@ def test_random_unitary_is_unitary():
 # ---------------------------------------------------------------------------
 
 
+def _rows_of(funcs, calls=None):
+    """The integrand of doubled_trapezoid whose row i is funcs[i]."""
+    def at_nodes(tau):
+        def block(rows):
+            if calls is not None:
+                calls.append((len(rows), len(tau)))
+            return np.array([funcs[i](tau) for i in rows])
+        return block
+    return at_nodes
+
+
 def test_doubling_driver_adds_the_rounding_floor():
-    est = doubled_until_agreed(iter([(16, 0.75), (32, 0.75)]))
+    [est] = doubled_trapezoid(_rows_of([lambda t: np.full_like(t, 0.75)]), [1.0], 16)
     assert est == (0.75, 32 * 2.0 ** -53 * 0.75, 32)
+
+
+# rows that stop at different levels: band-limited, peaked, at the cap, past it
+_ROWS = [
+    lambda t: np.cos(2.0 * math.pi * t) ** 2,
+    lambda t: 1.0 / (1.05 - np.cos(2.0 * math.pi * t)),
+    lambda t: 1.0 / (1.0 + 1e-8 - np.cos(2.0 * math.pi * t)),
+    lambda t: 1.0 / (1.0 + 1e-9 - np.cos(2.0 * math.pi * t)),
+]
+
+
+def test_batched_driver_equals_the_one_row_driver():
+    weights = [1.0, 0.3, 1e-5, 1e-5]
+    got = doubled_trapezoid(_rows_of(_ROWS), weights, 16)
+    for f, w, est in zip(_ROWS, weights, got):
+        levels = ((n, w * acc / n) for n, acc in trapezoid_sums(f, 16))
+        try:
+            want = doubled_until_agreed(levels)
+        except NonConvergent as exc:
+            assert isinstance(est, NonConvergent) and str(est) == str(exc)
+        else:
+            assert est == want  # bit for bit
+    assert [getattr(e, "nodes", None) for e in got] == [32, 256, LOOP_MAX_NODES, None]
 
 
 def test_no_reported_error_is_zero():
@@ -222,17 +258,13 @@ def test_no_reported_error_is_zero():
 
 
 def test_trapezoid_sums_evaluate_only_the_new_midpoints():
+    # each level evaluates the n new midpoints of the rows still running
     calls = []
-
-    def f(t):
-        calls.append(len(t))
-        return np.cos(2.0 * math.pi * t) ** 2
-
-    sums = trapezoid_sums(f, 3)
-    assert [next(sums)[0] for _ in range(4)] == [3, 6, 12, 24]
-    assert calls == [3, 3, 6, 12]
-    n, acc = next(sums)
-    assert acc / n == pytest.approx(0.5, abs=1e-15)
+    got = doubled_trapezoid(_rows_of(_ROWS[:2], calls), [1.0, 1.0], 3)
+    assert calls == [(2, 3), (2, 3), (1, 6), (1, 12), (1, 24), (1, 48), (1, 96)]
+    assert (got[0].nodes, got[1].nodes) == (6, 192)
+    assert got[0].value == pytest.approx(0.5, abs=1e-15)
+    assert got[1].value == pytest.approx(1.0 / math.sqrt(1.05 ** 2 - 1.0), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
