@@ -137,8 +137,10 @@ class ChekanovParams:
             raise ValueError("circle radius a must be positive and finite")
         if not _EPS_FLOOR < abs(self.mu) < math.inf:
             raise ValueError("circle center mu must be nonzero and finite")
-        if not -1.0 < self.delta < 1.0:
-            raise ValueError("delta must lie strictly between -1 and 1")
+        # 1 + delta is the orbit level; at delta = 1 - 2**-53 it rounds to 2
+        if not (-1.0 < self.delta and 1.0 + self.delta < 2.0):
+            raise ValueError(f"delta {self.delta!r} must lie strictly between -1 and 1,"
+                             " with the orbit level 1 + delta below 2")
 
     def eps_of(self, t) -> np.ndarray:
         return self.a * np.exp(2j * math.pi * np.asarray(t, dtype=float)) - self.mu
@@ -549,10 +551,11 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
     ROW_ERRORS becomes a failed row (see :class:`ScanRow` and
     :class:`CertificateRow`) and the scan goes on; so does a point within
     the boundary tolerance of |mu|, as a "degenerate" row.  Every a must lie
-    in (0, |mu|) and every delta in (-1, 1); ValueError before any row
-    otherwise.  The periods of the whole grid come from one batched pass,
-    :func:`_periods`, which integrates each distinct section once; rows
-    are in grid order, so reports are deterministic.
+    in (0, |mu|) and every delta in (-1, 1), with 1 + delta below 2 in
+    floats; ValueError before any row otherwise (naming the delta).  The
+    periods of the whole grid come from one batched pass, :func:`_periods`,
+    which integrates each distinct section once; rows are in grid order,
+    so reports are deterministic.
     """
     mu = complex(mu)
     if not abs(mu) < math.inf:  # also catches a NaN part
@@ -564,8 +567,10 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
     # comparisons that a NaN fails
     if not all(0.0 < a < abs(mu) for a in a_grid):
         raise ValueError("a_grid must stay strictly inside (0, |mu|)")
-    if not all(-1.0 < d < 1.0 for d in delta_grid):
-        raise ValueError("delta_grid must stay strictly inside (-1, 1)")
+    for d in delta_grid:
+        if not (-1.0 < d and 1.0 + d < 2.0):  # as in ChekanovParams
+            raise ValueError("delta_grid must stay strictly inside (-1, 1), with the"
+                             f" orbit level 1 + delta below 2: {d!r}")
     points = [ChekanovParams(a, mu, d) for a in a_grid for d in delta_grid]
     rows = tuple(map(_scan_row, points, _periods(points, nodes)))
     certificates = tuple(_certificate_row(p) for p in points)

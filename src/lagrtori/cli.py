@@ -23,16 +23,20 @@ certificate fails only where the scan row of the same point has failed
 with the same text.)
 
 ``bs-count`` and ``enc-report`` work on the lattice indices (i, j) of their
-points, with one Fraction per index.  ``enc-report`` decides every point
-with :func:`~lagrtori.lattice.dichotomy` first and takes its counts from
+points by rows of equal i (:func:`~lagrtori.lattice.lattice_rows`), with
+one Fraction per index.  ``enc-report`` keys each point by its
+:func:`~lagrtori.lattice.verdict_class`, decides the first point of each
+class with :func:`~lagrtori.lattice.dichotomy` and takes its counts from
 those outcomes; ``bs-count`` takes ``count`` from the enumeration and
 compares it with the closed-form dimension.  Each report is then written
-row by row through :class:`~lagrtori.serialize.Template`: the envelope
-and one row of each shape are rendered once, each distinct [n, d] pair
-once per index, and the rows go to ``out`` in bounded pieces, one
-one-line row per line (the same parsed JSON as the indented text), as
+through :class:`~lagrtori.serialize.Template`: the envelope and one row of
+each shape are rendered once, each [n, d] pair once per index and each
+class's row tail once, so a row is the concatenation of pre-rendered
+texts.  The rows go to ``out`` in blocks, one list per i joined at once,
+one one-line row per line (the same parsed JSON as the indented text), as
 does the ``bs-count`` CSV.  No per-row dict, and no string of the whole
-report, is built.
+report, is built.  The parser is built by the first :func:`main` call of
+a process and reused.
 
 ``bs-count``, ``enc-report`` and ``plot`` use only the exact layer
 (:mod:`lagrtori.lattice`, :mod:`lagrtori.serialize`, :mod:`lagrtori.svgplot`)
@@ -55,9 +59,10 @@ from .lattice import (
     ActionCoords,
     MonotoneWitness,
     dichotomy,
-    lattice_indices,
+    lattice_rows,
     lattice_values,
     section_dimension,
+    verdict_class,
 )
 from .serialize import Gap, Template, rational_pair, stable_dump, write_pieces
 from .svgplot import render_triangle_plot
@@ -90,63 +95,81 @@ def _envelope(out, command: str, params: dict, results: dict, diagnostics: dict)
 
 
 def _cmd_bs_count(args, out) -> int:
-    points = lattice_indices(args.level, args.closed)
+    rows = lattice_rows(args.level, args.closed)
     vals = lattice_values(args.level)
     if args.format == "csv":
         pair = [f"{v.numerator},{v.denominator}" for v in vals]
-        write_pieces(chain(["r0_num,r0_den,r1_num,r1_den\n"],
-                           (f"{pair[i]},{pair[j]}\n" for i, j in points)), out.write)
+        lead = [p + "," for p in pair]
+        blocks = ("".join([lead[i] + pair[j] + "\n" for j in js]) for i, js in rows)
+        write_pieces(chain(["r0_num,r0_den,r1_num,r1_den\n"], blocks), out.write)
         return EXIT_OK
+    count = sum(len(js) for _, js in rows)
     dimension = section_dimension(args.level, args.closed)
     report = Template(_body(
         "bs-count",
         {"level": args.level, "closed": args.closed, "format": args.format},
-        {"count": len(points), "fibers": Gap("fibers"), "hilbert_dimension": dimension,
-         "match": len(points) == dimension},
+        {"count": count, "fibers": Gap("fibers"), "hilbert_dimension": dimension,
+         "match": count == dimension},
         {"tolerances": {"arithmetic": "exact rational"}},
     ))
-    fiber = report.item([Gap("r0"), Gap("r1")])
+    head, mid, tail = report.item([Gap("r0"), Gap("r1")]).pieces
     pair = [Template.text(rational_pair(v)) for v in vals]
-    report.dump((fiber.fill(r0=pair[i], r1=pair[j]) for i, j in points), out.write)
+    lead = [head + p + mid for p in pair]
+    report.dump(([lead[i] + pair[j] + tail for j in js] for i, js in rows), out.write)
     out.write("\n")
     return EXIT_OK
 
 
+def _tail(item: Template, **texts) -> str:
+    """The text of a row template after its first two gaps, ``r0`` and
+    ``r1``, with the other gaps filled by ``texts``."""
+    return item.fill(r0="", r1="", **texts)[len(item.pieces[0]) + len(item.pieces[1]):]
+
+
 def _cmd_enc_report(args, out) -> int:
     den = args.grid + 2
-    points = lattice_indices(den)
+    rows = lattice_rows(den)
     vals = lattice_values(den)
-    outcomes = [dichotomy(ActionCoords(vals[i], vals[j])) for i, j in points]
+    keys = [[verdict_class(den, i, j) for j in js] for i, js in rows]
+    outcomes = {}
+    for (i, js), ks in zip(rows, keys):
+        for j, k in zip(js, ks):
+            if k not in outcomes:  # the first grid point of its class
+                outcomes[k] = dichotomy(ActionCoords(vals[i], vals[j]))
+    monotone_keys = {k for k, o in outcomes.items() if isinstance(o, MonotoneWitness)}
     monotone_points = [[rational_pair(vals[i]), rational_pair(vals[j])]
-                       for (i, j), o in zip(points, outcomes)
-                       if isinstance(o, MonotoneWitness)]
+                       for (i, js), ks in zip(rows, keys)
+                       for j, k in zip(js, ks) if k in monotone_keys]
+    points = sum(map(len, keys))
     report = Template(_body(
         "enc-report",
         {"grid": args.grid},
-        {"grid": args.grid, "denominator": den, "points": len(outcomes),
+        {"grid": args.grid, "denominator": den, "points": points,
          "monotone_points": monotone_points, "monotone_count": len(monotone_points),
-         "displaceable_count": len(outcomes) - len(monotone_points), "rows": Gap("rows")},
+         "displaceable_count": points - len(monotone_points), "rows": Gap("rows")},
         {"tolerances": {"arithmetic": "exact rational"}},
     ))
+    # "base" sorts first in both row shapes, so a row is its base pair and
+    # then the tail of its class
     base = [Gap("r0"), Gap("r1")]
     displaced = report.item({"base": base, "separation": Gap("separation"),
                              "swap": Gap("swap"), "verdict": "displaceable"})
     monotone = report.item({"base": base, "bs_defect": Gap("bs_defect"),
                             "universal_class": Gap("universal_class"),
                             "verdict": "monotone"})
-    pair = [Template.text(rational_pair(v)) for v in vals]
     swaps = {jk: Template.text(list(jk)) for jk in ((0, 1), (1, 2))}
-    rows = (
-        monotone.fill(
-            r0=pair[i], r1=pair[j], bs_defect=Template.text(o.bs_defect),
-            universal_class=Template.text(list(o.universal_class)))
-        if isinstance(o, MonotoneWitness) else
-        displaced.fill(
-            r0=pair[i], r1=pair[j], separation=Template.text(o.separation),
-            swap=swaps[o.swap])
-        for (i, j), o in zip(points, outcomes)
-    )
-    report.dump(rows, out.write)
+    tails = {
+        k: _tail(monotone, bs_defect=Template.text(o.bs_defect),
+                 universal_class=Template.text(list(o.universal_class)))
+        if k in monotone_keys else
+        _tail(displaced, separation=Template.text(o.separation), swap=swaps[o.swap])
+        for k, o in outcomes.items()
+    }
+    head, mid = displaced.pieces[:2]
+    pair = [Template.text(rational_pair(v)) for v in vals]
+    lead = [head + p + mid for p in pair]
+    report.dump(([lead[i] + pair[j] + tails[k] for j, k in zip(js, ks)]
+                 for (i, js), ks in zip(rows, keys)), out.write)
     out.write("\n")
     return EXIT_OK
 
@@ -286,10 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main call
+
+
 def main(argv=None, out=None, err=None) -> int:
+    global _parser
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
 
     if args.command == "enc-report" and args.grid < 3:

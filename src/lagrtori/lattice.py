@@ -135,11 +135,17 @@ def lattice_indices(level: int, closed: bool = False) -> list[tuple[int, int]]:
     Interior: i, j >= 1 and i + j <= level - 1.  Closed: i, j >= 0 and
     i + j <= level.  Raises ValueError for a level below 1.
     """
+    return [(i, j) for i, js in lattice_rows(level, closed) for j in js]
+
+
+def lattice_rows(level: int, closed: bool = False) -> list[tuple[int, range]]:
+    """The pairs of :func:`lattice_indices` by rows: (i, the range of j) for
+    each i, in report order (a range may be empty)."""
     if level < 1:
         raise ValueError("level must be a positive integer")
     lo = 0 if closed else 1
     hi = level if closed else level - 1
-    return [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi - i + 1)]
+    return [(i, range(lo, hi - i + 1)) for i in range(lo, hi + 1)]
 
 
 def lattice_values(level: int) -> list[Fraction]:
@@ -279,6 +285,22 @@ def swap_image(base: ActionCoords) -> SwapImage | None:
     # on the diagonal, r2 = 1 - 2 * r0 and r2 - r1 = 1 - 3 * r0
     r2 = base.r2 if isinstance(base.r2, Fraction) else (d0 - 2 * n0) / d0
     return SwapImage((1, 2), (base.r0, r2), math.hypot(0.0, (d0 - 3 * n0) / d0))
+
+
+def verdict_class(level: int, i: int, j: int) -> int:
+    """A key for the interior point (i/level, j/level): points with the same
+    key get the same :func:`dichotomy` verdict, swap, separation float and
+    monotone witness.
+
+    Off the diagonal (i != j) the key is |j - i| > 0.  The point is not
+    monotone (that needs 3i = 3j = level), its swap is (0, 1) and its
+    separation is hypot(x, -x) with x = (j - i)/level, one correctly rounded
+    int division: the same float from any representation of that rational,
+    and hypot is even in x.  On the diagonal the key is -i, one class per
+    point: monotone when 3i = level, else swap (1, 2) with separation
+    |level - 3i|/level.
+    """
+    return abs(j - i) if i != j else -i
 
 
 def dichotomy(base: ActionCoords) -> SwapImage | MonotoneWitness:

@@ -25,11 +25,13 @@ so the parsed JSON is the same.  These reports are written through a
 holds named :class:`Gap` placeholders, cut at the gaps, where the encoder
 renders each gap as a quoted tag unique to the template.  The envelope is
 one indented template, with a gap in place of its long list; each row
-shape is a one-line template.  A row is its template filled with value
-texts: the caller renders each distinct int list (an [n, d] pair, a swap)
-once and reuses it, and a float is its ``repr``.  :meth:`Template.dump`
-writes the envelope with the rows spliced in, one per line, in pieces of
-about ``_PIECE_CHARS`` characters; the whole payload is never built.
+shape is a one-line template.  A row is the text of its template with
+the gaps filled: the caller renders each distinct value text (an [n, d]
+pair, a swap, a float's ``repr``) once and joins a row from the template's
+pieces and those texts.  :meth:`Template.dump` takes the rows in blocks,
+lists of row texts, joins each block at once and writes the envelope with
+the rows spliced in, one per line, in pieces of about ``_PIECE_CHARS``
+characters; the whole payload is never built.
 """
 
 from __future__ import annotations
@@ -163,29 +165,32 @@ class Template:
         """The one-line template of an item of the list that fills the gap."""
         return Template(payload, None)
 
-    def dump(self, items, write) -> None:
-        """Writes the text with the only gap filled by a list of ``items``,
-        each a text rendered by an :meth:`item` template on a line of its
-        own, in pieces."""
+    def dump(self, blocks, write) -> None:
+        """Writes the text with the only gap filled by a list of items, one
+        per line; ``blocks`` holds lists of item texts, each rendered by an
+        :meth:`item` template, and each list is joined at once.  The text
+        goes to ``write`` in pieces of about ``_PIECE_CHARS`` characters, or
+        one block when a block is longer."""
         head, tail = self.pieces
         line = head.rpartition("\n")[2]
         newline = "\n" + line[:len(line) - len(line.lstrip(" "))]
-        write_pieces(chain((head,), _list_texts(items, newline), (tail,)), write)
+        write_pieces(chain((head,), _list_texts(blocks, newline), (tail,)), write)
 
 
-def _list_texts(items, newline: str):
-    """The text of a list whose items have the texts ``items``, one item per
-    line; ``newline`` is the line break and indent of the list's own line."""
-    items = iter(items)
-    first = next(items, None)
+def _list_texts(blocks, newline: str):
+    """The text of a list whose items have the texts in ``blocks`` (lists of
+    texts, empty ones allowed), one item per line; ``newline`` is the line
+    break and indent of the list's own line."""
+    inner = newline + _INDENT
+    sep = "," + inner
+    texts = (sep.join(block) for block in blocks if block)
+    first = next(texts, None)
     if first is None:
         yield "[]"
         return
-    inner = newline + _INDENT
     yield "[" + inner
     yield first
-    sep = "," + inner
-    for item in items:
+    for text in texts:
         yield sep
-        yield item
+        yield text
     yield newline + "]"

@@ -499,6 +499,16 @@ def test_scan_validates_regime():
             canonical_bs_scan(mu, [0.5], [0.0], CHEAP)
 
 
+def test_orbit_level_that_rounds_to_two_is_rejected_up_front():
+    # 1 - 2**-53 is inside (-1, 1), but the orbit level 1 + delta rounds to 2
+    edge = 1 - 2 ** -53
+    with pytest.raises(ValueError, match="orbit level"):
+        ChekanovParams(0.5, 1.0, edge)
+    with pytest.raises(ValueError, match=f"delta_grid .*: {edge!r}$"):
+        canonical_bs_scan(1.0, [0.5], [0.0, edge], CHEAP)
+    ChekanovParams(0.5, 1.0, 1 - 2 ** -52)  # the next float down is accepted
+
+
 def test_scan_point_at_the_wall_is_a_degenerate_row():
     report = canonical_bs_scan(1.0, [0.5, 0.9999999999], [0.0], CHEAP)
     assert [r.status for r in report.rows] == ["ok", "degenerate"]

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -247,6 +248,27 @@ def test_reader_that_closes_early_gets_no_traceback():
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == cli.EXIT_IO
     assert stderr == "error: cannot write report: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bs-count", "--level", "12"],
+    ["bs-count", "--level", "12", "--format", "csv"],
+    ["enc-report", "--grid", "10"],
+    ["plot", "--level", "6"],
+    ["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
+     "--a-step", "0.1", "--delta-step", "0.9"],  # one grid point
+])
+def test_a_warm_call_leaves_no_cyclic_garbage(argv):
+    # garbage piles up between the cyclic collector's runs, and a report
+    # that allocates little per row rarely triggers one
+    assert run_cli(argv)[0] == cli.EXIT_OK
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(argv)[0] == cli.EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_contradiction_exits_3(monkeypatch):

@@ -1,5 +1,6 @@
 """The exact layer: the triangle test of ActionCoords and the dichotomy."""
 
+import io
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lagrtori import cli
 from lagrtori.displacement import Displaceable, Monotone, displace_clifford, enc_verdict
 from lagrtori.lattice import (
     ActionCoords,
@@ -15,7 +17,10 @@ from lagrtori.lattice import (
     SwapImage,
     dichotomy,
     interior_rational_grid,
+    lattice_indices,
+    lattice_values,
     swap_image,
+    verdict_class,
 )
 from oracle import reference_dichotomy, reference_is_interior, reference_swap_image
 
@@ -212,3 +217,34 @@ def test_a_float_point_is_decided_as_its_binary_rational(pair):
     assert got.separation.hex() == want.separation.hex()
     cert = displace_clifford(base)
     assert cert.detail["swap"] == list(got.swap) and cert.separation == got.separation
+
+
+def _outcome_fields(outcome):
+    """What a report prints of a dichotomy outcome, floats as their bits."""
+    if isinstance(outcome, MonotoneWitness):
+        return outcome
+    return type(outcome), outcome.swap, outcome.separation.hex()
+
+
+@pytest.mark.parametrize("level", [*range(3, 61), 162])
+def test_points_of_a_verdict_class_share_the_outcome(level):
+    vals = lattice_values(level)
+    first = {}
+    for i, j in lattice_indices(level):
+        got = _outcome_fields(dichotomy(ActionCoords(vals[i], vals[j])))
+        assert first.setdefault(verdict_class(level, i, j), got) == got, (i, j)
+    # one class per distance off the diagonal, one per diagonal point
+    assert len(first) == (level - 3) + (level - 1) // 2
+
+
+def test_enc_report_decides_each_class_once(monkeypatch):
+    calls = []
+
+    def counted(base):
+        calls.append(base)
+        return dichotomy(base)
+
+    monkeypatch.setattr(cli, "dichotomy", counted)
+    assert cli.main(["enc-report", "--grid", "160"], out=io.StringIO()) == cli.EXIT_OK
+    n = 162
+    assert len(calls) == (n - 3) + (n - 1) // 2 == 239

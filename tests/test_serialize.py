@@ -116,7 +116,7 @@ def test_template_leaves_no_reference_cycles():
     gc.collect()
     report = Template({"d": "e", "rows": Gap("rows")})
     row = report.item({"b": [[1, 2]], "s": Gap("s")})
-    report.dump([row.fill(s=row.text(1.5))], io.StringIO().write)
+    report.dump([[row.fill(s=row.text(1.5))]], io.StringIO().write)
     del report, row
     assert gc.collect() == 0
 
@@ -156,15 +156,17 @@ keys = st.text(max_size=4)
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(keys, scalars, max_size=3),
        st.lists(st.tuples(payloads, scalars), max_size=3),
-       st.lists(keys, min_size=2, max_size=2, unique=True))
-def test_template_fills_to_the_stable_dumps_text(head, rows, names):
-    # a report whose long list holds rows of one shape with two values
+       st.lists(keys, min_size=2, max_size=2, unique=True),
+       st.integers(0, 3))
+def test_template_fills_to_the_stable_dumps_text(head, rows, names, cut):
+    # a report whose long list holds rows of one shape with two values,
+    # passed in two blocks with an empty one between them
     ka, kb = names
     report = Template({**head, "rows": Gap("rows")})
     row = report.item({ka: Gap("a"), kb: [Gap("b"), 1]})
     texts = [row.fill(a=row.text(a), b=row.text(b)) for a, b in rows]
     pieces = []
-    report.dump(texts, pieces.append)
+    report.dump([texts[:cut], [], texts[cut:]], pieces.append)
     whole = {**head, "rows": [{ka: a, kb: [b, 1]} for a, b in rows]}
     assert "".join(pieces) == rows_dumps(whole, "rows")
 
@@ -174,7 +176,7 @@ def test_template_head_strings_make_no_gap(head):
     report = Template({"h": head, head: [head], "rows": Gap("rows")})
     row = report.item([Gap("a"), 1])
     pieces = []
-    report.dump([row.fill(a=row.text(1.5))], pieces.append)
+    report.dump([[row.fill(a=row.text(1.5))]], pieces.append)
     assert len(report.pieces) == 2
     whole = {"h": head, head: [head], "rows": [[1.5, 1]]}
     assert "".join(pieces) == rows_dumps(whole, "rows")
@@ -193,7 +195,7 @@ def test_template_list_gap_takes_the_indent_of_its_line(depth):
     report = Template(nested(Gap("rows")))
     row = report.item({"a": Gap("a")})
     pieces = []
-    report.dump([row.fill(a=row.text(v)) for v in (1.5, {"b": [1, 2]})], pieces.append)
+    report.dump([[row.fill(a=row.text(v))] for v in (1.5, {"b": [1, 2]})], pieces.append)
     assert "".join(pieces) == rows_dumps(nested([{"a": 1.5}, {"a": {"b": [1, 2]}}]), *path)
 
 
