@@ -49,7 +49,7 @@ _NUMERIC = {
         "DisplacementCertificate", "Displaceable", "HermitianSymbol", "Monotone",
         "NotDisplacedByTheseFlows", "RotationReport",
         "build_diagonal_rotation", "displace_chekanov", "displace_clifford",
-        "enc_verdict", "swap_symbol", "symbol_flow",
+        "enc_verdict", "swap_symbol",
     ),
 }
 _LAZY = {module: module for module in _NUMERIC}

@@ -1,82 +1,80 @@
-"""Hamiltonian flows of Hermitian symbols and displacement certificates.
+"""Hamiltonian flows of integer symbols and displacement certificates.
 
 Every flow used here is the projectivization of a one-parameter unitary
-group exp(i t A) with A Hermitian; the induced projective isotopy is the
-Hamiltonian flow of the symbol function <Az, z>/<z, z>.  Working with the
-exact unitaries (instead of integrating an ODE) makes both displacement
-certificates exact: the moment map separates a toric fiber from its image,
-and the pencil map z0 z1 / z2^2 a Chekanov-type torus from its image.
+group exp(i t A), A a symmetric integer matrix; the induced projective
+isotopy is the Hamiltonian flow of the symbol function <Az, z>/<z, z>.
+The package applies three flows, each at a quarter or a full turn, and each
+is an exact monomial matrix, proved where it is used: the swap (j, k) at
+pi/2 (:func:`swap_symbol`), diag(0, 0, 1) at pi/2
+(:func:`displace_chekanov`) and the rotation symbol at 2 pi
+(:func:`build_diagonal_rotation`).  So no flow is computed: the moment map
+separates a toric fiber from its image, and the pencil map z0 z1 / z2^2 a
+Chekanov-type torus from its image, exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .chekanov import CertificateMethod, ChekanovParams, pencil_separation
-from .clifford import ActionCoords, CliffordFiber
-from .errors import NormalizationFailure, NotHermitian
-from .geometry import hermdot, moment_map, phase_aligned_residual, rounding_floor
-from .lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
+from .errors import NotHermitian
+from .geometry import rounding_floor
+from .lattice import ActionCoords, MonotoneWitness, SwapImage, dichotomy, swap_image
 from .serialize import complex_pair, number_or_rational
-
-_HERM_TOL = 1e-12
-# build_diagonal_rotation: the gate on the flow's periodicity
-_ROTATION_PERIOD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class HermitianSymbol:
-    """A 3x3 Hermitian matrix viewed as a real function on the plane."""
+    """A symmetric 3x3 integer matrix, viewed as the real function
+    <Az, z>/<z, z> on the plane.
 
-    matrix: np.ndarray
+    ``matrix`` is stored as a tuple of three rows of three ``int`` entries,
+    so a symbol is immutable and hashable.  Any other shape or entry type
+    (float, complex, bool, NaN, an infinity), and any asymmetric matrix,
+    raises NotHermitian.
+    """
+
+    matrix: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        # a private read-only copy: a later write by the caller, or to a
-        # shared symbol, cannot undo the validation below
-        a = np.array(self.matrix, dtype=complex)
-        a.flags.writeable = False
-        if a.shape != (3, 3):
-            raise NotHermitian(f"expected a 3x3 matrix, got {a.shape}")
-        if np.max(np.abs(a - a.conj().T)) > _HERM_TOL:
-            raise NotHermitian("matrix is not self-adjoint within 1e-12")
-        object.__setattr__(self, "matrix", a)
-
-    def value(self, z) -> np.ndarray:
-        """Rayleigh quotient <Az, z>/<z, z> on raw lifts (vectorized)."""
-        z = np.asarray(z, dtype=complex)
-        num = hermdot(np.einsum("ij,...j->...i", self.matrix, z), z)
-        return num.real / hermdot(z, z).real
-
-    def to_json(self) -> dict:
-        return {"matrix": [[complex_pair(v) for v in row] for row in self.matrix]}
-
-
-def diagonal_symbol(d0: float, d1: float, d2: float) -> HermitianSymbol:
-    return HermitianSymbol(np.diag([d0, d1, d2]).astype(complex))
+        try:
+            rows = tuple(tuple(row) for row in self.matrix)
+        except TypeError:
+            raise NotHermitian("expected a 3x3 matrix of integer rows") from None
+        lengths = [len(row) for row in rows]
+        if lengths != [3, 3, 3]:
+            raise NotHermitian(f"expected a 3x3 matrix, got rows of lengths {lengths}")
+        if not all(type(v) is int for row in rows for v in row):
+            raise NotHermitian("expected int entries")
+        if any(rows[i][j] != rows[j][i] for i in range(3) for j in range(i)):
+            raise NotHermitian("matrix is not symmetric")
+        object.__setattr__(self, "matrix", rows)
 
 
 def swap_symbol(j: int, k: int) -> HermitianSymbol:
-    """Symbol of the (j, k) coordinate-exchange block."""
+    """Symbol of the (j, k) coordinate-exchange block.
+
+    Its flow at time pi/2 is exact: the block S = [[0, 1], [1, 0]] has
+    S^2 = I, so exp(i t S) = cos(t) I + i sin(t) S, which at t = pi/2 is
+    i S; the third coordinate has eigenvalue 0 and keeps the factor 1.  The
+    flow sends z to the point with z_j and z_k exchanged and each multiplied
+    by i.  Multiplying by i is exact in floating point (it exchanges the
+    real and imaginary parts and negates one), so the squared moduli of the
+    image are exactly those of z with j and k exchanged: the image of the
+    fiber over a moment value is the fiber over the swapped value.
+    """
     if not (0 <= j < k <= 2):
         raise ValueError("need coordinate indices 0 <= j < k <= 2")
-    a = np.zeros((3, 3), dtype=complex)
-    a[j, k] = a[k, j] = 1.0
-    return HermitianSymbol(a)
+    return HermitianSymbol(tuple(tuple(int({a, b} == {j, k}) for b in range(3))
+                                 for a in range(3)))
 
 
 # the swaps that lattice.swap_image can choose
 _SWAPS = {jk: swap_symbol(*jk) for jk in ((0, 1), (1, 2))}
-
-
-def symbol_flow(symbol: HermitianSymbol, t: float) -> np.ndarray:
-    """The unitary exp(i t A), computed by diagonalization."""
-    w, v = np.linalg.eigh(symbol.matrix)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
+# the z2-phase symbol diag(0, 0, 1) of displace_chekanov
+_Z2_PHASE = HermitianSymbol(((0, 0, 0), (0, 0, 0), (0, 0, 1)))
 
 
 @dataclass(frozen=True)
@@ -93,15 +91,6 @@ class DisplacementCertificate:
     def __post_init__(self):
         if not self.separation > 0:
             raise ValueError("a certificate requires strictly positive separation")
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method.value,
-            "separation": self.separation,
-            "samples": self.samples,
-            "flow": {"symbol": self.symbol.to_json()["matrix"], "time": self.time},
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -151,8 +140,9 @@ def displace_chekanov(params: ChekanovParams) -> DisplacementCertificate:
     The pencil map f = z0 z1 / z2^2 is exact on the torus: its lift
     (1, eps lam^2, lam) has z2 = lam, never 0, and f = eps there, so f maps
     the torus T onto the parameter circle C = {a e^{it} - mu}.  The flow of
-    diag(0, 0, 1) at time pi/2 is diag(1, 1, i), which sends f to -f, so f
-    maps the image torus onto -C.  C and -C are disjoint exactly when
+    diag(0, 0, 1) at time pi/2 is diag(e^0, e^0, e^{i pi/2}) = diag(1, 1, i),
+    exactly, which sends f to f / i^2 = -f, so f maps the image torus onto
+    -C.  C and -C are disjoint exactly when
     a < |mu|, and then so are T and its image: the certificate is exact,
     like the moment-image one of :func:`displace_clifford`, and does not
     depend on delta.  Its separation is
@@ -164,7 +154,7 @@ def displace_chekanov(params: ChekanovParams) -> DisplacementCertificate:
     separation = pencil_separation(params)
     a, mu = params.a, complex(params.mu)
     return DisplacementCertificate(
-        symbol=diagonal_symbol(0.0, 0.0, 1.0),
+        symbol=_Z2_PHASE,
         time=math.pi / 2.0,
         separation=separation,
         method=CertificateMethod.PENCIL_IMAGE_DISJOINT,
@@ -184,18 +174,10 @@ def displace_chekanov(params: ChekanovParams) -> DisplacementCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _rotation_symbol() -> HermitianSymbol:
-    """Symbol whose flow rotates the diagonal family: 2*swap01 + diag(1,1,0).
+# the symbol whose flow rotates the diagonal family: 2 swap01 + diag(1, 1, 0)
+_ROTATION = HermitianSymbol(((1, 2, 0), (2, 1, 0), (0, 0, 0)))
 
-    Eigenvalues (3, -1, 0) are distinct integers, so the function has
-    exactly three projective critical points and its flow is 2 pi periodic.
-    """
-    m = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
-                 dtype=complex)
-    return HermitianSymbol(m)
-
-
-# the eigenlines of _rotation_symbol and their eigenvalues, in ascending order:
+# the eigenlines of _ROTATION and their eigenvalues, in ascending order:
 # the matrix sends (1, -1, 0) to -(1, -1, 0), (0, 0, 1) to 0 and (1, 1, 0) to
 # 3 (1, 1, 0)
 _HALF = math.sqrt(0.5)
@@ -219,18 +201,18 @@ class AlphaReport(NamedTuple):
 
 @dataclass(frozen=True)
 class RotationReport:
-    """Validated data for the rotation flow of the diagonal torus family."""
+    """Closed-form data for the rotation flow of the diagonal torus family."""
 
     symbol: HermitianSymbol
     alphas: tuple[AlphaReport, ...]
-    critical_points: tuple[np.ndarray, ...]
+    critical_points: tuple[tuple[float, float, float], ...]
     critical_values: tuple[float, ...]
     swap_moment_deviation: float
     periodicity_deviation: float
 
     def to_json(self) -> dict:
         return {
-            "symbol": self.symbol.to_json()["matrix"],
+            "symbol": [[complex_pair(v) for v in row] for row in self.symbol.matrix],
             "alphas": [
                 {
                     "alpha": a.alpha,
@@ -254,7 +236,7 @@ class RotationReport:
 
 
 def build_diagonal_rotation(alpha_samples) -> RotationReport:
-    """Assemble and validate the rotation flow on diagonal level sets.
+    """The rotation flow on diagonal level sets, in closed form.
 
     For each alpha in (0, 1) the level set {|z0|^2 + |z1|^2 = alpha} reduces
     under the circle action (z0, z1) -> e^{i s}(z0, z1) to a sphere, and the
@@ -281,15 +263,18 @@ def build_diagonal_rotation(alpha_samples) -> RotationReport:
       eigenvalues -1, 0 and 3 as values.
 
     Each reported error is :func:`~lagrtori.geometry.rounding_floor` of one
-    rounding of its value, so it is never 0.  What is computed is the flow,
-    on fixed check points: the report gives how far the exact swap flow
-    realizing the same rotation misses exchanging the fiber moment values,
-    and the rotation flow of :func:`symbol_flow` must be 2 pi periodic
-    within 1e-8, else NormalizationFailure.  ValueError for an alpha outside
-    (0, 1).
-    """
-    symbol = _rotation_symbol()
+    rounding of its value, so it is never 0.  The two flow deviations are
+    0.0 by proof:
 
+    - ``swap_moment_deviation``: the swap flow of :func:`swap_symbol` (0, 1)
+      at pi/2, which realizes the same rotation on fibers, exchanges the
+      fiber moment values exactly (the proof is in its docstring);
+    - ``periodicity_deviation``: the rotation symbol is real symmetric with
+      the integer eigenvalues -1, 0 and 3, so on an orthonormal eigenbasis
+      its flow at 2 pi is diag(e^{-2 pi i}, e^0, e^{6 pi i}), the identity.
+
+    ValueError for an alpha outside (0, 1).
+    """
     reports = []
     for alpha in alpha_samples:
         alpha = float(alpha)
@@ -301,31 +286,9 @@ def build_diagonal_rotation(alpha_samples) -> RotationReport:
             (alpha / 2.0, alpha / 2.0), (3.0 * alpha, -alpha), 0.0,
         ))
 
-    crits = tuple(np.array(p, dtype=complex) for _, p in _ROTATION_CRITICAL)
+    crits = tuple(p for _, p in _ROTATION_CRITICAL)
     crit_vals = tuple(v for v, _ in _ROTATION_CRITICAL)
-
-    # fixed check points: the interior lattice fibers (i/10, j/10), i <= j,
-    # at angles off the axes; none lies on a coordinate plane
-    th = 2.0 * math.pi * (np.arange(8) + 0.5) / 8.0
-    th0, th1 = np.meshgrid(th, th, indexing="ij")
-    bases = [ActionCoords(Fraction(i, 10), Fraction(j, 10))
-             for i in range(1, 5) for j in range(i, 5)]
-    zs = np.concatenate([CliffordFiber(b).lift(th0, th1).reshape(-1, 3) for b in bases])
-    swapped = np.repeat([b.as_floats()[::-1] for b in bases], th0.size, axis=0)
-
-    # the exact swap flow realizes the same rotation on fibers
-    swap_u = symbol_flow(swap_symbol(0, 1), math.pi / 2.0)
-    dev = float(np.max(np.abs(moment_map(zs @ swap_u.T) - swapped)))
-
-    # integer eigenvalue gaps make the rotation flow 2 pi periodic
-    full_turn = symbol_flow(symbol, 2.0 * math.pi)
-    per_dev = float(np.max(phase_aligned_residual(zs, zs @ full_turn.T)))
-    if per_dev > _ROTATION_PERIOD_TOL:
-        raise NormalizationFailure(
-            f"rotation flow misses 2 pi periodicity by {per_dev:.3e}"
-        )
-
-    return RotationReport(symbol, tuple(reports), crits, crit_vals, dev, per_dev)
+    return RotationReport(_ROTATION, tuple(reports), crits, crit_vals, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +301,11 @@ class Displaceable:
     base: tuple
     certificate: DisplacementCertificate
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": "displaceable",
-            "base": [number_or_rational(v) for v in self.base],
-            "certificate": self.certificate.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class Monotone:
     base: tuple
     witness: MonotoneWitness
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": "monotone",
-            "base": [number_or_rational(v) for v in self.base],
-            "witness": self.witness.to_json(),
-        }
 
 
 def enc_verdict(base: ActionCoords):

@@ -57,15 +57,11 @@ class DegenerateFamily(LagrtoriError):
 
 
 class NotHermitian(LagrtoriError):
-    """A flow generator is not self-adjoint within tolerance."""
+    """A flow generator is not a symmetric 3x3 matrix of integers."""
 
 
 class NotChekanovType(LagrtoriError):
     """An operation requires the a < |mu| regime."""
-
-
-class NormalizationFailure(LagrtoriError):
-    """A level function misses its prescribed mean-value normalization."""
 
 
 class InternalContradiction(LagrtoriError):

@@ -145,16 +145,3 @@ def _row_sums(f, tau: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate([np.sum(at(rows[i:i + step]), axis=1)
                            for i in range(0, rows.size, step)])
 
-
-def phase_aligned_residual(z, w) -> np.ndarray:
-    """Norm of the gauge-optimal difference of unit lifts (vectorized).
-
-    Rotates w's phase onto z before subtracting, so near-coincident points
-    are resolved far below the sqrt-of-ulp floor of the chordal formula.
-    """
-    z = _unit_rows(z)
-    w = _unit_rows(w)
-    pairing = hermdot(w, z)
-    mag = np.abs(pairing)
-    phase = np.where(mag > 0, pairing / np.where(mag > 0, mag, 1.0), 1.0 + 0j)
-    return np.linalg.norm(z - w * np.conj(phase)[..., None], axis=-1)

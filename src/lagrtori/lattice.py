@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InternalContradiction, NotCanonicalBS
-from .serialize import rational_pair
 
 
 # 3 p_i counts as integral within this distance of an integer
@@ -106,14 +105,6 @@ class BSFiberSet:
     def comparison(self) -> "HilbertComparison":
         """The enumerated count against :attr:`dimension`."""
         return HilbertComparison(self.count, self.dimension, self.count == self.dimension)
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "closed": self.closed,
-            "count": self.count,
-            "fibers": [[rational_pair(f.r0), rational_pair(f.r1)] for f in self.fibers],
-        }
 
 
 def enumerate_bs_fibers(level: int, closed: bool = False) -> BSFiberSet:
@@ -227,16 +218,6 @@ class MonotoneWitness:
     canonical_bs: bool
     bs_defect: float
     universal_class: tuple[int, ...] | None
-
-    def to_json(self) -> dict:
-        return {
-            "monotone": self.monotone,
-            "canonical_bs": self.canonical_bs,
-            "bs_defect": self.bs_defect,
-            "universal_class": list(self.universal_class)
-            if self.universal_class is not None
-            else None,
-        }
 
 
 def is_monotone(fiber_periods, mus) -> MonotoneWitness:

@@ -63,13 +63,6 @@ class MaslovResult:
     raw_winding: float
     integrality_defect: float
 
-    def to_json(self) -> dict:
-        return {
-            "mu": self.mu,
-            "raw_winding": self.raw_winding,
-            "integrality_defect": self.integrality_defect,
-        }
-
 
 def frame_determinant(d: DiscWithBoundary, t) -> np.ndarray:
     """Complex determinant of the frame's (1,0)-parts in the affine

@@ -14,8 +14,10 @@ has mixed, and the action-angle trapezoid mean.  It holds the one-row doubling t
 Chekanov periods computed one torus at a time, the bitwise references of
 the package's row-batched pass.  It holds the sampled rules
 the package replaced by closed forms, as references: that mean on the two
-bisecting loops of a conic member, the gradient residual of a symbol and
-the difference stencil of the period map.  It also holds the linear coning
+bisecting loops of a conic member, the gradient residual of a symbol, the
+difference stencil of the period map, and the flows of symbols by
+diagonalization, with the Rayleigh quotient, the phase-aligned residual
+and the check points on which the rotation report once sampled its flows.  It also holds the linear coning
 of a loop to a basepoint, a random unitary, the consistency check of a disc
 with boundary and the one-matrix all-pairs chordal search, which only the
 tests use.
@@ -398,6 +400,50 @@ def gradient_residual(matrix, z) -> np.ndarray:
     az = np.einsum("ij,...j->...i", np.asarray(matrix, dtype=complex), z)
     f = hermdot(az, z).real
     return np.linalg.norm(az - f[..., None] * z, axis=-1)
+
+
+def symbol_value(matrix, z) -> np.ndarray:
+    """Rayleigh quotient <Az, z>/<z, z> of the Hermitian ``matrix`` on raw
+    lifts (vectorized)."""
+    z = np.asarray(z, dtype=complex)
+    num = hermdot(np.einsum("ij,...j->...i", np.asarray(matrix, dtype=complex), z), z)
+    return num.real / hermdot(z, z).real
+
+
+def symbol_flow(matrix, t: float) -> np.ndarray:
+    """The unitary exp(i t A) of the Hermitian ``matrix``, by diagonalization."""
+    w, v = np.linalg.eigh(np.asarray(matrix, dtype=complex))
+    return (v * np.exp(1j * t * w)) @ v.conj().T
+
+
+def phase_aligned_residual(z, w) -> np.ndarray:
+    """Norm of the gauge-optimal difference of unit lifts (vectorized).
+
+    Rotates w's phase onto z before subtracting, so near-coincident points
+    are resolved far below the sqrt-of-ulp floor of the chordal formula.
+    """
+    z = _unit_rows(z)
+    w = _unit_rows(w)
+    pairing = hermdot(w, z)
+    mag = np.abs(pairing)
+    phase = np.where(mag > 0, pairing / np.where(mag > 0, mag, 1.0), 1.0 + 0j)
+    return np.linalg.norm(z - w * np.conj(phase)[..., None], axis=-1)
+
+
+def rotation_check_points() -> tuple[np.ndarray, np.ndarray]:
+    """The 640 lifts on which the rotation report sampled its flows, and the
+    swapped moment values (r1, r0) of the fiber of each.
+
+    The lifts lie on the interior lattice fibers (i/10, j/10), i <= j, at
+    the 8 x 8 angles off the axes; none lies on a coordinate plane.
+    """
+    th = 2.0 * math.pi * (np.arange(8) + 0.5) / 8.0
+    th0, th1 = np.meshgrid(th, th, indexing="ij")
+    bases = [ActionCoords(Fraction(i, 10), Fraction(j, 10))
+             for i in range(1, 5) for j in range(i, 5)]
+    zs = np.concatenate([CliffordFiber(b).lift(th0, th1).reshape(-1, 3) for b in bases])
+    swapped = np.repeat([b.as_floats()[::-1] for b in bases], th0.size, axis=0)
+    return zs, swapped
 
 
 def chordal_distance(z, w) -> np.ndarray:

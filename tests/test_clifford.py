@@ -273,12 +273,6 @@ def test_closed_count_matches_full_space_dimension():
     assert cmp.match and cmp.dimension == 28
 
 
-def test_bs_fiber_set_json_round_trip():
-    payload = enumerate_bs_fibers(3, closed=False).to_json()
-    assert payload["count"] == 1
-    assert payload["fibers"] == [[[1, 3], [1, 3]]]
-
-
 @pytest.mark.parametrize("closed", [False, True])
 def test_enumeration_matches_pointwise_construction(closed):
     for level in range(1, 31):

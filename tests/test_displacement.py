@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagrtori import displacement
 from lagrtori.clifford import ActionCoords, CliffordFiber, HomologyClass
 from lagrtori.displacement import (
+    _ROTATION,
+    _Z2_PHASE,
     CertificateMethod,
     Displaceable,
     DisplacementCertificate,
@@ -17,12 +18,10 @@ from lagrtori.displacement import (
     NotDisplacedByTheseFlows,
     RotationReport,
     build_diagonal_rotation,
-    diagonal_symbol,
     displace_chekanov,
     displace_clifford,
     enc_verdict,
     swap_symbol,
-    symbol_flow,
     HermitianSymbol,
 )
 from lagrtori.chekanov import ChekanovParams, chekanov_torus
@@ -30,17 +29,20 @@ from lagrtori.errors import (
     DegenerateFamily,
     InternalContradiction,
     LagrtoriError,
-    NormalizationFailure,
     NotChekanovType,
     NotHermitian,
 )
-from lagrtori.geometry import _unit_rows
+from lagrtori.geometry import _unit_rows, moment_map
 from lagrtori.serialize import stable_dumps
 from oracle import (
     gradient_residual,
     min_pairwise_chordal,
+    phase_aligned_residual,
+    rotation_check_points,
     standard_disc_surface,
     surface_symplectic_area,
+    symbol_flow,
+    symbol_value,
 )
 
 
@@ -51,37 +53,71 @@ from oracle import (
 
 def test_symbol_requires_hermitian_matrix():
     with pytest.raises(NotHermitian):
-        HermitianSymbol(np.array([[0.0, 1.0, 0.0],
-                                  [0.0, 0.0, 0.0],
-                                  [0.0, 0.0, 0.0]], dtype=complex))
+        HermitianSymbol(((0, 1, 0), (0, 0, 0), (0, 0, 0)))
 
 
-@pytest.mark.parametrize("dtype", [complex, float])
-def test_symbol_keeps_a_private_read_only_matrix(dtype):
-    src = np.zeros((3, 3), dtype=dtype)
-    src[0, 1] = src[1, 0] = 1.0
+def _with_entry(value):
+    rows = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    rows[0][0] = value
+    return rows
+
+
+@pytest.mark.parametrize("matrix", [
+    np.full((3, 3), np.nan),
+    _with_entry(math.nan),
+    [[0, math.inf, 0], [math.inf, 0, 0], [0, 0, 0]],
+    _with_entry(0.5),
+    _with_entry(1.0),
+    _with_entry(1j),
+    _with_entry(True),
+    np.eye(3, dtype=int),
+    [[0, 1, 0], [1, 0, 0]],
+    [[0, 1], [1, 0], [0, 0]],
+    [[0, 2, 0], [1, 0, 0], [0, 0, 0]],
+    [[0, 1, 0], [1, 0, 0], [0, 0]],
+    5,
+], ids=["nan-array", "nan", "inf-pair", "half", "float-one", "complex", "bool",
+        "numpy-int", "2x3", "3x2", "asymmetric", "ragged", "scalar"])
+def test_symbol_rejects_all_but_a_symmetric_integer_matrix(matrix):
+    with pytest.raises(NotHermitian):
+        HermitianSymbol(matrix)
+
+
+def test_symbol_keeps_a_private_read_only_matrix():
+    src = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
     sym = HermitianSymbol(src)
-    with pytest.raises(ValueError):
-        sym.matrix[0, 0] = 5.0
-    src[0, 1] = 7.0  # would make the validated symbol non-Hermitian if shared
-    assert sym.matrix[0, 1] == 1.0
-    assert np.array_equal(sym.matrix, sym.matrix.conj().T)
+    with pytest.raises(TypeError):
+        sym.matrix[0][0] = 5
+    src[0][1] = 7  # would make the validated symbol asymmetric if shared
+    assert sym.matrix == ((0, 1, 0), (1, 0, 0), (0, 0, 0))
 
 
 def test_certificate_swap_symbols_are_read_only():
     cert = enc_verdict(ActionCoords(Fraction(1, 5), Fraction(1, 2))).certificate
-    with pytest.raises(ValueError):
-        cert.symbol.matrix[2, 2] = 1.0
-    assert np.array_equal(cert.symbol.matrix, swap_symbol(0, 1).matrix)
+    with pytest.raises(TypeError):
+        cert.symbol.matrix[2][2] = 1
+    assert cert.symbol.matrix == swap_symbol(0, 1).matrix
+
+
+def test_symbols_hash_and_certificates_compare_by_value():
+    assert hash(swap_symbol(0, 1)) == hash(swap_symbol(0, 1))
+    assert swap_symbol(0, 1) == HermitianSymbol([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert len({swap_symbol(0, 1), swap_symbol(0, 1), swap_symbol(1, 2)}) == 2
+    params = ChekanovParams(0.5, 1.0 + 0.5j, 0.3)
+    assert displace_chekanov(params) == displace_chekanov(params)
+    assert displace_chekanov(params) != displace_chekanov(ChekanovParams(0.4, 1.0, 0.3))
+    base = ActionCoords(Fraction(1, 5), Fraction(1, 2))
+    assert displace_clifford(base) == displace_clifford(
+        ActionCoords(Fraction(2, 10), Fraction(5, 10)))
 
 
 def test_symbol_value_is_rayleigh_quotient():
-    sym = diagonal_symbol(2.0, -1.0, 0.5)
+    m = np.diag([2.0, -1.0, 0.5])
     e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    assert sym.value(e0) == pytest.approx(2.0, abs=1e-14)
+    assert symbol_value(m, e0) == pytest.approx(2.0, abs=1e-14)
     # scale invariance of the quotient
     z = np.array([1.0 + 2.0j, -0.5j, 0.25], dtype=complex)
-    assert sym.value(3.7 * z) == pytest.approx(float(sym.value(z)), abs=1e-13)
+    assert symbol_value(m, 3.7 * z) == pytest.approx(float(symbol_value(m, z)), abs=1e-13)
 
 
 def test_symbol_gradient_residual_vanishes_at_eigenvectors():
@@ -96,16 +132,16 @@ def test_symbol_gradient_residual_vanishes_at_eigenvectors():
 def test_flow_is_unitary_and_obeys_group_law(seed):
     rng = np.random.RandomState(seed)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    sym = HermitianSymbol(m + np.conj(m.T))
-    u1 = symbol_flow(sym, 0.7)
-    u2 = symbol_flow(sym, 1.1)
-    u12 = symbol_flow(sym, 1.8)
+    herm = m + np.conj(m.T)
+    u1 = symbol_flow(herm, 0.7)
+    u2 = symbol_flow(herm, 1.1)
+    u12 = symbol_flow(herm, 1.8)
     assert np.allclose(np.conj(u1.T) @ u1, np.eye(3), atol=1e-12)
     assert np.allclose(u1 @ u2, u12, atol=1e-12)
 
 
 def test_swap_flow_exchanges_coordinates_projectively():
-    u = symbol_flow(swap_symbol(0, 1), math.pi / 2.0)
+    u = symbol_flow(swap_symbol(0, 1).matrix, math.pi / 2.0)
     e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     img = u @ e0
     # image is e1 up to a unit phase
@@ -117,9 +153,54 @@ def test_flow_preserves_disc_areas():
     fiber = CliffordFiber(ActionCoords(0.2, 0.3))
     d = standard_disc_surface(fiber, HomologyClass(1, 0))
     before = surface_symplectic_area(d).value
-    moved = d.moved(symbol_flow(swap_symbol(0, 2), 0.7))
+    moved = d.moved(symbol_flow(swap_symbol(0, 2).matrix, 0.7))
     after = surface_symplectic_area(moved).value
     assert abs(before - after) < 1e-8
+
+
+def _exact_swap_flow(j, k):
+    """exp(i (pi/2) S_jk) by its proof: i on the swapped entries, 1 on the third."""
+    u = np.zeros((3, 3), dtype=complex)
+    u[j, k] = u[k, j] = 1j
+    third = 3 - j - k
+    u[third, third] = 1.0
+    return u
+
+
+# the flows of the symbols the package builds: (symbol, time, the exact matrix of its proof)
+_EXACT_FLOWS = {
+    **{f"swap{j}{k}": (swap_symbol(j, k), math.pi / 2.0, _exact_swap_flow(j, k))
+       for j, k in ((0, 1), (0, 2), (1, 2))},
+    "z2-phase": (_Z2_PHASE, math.pi / 2.0, np.diag([1.0, 1.0, 1j])),
+    "rotation": (_ROTATION, 2.0 * math.pi, np.eye(3, dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_FLOWS))
+def test_diagonalized_flow_is_the_exact_monomial_matrix(name):
+    symbol, t, exact = _EXACT_FLOWS[name]
+    assert np.max(np.abs(symbol_flow(symbol.matrix, t) - exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("jk", [(0, 1), (0, 2), (1, 2)], ids=["01", "02", "12"])
+def test_exact_swap_flow_exchanges_the_squared_moduli_bit_for_bit(jk):
+    zs, _ = rotation_check_points()
+    rng = np.random.RandomState(7)
+    zs = np.concatenate([zs, rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))])
+    perm = list(range(3))
+    perm[jk[0]], perm[jk[1]] = jk[1], jk[0]
+    image = zs @ _exact_swap_flow(*jk).T
+    assert np.array_equal(np.abs(image) ** 2, np.abs(zs[:, perm]) ** 2)
+
+
+def test_rotation_deviations_on_the_former_check_points():
+    # the sampled check the report replaced by proof, with the diagonalized flows
+    zs, swapped = rotation_check_points()
+    assert zs.shape == (640, 3)
+    swap_u = symbol_flow(swap_symbol(0, 1).matrix, math.pi / 2.0)
+    assert np.max(np.abs(moment_map(zs @ swap_u.T) - swapped)) <= 1e-15
+    full_turn = symbol_flow(_ROTATION.matrix, 2.0 * math.pi)
+    assert np.max(phase_aligned_residual(zs, zs @ full_turn.T)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +255,13 @@ def test_displace_chekanov_certificate():
     assert cert.samples == 0
     assert cert.separation == 2 * (abs(params.mu) - params.a)
     assert cert.time == math.pi / 2.0
-    assert np.array_equal(cert.symbol.matrix, np.diag([0.0, 0.0, 1.0]))
+    assert cert.symbol.matrix == ((0, 0, 0), (0, 0, 0), (0, 0, 1))
     assert cert.detail == {
         "source_circle": {"center": [-1.0, -0.5], "radius": 0.5},
         "image_circle": {"center": [1.0, 0.5], "radius": 0.5},
         "a": 0.5, "mu": [1.0, 0.5], "delta": 0.3,
     }
-    payload = cert.to_json()
-    assert (payload["method"], payload["samples"]) == ("PencilImageDisjoint", 0)
-    stable_dumps(payload)  # JSON-clean: no complex value or NaN
+    stable_dumps(cert.detail)  # JSON-clean: no complex value or NaN
 
 
 def test_displace_chekanov_narrow_margin():
@@ -196,7 +275,7 @@ def _sampled_torus(params, samples):
     g = (np.arange(samples) + 0.5) / samples
     uu, vv = np.meshgrid(g, g, indexing="ij")
     cloud = _unit_rows(chekanov_torus(params)(uu, vv))
-    img = cloud.reshape(-1, 3) @ symbol_flow(diagonal_symbol(0.0, 0.0, 1.0), math.pi / 2.0).T
+    img = cloud.reshape(-1, 3) @ symbol_flow(_Z2_PHASE.matrix, math.pi / 2.0).T
     return cloud, img
 
 
@@ -283,8 +362,10 @@ def test_rotation_critical_points(rotation_report):
 
 
 def test_rotation_swap_and_periodicity(rotation_report):
-    assert rotation_report.swap_moment_deviation < 1e-12
-    assert rotation_report.periodicity_deviation < 1e-8
+    # 0.0 by proof; test_rotation_deviations_on_the_former_check_points
+    # samples the diagonalized flows
+    assert rotation_report.swap_moment_deviation == 0.0
+    assert rotation_report.periodicity_deviation == 0.0
 
 
 def test_rotation_report_serializes(rotation_report):
@@ -298,12 +379,9 @@ def test_rotation_rejects_alpha_outside_the_open_interval(alpha):
         build_diagonal_rotation([0.5, alpha])
 
 
-def test_rotation_validates_inputs(monkeypatch):
+def test_rotation_validates_inputs():
     with pytest.raises(ValueError):
         build_diagonal_rotation([1.0])
-    monkeypatch.setattr(displacement, "_ROTATION_PERIOD_TOL", 0.0)
-    with pytest.raises(NormalizationFailure, match="periodicity"):
-        build_diagonal_rotation([0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +420,3 @@ def test_verdict_dichotomy_on_a_small_grid():
     assert monotone[0].base == (Fraction(1, 3), Fraction(1, 3))
     assert len(displaceable) == 27
 
-
-def test_verdict_serializes_with_rational_base():
-    v = enc_verdict(ActionCoords(Fraction(1, 5), Fraction(1, 2)))
-    payload = v.to_json()
-    assert payload["verdict"] == "displaceable"
-    assert payload["base"] == [[1, 5], [1, 2]]
-    # round-trips through the stable serializer
-    assert stable_dumps(payload) == stable_dumps(v.to_json())

@@ -24,7 +24,6 @@ from lagrtori.geometry import (
     doubled_trapezoid,
     hermdot,
     moment_map,
-    phase_aligned_residual,
 )
 from oracle import (
     FS_SCALE,
@@ -37,6 +36,7 @@ from oracle import (
     fs_pullback_raw,
     line_surface,
     loop_symplectic_area,
+    phase_aligned_residual,
     random_unitary,
     sphere_section,
     spectral_loop_area,

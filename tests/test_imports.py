@@ -93,7 +93,7 @@ PUBLIC = [
     "is_monotone", "ks_jacobian",
     "maslov", "maslov_index", "moment_map",
     "serialize", "standard_disc",
-    "swap_symbol", "symbol_flow",
+    "swap_symbol",
     "torus_periods_chekanov", "universal_maslov_class",
 ]
 
@@ -153,7 +153,6 @@ SIGNATURES = {
     "moment_map": ("z",),
     "standard_disc": ("fiber", "cls"),
     "swap_symbol": ("j", "k"),
-    "symbol_flow": ("symbol", "t"),
     "torus_periods_chekanov": ("params", "nodes"),
     "universal_maslov_class": ("fiber_periods", "mus"),
 }

@@ -170,13 +170,6 @@ def test_validate_rejects_wrong_boundary_and_chart():
         validate_disc(surface, dataclasses.replace(d1, chart=0))
 
 
-def test_result_serializes():
-    res = maslov_index(standard_disc(clifford_fiber((0.2, 0.3)), D1))
-    payload = res.to_json()
-    assert payload["mu"] == 1
-    assert payload["integrality_defect"] <= 1e-3
-
-
 # ---------------------------------------------------------------------------
 # integrality and monotonicity predicates
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagrtori.displacement import _rotation_symbol, build_diagonal_rotation
+from lagrtori.displacement import _ROTATION, build_diagonal_rotation
 from lagrtori.serialize import stable_dumps
-from oracle import canonical_gauge, sphere_section, surface_symplectic_area
+from oracle import canonical_gauge, sphere_section, surface_symplectic_area, symbol_value
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lagrtori"
 
@@ -20,10 +20,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lagrtori"
 @given(alpha=st.floats(0.02, 0.98))
 def test_rotation_areas_match_the_2d_oracle_within_their_errors(alpha):
     rep, = build_diagonal_rotation([alpha]).alphas
-    symbol, section = _rotation_symbol(), sphere_section(alpha)
+    section = sphere_section(alpha)
     area = surface_symplectic_area(section)
     weighted = surface_symplectic_area(
-        section, weight_fn=lambda surf, s, t: symbol.value(surf(s, t)))
+        section, weight_fn=lambda surf, s, t: symbol_value(_ROTATION.matrix, surf(s, t)))
     assert rep.reduced_area == pytest.approx(area.value, abs=1e-7)
     assert rep.normalization == pytest.approx(weighted.value, abs=1e-7)
     assert abs(rep.reduced_area - alpha) <= rep.reduced_area_error
@@ -39,19 +39,19 @@ def test_symbol_on_the_section_is_the_closed_form(alpha):
     rep, = build_diagonal_rotation([alpha]).alphas
     g = np.linspace(0.0, 1.0, 129)
     uu, tt = np.meshgrid(g, g, indexing="ij")
-    h = _rotation_symbol().value(sphere_section(alpha)(uu, tt))
+    h = symbol_value(_ROTATION.matrix, sphere_section(alpha)(uu, tt))
     want = alpha * (1.0 + 2.0 * np.sin(math.pi * uu) * np.cos(2.0 * math.pi * tt))
     assert np.max(np.abs(h - want)) < 4e-15
     hi, lo = rep.extreme_values
     assert np.max(h) <= hi + 4e-15 and np.min(h) >= lo - 4e-15
-    marked = _rotation_symbol().value(sphere_section(alpha)(0.5, np.array([0.0, 0.5])))
+    marked = symbol_value(_ROTATION.matrix, sphere_section(alpha)(0.5, np.array([0.0, 0.5])))
     assert marked == pytest.approx([hi, lo], abs=4e-15)
 
 
 def test_critical_points_are_the_eigenlines():
     # the rule the report replaced: the eigenlines of eigh, rephased
     rep = build_diagonal_rotation([0.5])
-    w, v = np.linalg.eigh(_rotation_symbol().matrix)
+    w, v = np.linalg.eigh(np.array(_ROTATION.matrix, dtype=complex))
     assert w == pytest.approx(rep.critical_values, abs=1e-15)
     for k, point in enumerate(rep.critical_points):
         np.testing.assert_allclose(point, canonical_gauge(v[:, k]), rtol=0, atol=1e-15)
