@@ -83,13 +83,15 @@ def test_symbol_rejects_all_but_a_symmetric_integer_matrix(matrix):
         HermitianSymbol(matrix)
 
 
-def test_symbol_keeps_a_private_read_only_matrix():
+@pytest.mark.parametrize("value", [7j, 7.0], ids=["complex", "float"])
+def test_symbol_keeps_a_private_read_only_matrix(value):
     src = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
     sym = HermitianSymbol(src)
     with pytest.raises(TypeError):
-        sym.matrix[0][0] = 5
-    src[0][1] = 7  # would make the validated symbol asymmetric if shared
+        sym.matrix[0][0] = value
+    src[0][1] = value  # a non-integer, asymmetric entry the symbol would reject
     assert sym.matrix == ((0, 1, 0), (1, 0, 0), (0, 0, 0))
+    assert all(type(entry) is int for row in sym.matrix for entry in row)
 
 
 def test_certificate_swap_symbols_are_read_only():
