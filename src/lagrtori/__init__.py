@@ -1,12 +1,13 @@
 """Lagrangian torus geometry of the projective plane.
 
 Fiber tori over the moment triangle, their bounding discs, periods and
-indices; integral-level fiber enumeration; the bitangent conic pencil family;
-and Hamiltonian displacement certificates, with a reporting CLI.
+indices; integral-level fiber enumeration and the displaceable-or-monotone
+dichotomy; the bitangent conic pencil family and the displacement of its
+Chekanov-type tori; exact Hamiltonian flows; and a reporting CLI.
 
 The exact layer (:mod:`lagrtori.lattice`) is imported with the package; the
-numeric modules, which need numpy, are imported on first access to one of
-their names.
+other modules, most of which need numpy, are imported on first access to
+one of their names.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .lattice import (
     BSFiberSet,
     MonotoneWitness,
     canonical_bs_defect,
+    dichotomy,
     enumerate_bs_fibers,
     hilbert_dimension,
     interior_rational_grid,
@@ -28,7 +30,7 @@ from .lattice import (
     universal_maslov_class,
 )
 
-# numeric module -> the names the package exports from it
+# lazily imported module -> the names the package exports from it
 _NUMERIC = {
     "geometry": (
         "AreaEstimate", "moment_map",
@@ -43,13 +45,11 @@ _NUMERIC = {
     ),
     "chekanov": (
         "ChekanovParams", "ScanReport", "TorusType", "canonical_bs_scan",
-        "chekanov_torus", "classify_type", "conic_total_area", "torus_periods_chekanov",
+        "chekanov_torus", "classify_type", "conic_total_area", "pencil_separation",
+        "torus_periods_chekanov",
     ),
     "displacement": (
-        "DisplacementCertificate", "Displaceable", "HermitianSymbol", "Monotone",
-        "NotDisplacedByTheseFlows", "RotationReport",
-        "build_diagonal_rotation", "displace_chekanov", "displace_clifford",
-        "enc_verdict", "swap_symbol",
+        "HermitianSymbol", "RotationReport", "build_diagonal_rotation", "swap_symbol",
     ),
 }
 _LAZY = {module: module for module in _NUMERIC}
@@ -73,6 +73,6 @@ def __dir__() -> list[str]:
 
 __all__ = sorted([
     "errors", "serialize", "ActionCoords", "BSFiberSet", "MonotoneWitness",
-    "canonical_bs_defect", "enumerate_bs_fibers", "hilbert_dimension",
+    "canonical_bs_defect", "dichotomy", "enumerate_bs_fibers", "hilbert_dimension",
     "interior_rational_grid", "is_monotone", "universal_maslov_class", *_LAZY,
 ])

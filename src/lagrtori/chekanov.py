@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -30,7 +31,8 @@ from .errors import (
     SingularConic,
     ZeroVector,
 )
-from .geometry import LOOP_NODES, _mod_unit, doubled_trapezoid, rounding_floor
+from .geometry import LOOP_MAX_NODES, LOOP_NODES, _mod_unit, doubled_trapezoid
+from .lattice import rounding_floor
 
 _EPS_FLOOR = 1e-12
 # Past this bound on |eps|, |eps|^2 in radial_area and level_radius overflows.
@@ -107,13 +109,6 @@ def conic_total_area(eps: complex) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-class CertificateMethod(str, enum.Enum):
-    """How a displacement certificate separates a torus from its image."""
-
-    MOMENT_IMAGE_DISJOINT = "MomentImageDisjoint"
-    PENCIL_IMAGE_DISJOINT = "PencilImageDisjoint"
-
-
 class TorusType(enum.Enum):
     CLIFFORD = "clifford"
     CHEKANOV = "chekanov"
@@ -172,12 +167,25 @@ def _require_regular(params: ChekanovParams) -> None:
                          f" |eps| reaches {reach:.3e} > {_EPS_RANGE:.0e}")
 
 
+# how pencil_separation separates a torus from its image, as reports name it
+CERTIFICATE_METHOD = "PencilImageDisjoint"
+
+
 def pencil_separation(params: ChekanovParams) -> float:
-    """2 (|mu| - a), the distance between the parameter circle C and -C:
-    the separation of the PENCIL_IMAGE_DISJOINT certificate of
-    :func:`~lagrtori.displacement.displace_chekanov`.  DegenerateFamily and
-    ZeroVector name the torus as for :func:`chekanov_torus`; NotChekanovType
-    marks a > |mu|, where C and -C meet."""
+    """Displacement of a Chekanov-type torus by the z2-phase rotation: the
+    distance 2 (|mu| - a) between the parameter circle C and -C.
+
+    The pencil map f = z0 z1 / z2^2 is exact on the torus: its lift
+    (1, eps lam^2, lam) has z2 = lam, never 0, and f = eps there, so f maps
+    the torus T onto the parameter circle C = {a e^{it} - mu}.  The
+    Hamiltonian flow of the symbol diag(0, 0, 1) at time pi/2 is
+    diag(e^0, e^0, e^{i pi/2}) = diag(1, 1, i), exactly, which sends f to
+    f / i^2 = -f, so f maps the image torus onto -C.  C and -C are
+    disjoint exactly when a < |mu|, and then so are T and its image: the
+    certificate (CERTIFICATE_METHOD) is exact and does not depend on
+    delta.  DegenerateFamily and ZeroVector name the torus as for
+    :func:`chekanov_torus`; NotChekanovType marks a > |mu|, where C and -C
+    meet."""
     _require_regular(params)
     if classify_type(params) is not TorusType.CHEKANOV:
         raise NotChekanovType(
@@ -281,8 +289,16 @@ def _periods(points, nodes: int) -> list[ChekanovPeriods | Exception]:
     Every orbit level comes from one array call, and each distinct section
     key (:func:`_section_key`) is integrated once, all of them as rows of
     one :func:`~lagrtori.geometry.doubled_trapezoid`.  NonConvergent names
-    the section loop and each torus's own parameters.
+    the section loop and each torus's own parameters.  ``nodes``, the start
+    of the doubling rule, must be an int in [4, LOOP_MAX_NODES // 2], so
+    the rule doubles at least once within the cap; ValueError otherwise.
     """
+    try:
+        start = operator.index(nodes)
+    except TypeError:
+        start = 0
+    if not 4 <= start <= LOOP_MAX_NODES // 2:
+        raise ValueError(f"start nodes {nodes!r} must be an int in [4, {LOOP_MAX_NODES // 2}]")
     results: list[ChekanovPeriods | Exception] = [None] * len(points)
     keys: dict[tuple[float, float, float], int] = {}
     live = []  # (point index, key)
@@ -300,7 +316,7 @@ def _periods(points, nodes: int) -> list[ChekanovPeriods | Exception]:
     targets = [1.0 + points[i].delta for i, _ in live]
     e0 = np.array([abs(points[i].a - points[i].mu) for i, _ in live])  # |eps(0)|
     levels = radial_area(e0, level_radius(e0, targets)).tolist()
-    sections = doubled_trapezoid(*_section_integrand(list(keys)), nodes)
+    sections = doubled_trapezoid(*_section_integrand(list(keys)), start)
 
     for (i, key), target, level in zip(live, targets, levels):
         params, section = points[i], sections[keys[key]]
@@ -348,7 +364,8 @@ def torus_periods_chekanov(params: ChekanovParams, nodes: int = LOOP_NODES) -> C
     :func:`_section_integrand`, doubling from ``nodes`` through
     :func:`~lagrtori.geometry.doubled_trapezoid`.  This is the one-torus
     case of the batched pass :func:`_periods` that a scan makes over its
-    whole grid, so the two give the same bits.  The section class is the
+    whole grid, so the two give the same bits, and it takes the same
+    ``nodes`` (ValueError outside its range).  The section class is the
     s = 0 convention; combined classes (section plus or minus the orbit)
     are reported by the scan.  NonConvergent names the section loop and
     the torus parameters; DegenerateFamily and ZeroVector name the torus
@@ -552,7 +569,8 @@ def canonical_bs_scan(mu: complex, a_grid, delta_grid,
     :class:`CertificateRow`) and the scan goes on; so does a point within
     the boundary tolerance of |mu|, as a "degenerate" row.  Every a must lie
     in (0, |mu|) and every delta in (-1, 1), with 1 + delta below 2 in
-    floats; ValueError before any row otherwise (naming the delta).  The
+    floats, and ``nodes`` must be a start that :func:`_periods` takes;
+    ValueError before any row otherwise (naming the delta or nodes).  The
     periods of the whole grid come from one batched pass, :func:`_periods`,
     which integrates each distinct section once; rows are in grid order,
     so reports are deterministic.

@@ -205,13 +205,13 @@ def _write_file(path: str, text: str, what: str, err) -> int:
 
 
 def _cmd_chekanov_scan(args, out, err) -> int:
-    from .chekanov import REPORT_DECIMALS, CertificateMethod, canonical_bs_scan
+    from .chekanov import CERTIFICATE_METHOD, REPORT_DECIMALS, canonical_bs_scan
     from .geometry import LOOP_AGREEMENT, LOOP_FALLBACK, LOOP_MAX_NODES
 
     mu = complex(args.mu[0], args.mu[1])
     report = canonical_bs_scan(mu, args.a_grid, args.delta_grid, args.quad_nodes)
 
-    csv_text = report.to_csv()
+    csv_text = report.to_csv() if args.csv_out or args.format == "csv" else None
     if args.csv_out and _write_file(args.csv_out, csv_text, "CSV", err) != EXIT_OK:
         return EXIT_IO
     if args.format == "csv":
@@ -225,7 +225,7 @@ def _cmd_chekanov_scan(args, out, err) -> int:
                 "delta_step": args.delta_step, "format": args.format,
             },
             report.to_json(),
-            {"certificate_method": CertificateMethod.PENCIL_IMAGE_DISJOINT.value,
+            {"certificate_method": CERTIFICATE_METHOD,
              "quadrature": {"method": "mobius-trapezoid",
                             "start_nodes": args.quad_nodes,
                             "max_nodes": LOOP_MAX_NODES,
@@ -324,6 +324,8 @@ def main(argv=None, out=None, err=None) -> int:
     if args.command == "enc-report" and args.grid < 3:
         parser.error("--grid must be at least 3")
     if args.command == "chekanov-scan":
+        from .geometry import LOOP_MAX_NODES
+
         mu_abs = abs(complex(args.mu[0], args.mu[1]))
         if not 0 < args.a_min <= args.a_max:
             parser.error("need 0 < --a-min <= --a-max")
@@ -334,8 +336,8 @@ def main(argv=None, out=None, err=None) -> int:
             parser.error("--a-step must be positive")
         if not 0 < args.delta_step < 1:
             parser.error("--delta-step must lie in (0, 1)")
-        if args.quad_nodes < 4:
-            parser.error("--quad-nodes must be at least 4")
+        if not 4 <= args.quad_nodes <= LOOP_MAX_NODES // 2:
+            parser.error(f"--quad-nodes must lie in [4, {LOOP_MAX_NODES // 2}]")
         try:
             args.a_grid = _float_range(args.a_min, args.a_max, args.a_step, "--a-step")
             args.delta_grid = _float_range(-1.0 + args.delta_step, 1.0 - args.delta_step,

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BoundaryFiber, LeavesTriangle, UnsupportedClass
-from .geometry import _mod_unit, rounding_floor
+from .geometry import _mod_unit
 from .lattice import (  # re-exported: the exact layer lives in lattice
     ActionCoords,
     BSFiberSet,
@@ -34,6 +34,7 @@ from .lattice import (  # re-exported: the exact layer lives in lattice
     hilbert_dimension,
     interior_rational_grid,
 )
+from .lattice import rounding_floor
 from .maslov import DiscWithBoundary
 
 _TWO_PI = 2.0 * math.pi

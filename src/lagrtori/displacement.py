@@ -1,15 +1,18 @@
-"""Hamiltonian flows of integer symbols and displacement certificates.
+"""Hermitian symbols, their exact flows and the diagonal rotation report.
 
 Every flow used here is the projectivization of a one-parameter unitary
 group exp(i t A), A a symmetric integer matrix; the induced projective
 isotopy is the Hamiltonian flow of the symbol function <Az, z>/<z, z>.
-The package applies three flows, each at a quarter or a full turn, and each
+The package uses three flows, each at a quarter or a full turn, and each
 is an exact monomial matrix, proved where it is used: the swap (j, k) at
 pi/2 (:func:`swap_symbol`), diag(0, 0, 1) at pi/2
-(:func:`displace_chekanov`) and the rotation symbol at 2 pi
-(:func:`build_diagonal_rotation`).  So no flow is computed: the moment map
-separates a toric fiber from its image, and the pencil map z0 z1 / z2^2 a
-Chekanov-type torus from its image, exactly.
+(:func:`lagrtori.chekanov.pencil_separation`) and the rotation symbol at
+2 pi (:func:`build_diagonal_rotation`).  So no flow is computed, and each
+displacement decision has one owner: :func:`lagrtori.lattice.dichotomy`
+for a toric fiber, whose swap (j, k) names the Hamiltonian
+``swap_symbol(j, k)`` and whose moment values separate the fiber from its
+image, and ``pencil_separation`` for a Chekanov-type torus, whose pencil
+map separates it from its image.  The module needs no numerics stack.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chekanov import CertificateMethod, ChekanovParams, pencil_separation
 from .errors import NotHermitian
-from .geometry import rounding_floor
-from .lattice import ActionCoords, MonotoneWitness, SwapImage, dichotomy, swap_image
-from .serialize import complex_pair, number_or_rational
+from .lattice import rounding_floor
+from .serialize import complex_pair
 
 
 @dataclass(frozen=True)
@@ -63,110 +64,15 @@ def swap_symbol(j: int, k: int) -> HermitianSymbol:
     by i.  Multiplying by i is exact in floating point (it exchanges the
     real and imaginary parts and negates one), so the squared moduli of the
     image are exactly those of z with j and k exchanged: the image of the
-    fiber over a moment value is the fiber over the swapped value.
+    fiber over a moment value is the fiber over the swapped value.  Fibers
+    over distinct moment values are disjoint, so the swap (j, k) that
+    :func:`lagrtori.lattice.dichotomy` returns displaces the fiber exactly,
+    at the distance between the two moment values.
     """
     if not (0 <= j < k <= 2):
         raise ValueError("need coordinate indices 0 <= j < k <= 2")
     return HermitianSymbol(tuple(tuple(int({a, b} == {j, k}) for b in range(3))
                                  for a in range(3)))
-
-
-# the swaps that lattice.swap_image can choose
-_SWAPS = {jk: swap_symbol(*jk) for jk in ((0, 1), (1, 2))}
-# the z2-phase symbol diag(0, 0, 1) of displace_chekanov
-_Z2_PHASE = HermitianSymbol(((0, 0, 0), (0, 0, 0), (0, 0, 1)))
-
-
-@dataclass(frozen=True)
-class DisplacementCertificate:
-    """Witness that a specific flow moves a torus entirely off itself."""
-
-    symbol: HermitianSymbol
-    time: float
-    separation: float
-    method: CertificateMethod
-    samples: int
-    detail: dict
-
-    def __post_init__(self):
-        if not self.separation > 0:
-            raise ValueError("a certificate requires strictly positive separation")
-
-
-@dataclass(frozen=True)
-class NotDisplacedByTheseFlows:
-    """All coordinate-swap flows fix the moment value; no verdict implied."""
-
-    base: tuple
-
-
-def displace_clifford(base: ActionCoords):
-    """Displacement of a toric fiber by a coordinate-swap flow, if any.
-
-    Each swap (j, k) at time pi/2 induces the exact exchange of the j-th and
-    k-th coordinates, carrying the fiber over (r0, r1) to the fiber over the
-    swapped action value; fibers over distinct base points are disjoint, so
-    inequality of the two moment values is an exact certificate.  The swap
-    is the choice of :func:`lagrtori.lattice.swap_image`; all three swaps fix
-    the moment value only at the symmetric point (1/3, 1/3).
-    """
-    if not base.is_interior():
-        raise ValueError("displacement test expects an interior fiber")
-    move = swap_image(base)
-    if move is None:
-        return NotDisplacedByTheseFlows(base=(base.r0, base.r1))
-    return _swap_certificate(base, move)
-
-
-def _swap_certificate(base: ActionCoords, move: SwapImage) -> DisplacementCertificate:
-    """The exact certificate of a swap that moves the fiber."""
-    return DisplacementCertificate(
-        symbol=_SWAPS[move.swap],
-        time=math.pi / 2.0,
-        separation=move.separation,
-        method=CertificateMethod.MOMENT_IMAGE_DISJOINT,
-        samples=0,
-        detail={
-            "source_moment": [number_or_rational(base.r0), number_or_rational(base.r1)],
-            "image_moment": [number_or_rational(v) for v in move.image],
-            "swap": list(move.swap),
-        },
-    )
-
-
-def displace_chekanov(params: ChekanovParams) -> DisplacementCertificate:
-    """Displacement of a Chekanov-type torus by the z2-phase rotation.
-
-    The pencil map f = z0 z1 / z2^2 is exact on the torus: its lift
-    (1, eps lam^2, lam) has z2 = lam, never 0, and f = eps there, so f maps
-    the torus T onto the parameter circle C = {a e^{it} - mu}.  The flow of
-    diag(0, 0, 1) at time pi/2 is diag(e^0, e^0, e^{i pi/2}) = diag(1, 1, i),
-    exactly, which sends f to f / i^2 = -f, so f maps the image torus onto
-    -C.  C and -C are disjoint exactly when
-    a < |mu|, and then so are T and its image: the certificate is exact,
-    like the moment-image one of :func:`displace_clifford`, and does not
-    depend on delta.  Its separation is
-    :func:`~lagrtori.chekanov.pencil_separation`, 2 (|mu| - a), the
-    distance between the two image circles, which raises DegenerateFamily
-    and ZeroVector naming the torus, and NotChekanovType for a > |mu|,
-    where the circles meet.
-    """
-    separation = pencil_separation(params)
-    a, mu = params.a, complex(params.mu)
-    return DisplacementCertificate(
-        symbol=_Z2_PHASE,
-        time=math.pi / 2.0,
-        separation=separation,
-        method=CertificateMethod.PENCIL_IMAGE_DISJOINT,
-        samples=0,
-        detail={
-            "source_circle": {"center": complex_pair(-mu), "radius": a},
-            "image_circle": {"center": complex_pair(mu), "radius": a},
-            "a": a,
-            "mu": complex_pair(mu),
-            "delta": params.delta,
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +168,7 @@ def build_diagonal_rotation(alpha_samples) -> RotationReport:
     - the critical points are the eigenlines of the integer matrix, with its
       eigenvalues -1, 0 and 3 as values.
 
-    Each reported error is :func:`~lagrtori.geometry.rounding_floor` of one
+    Each reported error is :func:`~lagrtori.lattice.rounding_floor` of one
     rounding of its value, so it is never 0.  The two flow deviations are
     0.0 by proof:
 
@@ -289,33 +195,3 @@ def build_diagonal_rotation(alpha_samples) -> RotationReport:
     crits = tuple(p for _, p in _ROTATION_CRITICAL)
     crit_vals = tuple(v for v, _ in _ROTATION_CRITICAL)
     return RotationReport(_ROTATION, tuple(reports), crits, crit_vals, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# the combined displaceable-or-monotone verdict
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Displaceable:
-    base: tuple
-    certificate: DisplacementCertificate
-
-
-@dataclass(frozen=True)
-class Monotone:
-    base: tuple
-    witness: MonotoneWitness
-
-
-def enc_verdict(base: ActionCoords):
-    """Displaceable-or-monotone dichotomy for an interior toric fiber.
-
-    The decision is :func:`lagrtori.lattice.dichotomy`; this wraps its swap
-    in a :class:`DisplacementCertificate` or its witness in a
-    :class:`Monotone` verdict.
-    """
-    outcome = dichotomy(base)
-    if isinstance(outcome, MonotoneWitness):
-        return Monotone((base.r0, base.r1), outcome)
-    return Displaceable((base.r0, base.r1), _swap_certificate(base, outcome))

@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NonConvergent, ZeroVector
+from .lattice import rounding_floor
 
 
 def hermdot(a, b):
@@ -74,24 +75,18 @@ class AreaEstimate(NamedTuple):
     nodes: int  # finest node count of the doubling rule
 
 
-# A doubling rule stops once two levels agree to LOOP_AGREEMENT and never goes
-# past LOOP_MAX_NODES; at the cap it accepts a disagreement up to LOOP_FALLBACK.
-# Rules start at LOOP_NODES nodes unless told otherwise.
+# A doubling rule stops once two levels agree to LOOP_AGREEMENT and never
+# doubles past LOOP_MAX_NODES; at its last level it accepts a disagreement up
+# to LOOP_FALLBACK.  Rules start at LOOP_NODES nodes unless told otherwise.
 LOOP_NODES = 32
 LOOP_AGREEMENT = 1e-12
 LOOP_MAX_NODES = 2 ** 18
 LOOP_FALLBACK = 1e-6
-_ULP = 2.0 ** -53
 
 
 def _mod_unit(x: float) -> float:
     """``x`` reduced mod 1 to [0, 1): a period's value."""
     return x - math.floor(x)
-
-
-def rounding_floor(terms: int, scale: float) -> float:
-    """Rounding error bound of a sum of ``terms`` values of size ``scale``."""
-    return terms * _ULP * abs(scale)
 
 
 # Rows of a level are evaluated in blocks of at most this many integrand
@@ -109,10 +104,12 @@ def doubled_trapezoid(f: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarra
     value of row i at a level of n nodes is weights[i] (its sum over the
     nodes k / n) / n.  Each doubling evaluates only the n new midpoints,
     and a row leaves as soon as it stops: once two successive values agree
-    to LOOP_AGREEMENT, or at LOOP_MAX_NODES nodes if they agree to
-    LOOP_FALLBACK.  Its error is their disagreement plus
+    to LOOP_AGREEMENT, or at the cap level if they agree to LOOP_FALLBACK.
+    The cap level is the last doubling within LOOP_MAX_NODES, the largest
+    ``nodes`` * 2^k <= LOOP_MAX_NODES (k >= 1), so a power-of-two start
+    stops at LOOP_MAX_NODES itself.  Its error is their disagreement plus
     :func:`rounding_floor` at the node count, so it is never 0.  A row
-    still running at LOOP_MAX_NODES gets a NonConvergent instead.
+    still running at the cap level gets a NonConvergent instead.
     """
     weights = np.asarray(weights, dtype=float)
     results: list[AreaEstimate | NonConvergent] = [None] * len(weights)
@@ -125,7 +122,7 @@ def doubled_trapezoid(f: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarra
         n *= 2
         value = weights[live] * acc / n
         gap = np.abs(value - prev)
-        capped = n >= LOOP_MAX_NODES
+        capped = 2 * n > LOOP_MAX_NODES  # the next doubling would pass the cap
         agreed = (gap <= LOOP_AGREEMENT) | (capped & (gap <= LOOP_FALLBACK))
         done = agreed | capped
         for k in np.flatnonzero(done):

@@ -7,8 +7,10 @@ denominators of the coordinates (a float is the binary rational it
 stores), plus the float tests of measured periods that the monotonicity
 witness reports.  The module needs no numerics stack, so the exact
 reports (``bs-count``, ``enc-report``, ``plot``) run without importing
-numpy.  :mod:`lagrtori.clifford`, :mod:`lagrtori.maslov` and
-:mod:`lagrtori.displacement` re-export these names as the same objects.
+numpy.  :mod:`lagrtori.clifford` and :mod:`lagrtori.maslov` re-export
+these names as the same objects.  :func:`rounding_floor`, the error floor
+of one float evaluation, lives here too, so the numeric modules and the
+numpy-free :mod:`lagrtori.displacement` share it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from .errors import InternalContradiction, NotCanonicalBS
 
 # 3 p_i counts as integral within this distance of an integer
 _BS_TOL = 1e-5
+_ULP = 2.0 ** -53
+
+
+def rounding_floor(terms: int, scale: float) -> float:
+    """Rounding error bound of a sum of ``terms`` values of size ``scale``."""
+    return terms * _ULP * abs(scale)
 
 
 def _ratio(r) -> tuple[int, int]:
@@ -193,7 +201,8 @@ def universal_maslov_class(fiber_periods, mus) -> tuple[int, ...]:
     ``mus`` holds integers or objects with an integer ``mu`` attribute (a
     :class:`lagrtori.maslov.MaslovResult`).  Raises NotCanonicalBS when some
     3 * p_i is farther than 1e-5 from an integer -- the class is well
-    defined exactly on that locus.
+    defined exactly on that locus -- and ValueError when ``fiber_periods``
+    and ``mus`` differ in length.
     """
     defect = canonical_bs_defect(fiber_periods)
     if defect > _BS_TOL:
@@ -201,7 +210,7 @@ def universal_maslov_class(fiber_periods, mus) -> tuple[int, ...]:
             f"3*periods miss the integer lattice by {defect:.3e} > {_BS_TOL:.1e}"
         )
     out = []
-    for p, m in zip(fiber_periods, mus):
+    for p, m in zip(fiber_periods, mus, strict=True):
         val = int(getattr(m, "mu", m)) - 3.0 * float(p)
         nearest = round(val)
         if abs(val - nearest) > 1e-4:

@@ -71,13 +71,6 @@ def rational_pair(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
-def number_or_rational(x):
-    """Exact rationals as [num, den]; everything else as a float."""
-    if isinstance(x, Fraction):
-        return rational_pair(x)
-    return float(x)
-
-
 def _float_text(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError("Out of range float values are not JSON compliant: " + repr(value))

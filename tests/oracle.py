@@ -82,9 +82,14 @@ from lagrtori.geometry import (
     _mod_unit,
     _unit_rows,
     hermdot,
+)
+from lagrtori.lattice import (
+    ActionCoords,
+    MonotoneWitness,
+    SwapImage,
+    is_monotone,
     rounding_floor,
 )
-from lagrtori.lattice import ActionCoords, MonotoneWitness, SwapImage, is_monotone
 from lagrtori.maslov import _CHART_FLOOR, DiscWithBoundary
 
 _CONE_FLOOR = 1e-2
@@ -243,13 +248,15 @@ def doubled_until_agreed(levels: Iterator[tuple[int, float]]) -> AreaEstimate:
     """The last of the (nodes, value) levels of a rule that doubles its node
     count, once two successive values agree to LOOP_AGREEMENT: the one-row
     stopping rule of ``lagrtori.geometry.doubled_trapezoid``, with the same
-    error, cap and fallback."""
+    error, cap level (the last doubling within LOOP_MAX_NODES) and
+    fallback."""
     _, prev = next(levels)
     for n, value in levels:
         gap = abs(value - prev)
-        if gap <= LOOP_AGREEMENT or (n >= LOOP_MAX_NODES and gap <= LOOP_FALLBACK):
+        capped = 2 * n > LOOP_MAX_NODES
+        if gap <= LOOP_AGREEMENT or (capped and gap <= LOOP_FALLBACK):
             return AreaEstimate(value, gap + rounding_floor(n, value), n)
-        if n >= LOOP_MAX_NODES:
+        if capped:
             raise NonConvergent(f"trapezoid rule at n = {n} nodes: levels disagree"
                                 f" by {gap:.3e} > {LOOP_FALLBACK:.1e}")
         prev = value
@@ -575,8 +582,8 @@ def random_unitary(rng: np.random.RandomState) -> np.ndarray:
 def min_pairwise_chordal(a: np.ndarray, b: np.ndarray) -> float:
     """Minimum chordal distance between two unit-lift clouds, from the whole
     ``a @ conj(b).T`` pairing matrix at once: the brute-force reference that
-    the pencil-image certificate of
-    :func:`lagrtori.displacement.displace_chekanov` is checked against."""
+    the pencil-image separation of
+    :func:`lagrtori.chekanov.pencil_separation` is checked against."""
     inner = a @ np.conj(b.T)
     return math.sqrt(max(0.0, 1.0 - float(np.max(inner.real**2 + inner.imag**2))))
 

@@ -20,6 +20,7 @@ from lagrtori.chekanov import (
     chekanov_torus,
     conic_total_area,
     level_radius,
+    pencil_separation,
     torus_periods_chekanov,
 )
 from lagrtori.clifford import (
@@ -38,15 +39,9 @@ from lagrtori.clifford import (
     ks_jacobian,
     standard_disc,
 )
-from lagrtori.displacement import (
-    Displaceable,
-    DisplacementCertificate,
-    Monotone,
-    build_diagonal_rotation,
-    displace_chekanov,
-    enc_verdict,
-)
+from lagrtori.displacement import build_diagonal_rotation
 from lagrtori.errors import InternalContradiction, NonConvergent
+from lagrtori.lattice import MonotoneWitness, SwapImage, dichotomy
 from lagrtori.maslov import (
     DiscWithBoundary,
     disc_difference_check,
@@ -210,18 +205,15 @@ def test_criterion_09_integrality_scan():
 
 
 def test_criterion_10_displacement():
-    verdicts = [enc_verdict(ActionCoords(*b)) for b in interior_rational_grid(19)]
-    monotone = [v for v in verdicts if isinstance(v, Monotone)]
-    ok = len(verdicts) == 190 and len(monotone) == 1
-    ok = ok and monotone[0].base == (Fraction(1, 3), Fraction(1, 3))
-    ok = ok and sum(isinstance(v, Displaceable) for v in verdicts) == 189
+    verdicts = {b: dichotomy(ActionCoords(*b)) for b in interior_rational_grid(19)}
+    monotone = [b for b, v in verdicts.items() if isinstance(v, MonotoneWitness)]
+    ok = len(verdicts) == 190 and monotone == [(Fraction(1, 3), Fraction(1, 3))]
+    ok = ok and sum(isinstance(v, SwapImage) for v in verdicts.values()) == 189
 
-    worst_sep = math.inf
-    for a in [round(0.1 * i, 10) for i in range(1, 10)]:
-        cert = displace_chekanov(ChekanovParams(a, 1.0, 0.0))
-        ok = ok and isinstance(cert, DisplacementCertificate)
-        worst_sep = min(worst_sep, cert.separation)
-    ok = ok and worst_sep > 1e-3
+    separations = [pencil_separation(ChekanovParams(round(0.1 * i, 10), 1.0, 0.0))
+                   for i in range(1, 10)]
+    worst_sep = min(separations)
+    ok = ok and len(separations) == 9 and worst_sep > 1e-3
 
     report = build_diagonal_rotation([0.25, 0.5, 0.75])
     ok = ok and all(abs(r.reduced_area - r.alpha) <= 1e-6 for r in report.alphas)

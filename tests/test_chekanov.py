@@ -16,10 +16,10 @@ from lagrtori.chekanov import (
     classify_type,
     conic_total_area,
     level_radius,
+    pencil_separation,
     radial_area,
     torus_periods_chekanov,
 )
-from lagrtori.displacement import displace_chekanov
 from lagrtori.errors import (
     DegenerateFamily,
     NonConvergent,
@@ -320,6 +320,32 @@ def test_past_the_node_cap_raises_naming_the_point():
         assert part in msg
 
 
+@pytest.mark.parametrize("nodes", [2.5, 0, -4, 3, LOOP_MAX_NODES // 2 + 1, 2 ** 19, True, "32"])
+def test_start_nodes_outside_the_range_raise_naming_them(nodes):
+    # unchecked, a float start would run the rule on non-integer node counts,
+    # 0 would divide by zero and 2**19 would start past the cap
+    with pytest.raises(ValueError, match=f"start nodes {nodes!r} must be an int in "
+                                         rf"\[4, {LOOP_MAX_NODES // 2}\]"):
+        torus_periods_chekanov(ChekanovParams(0.5, 1.0, 0.0), nodes)
+    with pytest.raises(ValueError, match="start nodes"):
+        canonical_bs_scan(1.0, [0.5], [0.0], nodes)
+
+
+@pytest.mark.parametrize("nodes", [4, np.int64(32), LOOP_MAX_NODES // 2])
+def test_start_nodes_at_the_ends_of_the_range_are_taken(nodes):
+    p = torus_periods_chekanov(ChekanovParams(0.5, 1.0, 0.0), nodes)
+    assert abs(p.p_section - 0.016446135583) <= 1e-12
+    assert p.nodes <= LOOP_MAX_NODES
+
+
+@pytest.mark.parametrize("nodes", [24, 48])
+def test_a_start_that_is_no_power_of_two_stops_within_the_cap(nodes):
+    # 3 * 2**16 is the last doubling of 24 and of 48 within LOOP_MAX_NODES
+    p = torus_periods_chekanov(ChekanovParams(1.0 - 1e-8, 1.0, 0.0), nodes)
+    assert p.nodes == 196608 == 3 * 2 ** 16
+    assert p.section_error <= LOOP_FALLBACK
+
+
 # ---------------------------------------------------------------------------
 # the batched pass against the per-row reference
 # ---------------------------------------------------------------------------
@@ -523,7 +549,7 @@ def test_scan_certificates_are_the_displacement_separations():
     for cert, row in zip(report.certificates, report.rows):
         params = ChekanovParams(cert.a, report.mu, cert.delta)
         try:
-            separation = displace_chekanov(params).separation
+            separation = pencil_separation(params)
         except DegenerateFamily as exc:
             assert (cert.status, cert.separation) == ("degenerate", None)
             assert cert.error == f"DegenerateFamily: {exc}" == row.error
@@ -553,7 +579,7 @@ def test_circle_within_the_floor_of_eps_zero_is_degenerate_everywhere():
     # the circle is of Chekanov type, far outside the 1e-9 |mu| boundary
     # tolerance, but comes within 5e-13 of eps = 0
     params = ChekanovParams(1e-11 - 5e-13, 1e-11, 0.2)
-    for entry in (chekanov_torus, torus_periods_chekanov, displace_chekanov):
+    for entry in (chekanov_torus, torus_periods_chekanov, pencil_separation):
         with pytest.raises(DegenerateFamily) as exc:
             entry(params)
         assert str(exc.value) == (f"torus at a={params.a!r}, mu=1e-11, delta=0.2: parameter"

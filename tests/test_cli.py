@@ -192,12 +192,39 @@ def test_bs_count_csv_lists_the_enumerated_fibers(level, closed):
      "--a-step", "0.1", "--delta-step", "0.5"],
     ["chekanov-scan", "--mu", "inf,0", "--a-min", "0.1", "--a-max", "0.3",
      "--a-step", "0.1", "--delta-step", "0.5"],
+    # past the largest start whose first doubling stays within the node cap
+    ["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
+     "--a-step", "0.1", "--delta-step", "0.5", "--quad-nodes", "131073"],
+    ["chekanov-scan", "--mu", "1,0", "--a-min", "0.3", "--a-max", "0.3",
+     "--a-step", "0.1", "--delta-step", "0.5", "--quad-nodes", str(2 ** 19)],
 ])
 def test_usage_errors_exit_2(args, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(args)
     assert exc.value.code == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+def test_quad_nodes_at_the_top_of_the_range_runs():
+    code, out, err = run_cli(GOLDEN_CASES["chekanov_scan_small.json"][:-2]
+                             + ["--quad-nodes", "131072"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert {r["nodes"] for r in json.loads(out)["results"]["scan"]["rows"]} == {262144}
+
+
+def test_scan_renders_its_csv_only_when_asked(monkeypatch, tmp_path):
+    import lagrtori.chekanov as chekanov
+    calls = []
+    real = chekanov.ScanReport.to_csv
+    monkeypatch.setattr(chekanov.ScanReport, "to_csv",
+                        lambda self: calls.append(1) or real(self))
+    assert run_cli(GOLDEN_CASES["chekanov_scan_small.json"])[0] == cli.EXIT_OK
+    assert calls == []
+    path = tmp_path / "scan.csv"
+    code, out, _ = run_cli(GOLDEN_CASES["chekanov_scan_small.json"] + ["--csv-out", str(path)])
+    assert code == cli.EXIT_OK and calls == [1]
+    assert path.read_text() == read_golden("chekanov_scan_small.csv")
+    assert out == read_golden("chekanov_scan_small.json")
 
 
 @pytest.mark.parametrize("name", ["bs_count_level3.json", "enc_report_grid7.json",

@@ -10,29 +10,19 @@ from hypothesis import strategies as st
 from lagrtori.clifford import ActionCoords, CliffordFiber, HomologyClass
 from lagrtori.displacement import (
     _ROTATION,
-    _Z2_PHASE,
-    CertificateMethod,
-    Displaceable,
-    DisplacementCertificate,
-    Monotone,
-    NotDisplacedByTheseFlows,
-    RotationReport,
-    build_diagonal_rotation,
-    displace_chekanov,
-    displace_clifford,
-    enc_verdict,
-    swap_symbol,
     HermitianSymbol,
+    build_diagonal_rotation,
+    swap_symbol,
 )
-from lagrtori.chekanov import ChekanovParams, chekanov_torus
+from lagrtori.chekanov import ChekanovParams, chekanov_torus, pencil_separation
 from lagrtori.errors import (
     DegenerateFamily,
-    InternalContradiction,
     LagrtoriError,
     NotChekanovType,
     NotHermitian,
 )
 from lagrtori.geometry import _unit_rows, moment_map
+from lagrtori.lattice import MonotoneWitness, SwapImage, dichotomy, swap_image
 from lagrtori.serialize import stable_dumps
 from oracle import (
     gradient_residual,
@@ -95,10 +85,11 @@ def test_symbol_keeps_a_private_read_only_matrix(value):
 
 
 def test_certificate_swap_symbols_are_read_only():
-    cert = enc_verdict(ActionCoords(Fraction(1, 5), Fraction(1, 2))).certificate
+    # the swap of the dichotomy names the Hamiltonian swap_symbol(j, k)
+    symbol = swap_symbol(*dichotomy(ActionCoords(Fraction(1, 5), Fraction(1, 2))).swap)
     with pytest.raises(TypeError):
-        cert.symbol.matrix[2][2] = 1
-    assert cert.symbol.matrix == swap_symbol(0, 1).matrix
+        symbol.matrix[2][2] = 1
+    assert symbol.matrix == ((0, 1, 0), (1, 0, 0), (0, 0, 0))
 
 
 def test_symbols_hash_and_certificates_compare_by_value():
@@ -106,11 +97,10 @@ def test_symbols_hash_and_certificates_compare_by_value():
     assert swap_symbol(0, 1) == HermitianSymbol([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     assert len({swap_symbol(0, 1), swap_symbol(0, 1), swap_symbol(1, 2)}) == 2
     params = ChekanovParams(0.5, 1.0 + 0.5j, 0.3)
-    assert displace_chekanov(params) == displace_chekanov(params)
-    assert displace_chekanov(params) != displace_chekanov(ChekanovParams(0.4, 1.0, 0.3))
+    assert pencil_separation(params) == pencil_separation(params)
+    assert pencil_separation(params) != pencil_separation(ChekanovParams(0.4, 1.0, 0.3))
     base = ActionCoords(Fraction(1, 5), Fraction(1, 2))
-    assert displace_clifford(base) == displace_clifford(
-        ActionCoords(Fraction(2, 10), Fraction(5, 10)))
+    assert dichotomy(base) == dichotomy(ActionCoords(Fraction(2, 10), Fraction(5, 10)))
 
 
 def test_symbol_value_is_rayleigh_quotient():
@@ -169,7 +159,10 @@ def _exact_swap_flow(j, k):
     return u
 
 
-# the flows of the symbols the package builds: (symbol, time, the exact matrix of its proof)
+# the z2-phase symbol behind pencil_separation
+_Z2_PHASE = HermitianSymbol(((0, 0, 0), (0, 0, 0), (0, 0, 1)))
+
+# the flows of the symbols the package uses: (symbol, time, the exact matrix of its proof)
 _EXACT_FLOWS = {
     **{f"swap{j}{k}": (swap_symbol(j, k), math.pi / 2.0, _exact_swap_flow(j, k))
        for j, k in ((0, 1), (0, 2), (1, 2))},
@@ -211,37 +204,31 @@ def test_rotation_deviations_on_the_former_check_points():
 
 
 def test_displace_fiber_with_distinct_actions():
-    cert = displace_clifford(ActionCoords(Fraction(1, 5), Fraction(1, 2)))
-    assert isinstance(cert, DisplacementCertificate)
-    assert cert.method is CertificateMethod.MOMENT_IMAGE_DISJOINT
-    assert cert.detail["swap"] == [0, 1]
-    assert cert.detail["image_moment"] == [[1, 2], [1, 5]]
-    assert cert.time == pytest.approx(math.pi / 2.0)
-    assert cert.separation == pytest.approx(0.3 * math.sqrt(2.0), abs=1e-14)
+    move = swap_image(ActionCoords(Fraction(1, 5), Fraction(1, 2)))
+    assert move.swap == (0, 1)
+    assert move.image == (Fraction(1, 2), Fraction(1, 5))
+    assert move.separation == pytest.approx(0.3 * math.sqrt(2.0), abs=1e-14)
 
 
 def test_displace_fiber_on_the_symmetric_diagonal():
-    cert = displace_clifford(ActionCoords(Fraction(2, 5), Fraction(2, 5)))
-    assert isinstance(cert, DisplacementCertificate)
-    assert cert.detail["swap"] == [1, 2]
-    assert cert.detail["image_moment"] == [[2, 5], [1, 5]]
+    move = swap_image(ActionCoords(Fraction(2, 5), Fraction(2, 5)))
+    assert move.swap == (1, 2)
+    assert move.image == (Fraction(2, 5), Fraction(1, 5))
 
 
 def test_fixed_point_of_all_swaps():
-    out = displace_clifford(ActionCoords(Fraction(1, 3), Fraction(1, 3)))
-    assert isinstance(out, NotDisplacedByTheseFlows)
-    assert out.base == (Fraction(1, 3), Fraction(1, 3))
+    assert swap_image(ActionCoords(Fraction(1, 3), Fraction(1, 3))) is None
 
 
 def test_displace_float_fiber():
-    cert = displace_clifford(ActionCoords(0.21, 0.37))
-    assert isinstance(cert, DisplacementCertificate)
-    assert cert.detail["image_moment"] == [0.37, 0.21]
+    move = swap_image(ActionCoords(0.21, 0.37))
+    assert move.image == (0.37, 0.21)
+    assert all(type(v) is float for v in move.image)
 
 
 def test_displace_rejects_boundary_fiber():
     with pytest.raises(ValueError):
-        displace_clifford(ActionCoords(0.0, 0.5))
+        dichotomy(ActionCoords(0.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +238,13 @@ def test_displace_rejects_boundary_fiber():
 
 def test_displace_chekanov_certificate():
     params = ChekanovParams(0.5, 1.0 + 0.5j, 0.3)
-    cert = displace_chekanov(params)
-    assert isinstance(cert, DisplacementCertificate)
-    assert cert.method is CertificateMethod.PENCIL_IMAGE_DISJOINT
-    assert cert.samples == 0
-    assert cert.separation == 2 * (abs(params.mu) - params.a)
-    assert cert.time == math.pi / 2.0
-    assert cert.symbol.matrix == ((0, 0, 0), (0, 0, 0), (0, 0, 1))
-    assert cert.detail == {
-        "source_circle": {"center": [-1.0, -0.5], "radius": 0.5},
-        "image_circle": {"center": [1.0, 0.5], "radius": 0.5},
-        "a": 0.5, "mu": [1.0, 0.5], "delta": 0.3,
-    }
-    stable_dumps(cert.detail)  # JSON-clean: no complex value or NaN
+    assert pencil_separation(params) == 2 * (abs(params.mu) - params.a)
+    # the separation does not depend on delta
+    assert pencil_separation(ChekanovParams(0.5, 1.0 + 0.5j, -0.7)) == pencil_separation(params)
 
 
 def test_displace_chekanov_narrow_margin():
-    cert = displace_chekanov(ChekanovParams(0.9, 1.0, 0.3))
-    assert 1e-3 < cert.separation < 0.25
+    assert 1e-3 < pencil_separation(ChekanovParams(0.9, 1.0, 0.3)) < 0.25
 
 
 def _sampled_torus(params, samples):
@@ -309,26 +285,25 @@ def test_reduced_certificate_search_equals_brute_force(samples, a):
     certified torus misses its sampled image."""
     params = ChekanovParams(a, 1.0, 0.3)
     cloud, img = _sampled_torus(params, samples)
-    cert = displace_chekanov(params)
-    assert cert.separation == 2 * (abs(params.mu) - a)
+    assert pencil_separation(params) == 2 * (abs(params.mu) - a)
     assert min_pairwise_chordal(cloud.reshape(-1, 3), img) > 0
 
 
 def test_overflowed_lift_raises_naming_the_torus():
     with pytest.raises(LagrtoriError, match=r"a=1e\+160, mu=2e\+160, delta=0\.3"):
-        displace_chekanov(ChekanovParams(1e160, 2e160, 0.3))
+        pencil_separation(ChekanovParams(1e160, 2e160, 0.3))
 
 
 def test_displace_chekanov_rejects_wide_circles():
     for a in (1.5, 1.0 + 1e-6):
         with pytest.raises(NotChekanovType):
-            displace_chekanov(ChekanovParams(a, 1.0, 0.0))
+            pencil_separation(ChekanovParams(a, 1.0, 0.0))
 
 
 def test_displace_chekanov_at_the_wall_is_degenerate():
     for a in (1.0, 0.9999999999):
         with pytest.raises(DegenerateFamily, match=f"a={a!r}"):
-            displace_chekanov(ChekanovParams(a, 1.0, 0.0))
+            pencil_separation(ChekanovParams(a, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +367,22 @@ def test_rotation_validates_inputs():
 
 
 def test_verdict_monotone_only_at_the_center():
-    v = enc_verdict(ActionCoords(Fraction(1, 3), Fraction(1, 3)))
-    assert isinstance(v, Monotone)
-    assert v.witness.monotone and v.witness.canonical_bs
-    assert v.witness.bs_defect == 0.0
-    assert v.witness.universal_class == (0, 0, 0)
+    v = dichotomy(ActionCoords(Fraction(1, 3), Fraction(1, 3)))
+    assert isinstance(v, MonotoneWitness)
+    assert v.monotone and v.canonical_bs
+    assert v.bs_defect == 0.0
+    assert v.universal_class == (0, 0, 0)
 
 
 def test_verdict_displaceable_fiber():
-    v = enc_verdict(ActionCoords(Fraction(1, 5), Fraction(1, 2)))
-    assert isinstance(v, Displaceable)
-    assert v.certificate.detail["swap"] == [0, 1]
+    v = dichotomy(ActionCoords(Fraction(1, 5), Fraction(1, 2)))
+    assert isinstance(v, SwapImage)
+    assert v.swap == (0, 1)
 
 
 def test_verdict_rejects_boundary():
     with pytest.raises(ValueError):
-        enc_verdict(ActionCoords(Fraction(0, 1), Fraction(1, 2)))
+        dichotomy(ActionCoords(Fraction(0, 1), Fraction(1, 2)))
 
 
 def test_verdict_dichotomy_on_a_small_grid():
@@ -415,10 +390,7 @@ def test_verdict_dichotomy_on_a_small_grid():
 
     grid = interior_rational_grid(7)
     assert len(grid) == 28
-    verdicts = [enc_verdict(ActionCoords(*b)) for b in grid]
-    monotone = [v for v in verdicts if isinstance(v, Monotone)]
-    displaceable = [v for v in verdicts if isinstance(v, Displaceable)]
-    assert len(monotone) == 1
-    assert monotone[0].base == (Fraction(1, 3), Fraction(1, 3))
-    assert len(displaceable) == 27
-
+    verdicts = {b: dichotomy(ActionCoords(*b)) for b in grid}
+    monotone = [b for b, v in verdicts.items() if isinstance(v, MonotoneWitness)]
+    assert monotone == [(Fraction(1, 3), Fraction(1, 3))]
+    assert sum(isinstance(v, SwapImage) for v in verdicts.values()) == 27

@@ -47,6 +47,10 @@ NUMPY_FREE = {
     "bs-count-csv": _CLI_CASE.format(argv=["bs-count", "--level", "5", "--format", "csv"]),
     "enc-report": _CLI_CASE.format(argv=["enc-report", "--grid", "7"]),
     "plot": _CLI_CASE.format(argv=["plot", "--level", "6", "--out", "lattice.svg"]),
+    # the flows and the rotation report need neither numpy nor chekanov
+    "displacement": ("import sys, lagrtori.displacement\n"
+                     "assert 'lagrtori.chekanov' not in sys.modules\n"
+                     "print('numpy' in sys.modules)"),
 }
 
 
@@ -80,30 +84,31 @@ def test_scan_imports_numpy_and_matches_golden(tmp_path):
 PUBLIC = [
     "ActionCoords", "AreaEstimate", "BSFiberSet", "ChekanovParams",
     "CliffordFiber", "D1", "D2", "D3", "DeformationSpec",
-    "DiscWithBoundary", "Displaceable", "DisplacementCertificate", "HermitianSymbol",
-    "HomologyClass", "MaslovResult", "Monotone",
-    "MonotoneWitness", "NotDisplacedByTheseFlows",
+    "DiscWithBoundary", "HermitianSymbol",
+    "HomologyClass", "MaslovResult",
+    "MonotoneWitness",
     "RotationReport", "ScanReport", "TorusType",
     "build_diagonal_rotation", "canonical_bs_defect",
     "canonical_bs_scan", "chekanov", "chekanov_torus", "classify_type", "clifford",
     "clifford_fiber", "conic_total_area", "deformed_fiber_periods", "diagonal_period",
-    "disc_difference_check", "displace_chekanov", "displace_clifford",
-    "displacement", "enc_verdict", "enumerate_bs_fibers", "errors", "fiber_periods",
+    "dichotomy", "disc_difference_check",
+    "displacement", "enumerate_bs_fibers", "errors", "fiber_periods",
     "geometry", "hilbert_dimension", "interior_rational_grid",
     "is_monotone", "ks_jacobian",
     "maslov", "maslov_index", "moment_map",
-    "serialize", "standard_disc",
+    "pencil_separation", "serialize", "standard_disc",
     "swap_symbol",
     "torus_periods_chekanov", "universal_maslov_class",
 ]
 
-# names that moved into the exact layer, by the module that re-exports them
+# names that moved into the exact layer, by the module that imports them from it
 MOVED = {
     "clifford": ["ActionCoords", "BSFiberSet", "HilbertComparison", "enumerate_bs_fibers",
                  "hilbert_dimension", "interior_rational_grid"],
     "maslov": ["MonotoneWitness", "canonical_bs_defect", "is_monotone",
                "universal_maslov_class"],
-    "displacement": ["MonotoneWitness"],
+    "displacement": ["rounding_floor"],
+    "geometry": ["rounding_floor"],
 }
 
 
@@ -117,15 +122,10 @@ SIGNATURES = {
     "CliffordFiber": ("base",),
     "DeformationSpec": ("c1", "c2", "f", "scale"),
     "DiscWithBoundary": ("boundary_loop", "frame", "chart", "det_lipschitz"),
-    "Displaceable": ("base", "certificate"),
-    "DisplacementCertificate": ("symbol", "time", "separation", "method", "samples",
-                                "detail"),
     "HermitianSymbol": ("matrix",),
     "HomologyClass": ("p", "q"),
     "MaslovResult": ("mu", "raw_winding", "integrality_defect"),
-    "Monotone": ("base", "witness"),
     "MonotoneWitness": ("monotone", "canonical_bs", "bs_defect", "universal_class"),
-    "NotDisplacedByTheseFlows": ("base",),
     "RotationReport": ("symbol", "alphas", "critical_points", "critical_values",
                        "swap_moment_deviation", "periodicity_deviation"),
     "ScanReport": ("mu", "rows", "certificates", "min_defect", "argmin"),
@@ -139,10 +139,8 @@ SIGNATURES = {
     "conic_total_area": ("eps",),
     "deformed_fiber_periods": ("fiber", "spec", "level"),
     "diagonal_period": ("base", "level"),
+    "dichotomy": ("base",),
     "disc_difference_check": ("d", "d_prime", "sphere_degree"),
-    "displace_chekanov": ("params",),
-    "displace_clifford": ("base",),
-    "enc_verdict": ("base",),
     "enumerate_bs_fibers": ("level", "closed"),
     "fiber_periods": ("base", "level"),
     "hilbert_dimension": ("level", "closed"),
@@ -151,6 +149,7 @@ SIGNATURES = {
     "ks_jacobian": ("base",),
     "maslov_index": ("d",),
     "moment_map": ("z",),
+    "pencil_separation": ("params",),
     "standard_disc": ("fiber", "cls"),
     "swap_symbol": ("j", "k"),
     "torus_periods_chekanov": ("params", "nodes"),

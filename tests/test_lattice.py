@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagrtori import cli
-from lagrtori.displacement import Displaceable, Monotone, displace_clifford, enc_verdict
 from lagrtori.lattice import (
     ActionCoords,
     MonotoneWitness,
@@ -78,19 +77,15 @@ def test_triangle_test_matches_comparisons(pair):
 
 
 def test_dichotomy_is_the_verdict_behind_enc_verdict():
+    # enc-report decides with dichotomy: the swap choice off the center
     for r0, r1 in interior_rational_grid(25):
         base = ActionCoords(r0, r1)
         outcome = dichotomy(base)
-        verdict = enc_verdict(base)
         if isinstance(outcome, MonotoneWitness):
-            assert isinstance(verdict, Monotone) and verdict.witness == outcome
+            assert swap_image(base) is None
             assert (r0, r1) == (Fraction(1, 3), Fraction(1, 3))
         else:
-            cert = verdict.certificate
             assert outcome == swap_image(base)
-            assert cert.detail["swap"] == list(outcome.swap)
-            assert cert.separation == outcome.separation
-            assert displace_clifford(base) == cert
 
 
 @st.composite
@@ -168,10 +163,7 @@ def test_float_third_is_displaced_by_its_rounding_gap():
     assert move.swap == (1, 2)
     assert move.separation == 1 - 3 * Fraction(1 / 3) == 2.0 ** -54
     assert f"{move.separation:.3g}" == "5.55e-17"
-    verdict = enc_verdict(base)
-    assert isinstance(verdict, Displaceable)
-    assert verdict.certificate == displace_clifford(base)
-    assert verdict.certificate.separation == move.separation
+    assert move == swap_image(base)
 
 
 def test_float_point_with_float_sum_one_is_interior():
@@ -215,8 +207,7 @@ def test_a_float_point_is_decided_as_its_binary_rational(pair):
     assert type(got) is type(want) is SwapImage
     assert got.swap == want.swap
     assert got.separation.hex() == want.separation.hex()
-    cert = displace_clifford(base)
-    assert cert.detail["swap"] == list(got.swap) and cert.separation == got.separation
+    assert got == swap_image(base)
 
 
 def _outcome_fields(outcome):

@@ -204,3 +204,15 @@ def test_is_monotone_witness():
     w3 = is_monotone((2 / 3, 1 / 3), (1, 1))
     assert w3.canonical_bs and not w3.monotone
     assert w3.universal_class == (-1, 0)
+
+
+@pytest.mark.parametrize("periods, mus", [
+    ((1 / 3, 1 / 3, 2 / 3), (1, 1)),
+    ((1 / 3, 1 / 3), (1, 1, 2)),
+], ids=["more-periods", "more-indices"])
+def test_monotonicity_rejects_a_length_mismatch(periods, mus):
+    # the unpaired cycle would go uncompared
+    with pytest.raises(ValueError):
+        universal_maslov_class(periods, mus)
+    with pytest.raises(ValueError):
+        is_monotone(periods, mus)
