@@ -29,14 +29,15 @@ one Fraction per index.  ``enc-report`` keys each point by its
 class with :func:`~lagrtori.lattice.dichotomy` and takes its counts from
 those outcomes; ``bs-count`` takes ``count`` from the enumeration and
 compares it with the closed-form dimension.  Each report is then written
-through :class:`~lagrtori.serialize.Template`: the envelope and one row of
-each shape are rendered once, each [n, d] pair once per index and each
-class's row tail once, so a row is the concatenation of pre-rendered
-texts.  The rows go to ``out`` in blocks, one list per i joined at once,
-one one-line row per line (the same parsed JSON as the indented text), as
-does the ``bs-count`` CSV.  No per-row dict, and no string of the whole
-report, is built.  The parser is built by the first :func:`main` call of
-a process and reused.
+from :func:`~lagrtori.serialize.pieces`: the envelope and one row of each
+shape are rendered once, cut at their gaps, each [n, d] pair once per
+index and each class's row tail (the pieces after the base pair, with the
+class's value texts between them) once, so a row is the concatenation of
+pre-rendered texts.  The rows go to ``out`` in blocks, one list per i
+joined at once, one one-line row per line (the same parsed JSON as the
+indented text), as does the ``bs-count`` CSV.  No per-row dict, and no
+string of the whole report, is built.  The parser is built by the first
+:func:`main` call of a process and reused.
 
 ``bs-count``, ``enc-report`` and ``plot`` use only the exact layer
 (:mod:`lagrtori.lattice`, :mod:`lagrtori.serialize`, :mod:`lagrtori.svgplot`)
@@ -64,7 +65,8 @@ from .lattice import (
     section_dimension,
     verdict_class,
 )
-from .serialize import Gap, Template, rational_pair, stable_dump, write_pieces
+from .serialize import (GAP, dump_rows, pieces, rational_pair, row_text, stable_dump,
+                        write_pieces)
 from .svgplot import render_triangle_plot
 
 EXIT_OK = 0
@@ -105,25 +107,20 @@ def _cmd_bs_count(args, out) -> int:
         return EXIT_OK
     count = sum(len(js) for _, js in rows)
     dimension = section_dimension(args.level, args.closed)
-    report = Template(_body(
+    envelope = pieces(_body(
         "bs-count",
         {"level": args.level, "closed": args.closed, "format": args.format},
-        {"count": count, "fibers": Gap("fibers"), "hilbert_dimension": dimension,
+        {"count": count, "fibers": GAP, "hilbert_dimension": dimension,
          "match": count == dimension},
         {"tolerances": {"arithmetic": "exact rational"}},
     ))
-    head, mid, tail = report.item([Gap("r0"), Gap("r1")]).pieces
-    pair = [Template.text(rational_pair(v)) for v in vals]
+    head, mid, tail = pieces([GAP, GAP], None)
+    pair = [row_text(rational_pair(v)) for v in vals]
     lead = [head + p + mid for p in pair]
-    report.dump(([lead[i] + pair[j] + tail for j in js] for i, js in rows), out.write)
+    blocks = ([lead[i] + pair[j] + tail for j in js] for i, js in rows)
+    dump_rows(envelope, blocks, out.write)
     out.write("\n")
     return EXIT_OK
-
-
-def _tail(item: Template, **texts) -> str:
-    """The text of a row template after its first two gaps, ``r0`` and
-    ``r1``, with the other gaps filled by ``texts``."""
-    return item.fill(r0="", r1="", **texts)[len(item.pieces[0]) + len(item.pieces[1]):]
 
 
 def _cmd_enc_report(args, out) -> int:
@@ -141,35 +138,33 @@ def _cmd_enc_report(args, out) -> int:
                        for (i, js), ks in zip(rows, keys)
                        for j, k in zip(js, ks) if k in monotone_keys]
     points = sum(map(len, keys))
-    report = Template(_body(
+    envelope = pieces(_body(
         "enc-report",
         {"grid": args.grid},
         {"grid": args.grid, "denominator": den, "points": points,
          "monotone_points": monotone_points, "monotone_count": len(monotone_points),
-         "displaceable_count": points - len(monotone_points), "rows": Gap("rows")},
+         "displaceable_count": points - len(monotone_points), "rows": GAP},
         {"tolerances": {"arithmetic": "exact rational"}},
     ))
     # "base" sorts first in both row shapes, so a row is its base pair and
-    # then the tail of its class
-    base = [Gap("r0"), Gap("r1")]
-    displaced = report.item({"base": base, "separation": Gap("separation"),
-                             "swap": Gap("swap"), "verdict": "displaceable"})
-    monotone = report.item({"base": base, "bs_defect": Gap("bs_defect"),
-                            "universal_class": Gap("universal_class"),
-                            "verdict": "monotone"})
-    swaps = {jk: Template.text(list(jk)) for jk in ((0, 1), (1, 2))}
+    # then its class's tail: the later pieces, with the values between them
+    head, mid, *displaced = pieces({"base": [GAP, GAP], "separation": GAP, "swap": GAP,
+                                    "verdict": "displaceable"}, None)
+    monotone = pieces({"base": [GAP, GAP], "bs_defect": GAP, "universal_class": GAP,
+                       "verdict": "monotone"}, None)[2:]
+    swaps = {jk: row_text(list(jk)) for jk in ((0, 1), (1, 2))}
     tails = {
-        k: _tail(monotone, bs_defect=Template.text(o.bs_defect),
-                 universal_class=Template.text(list(o.universal_class)))
+        k: monotone[0] + row_text(o.bs_defect) + monotone[1]
+        + row_text(list(o.universal_class)) + monotone[2]
         if k in monotone_keys else
-        _tail(displaced, separation=Template.text(o.separation), swap=swaps[o.swap])
+        displaced[0] + row_text(o.separation) + displaced[1] + swaps[o.swap]
+        + displaced[2]
         for k, o in outcomes.items()
     }
-    head, mid = displaced.pieces[:2]
-    pair = [Template.text(rational_pair(v)) for v in vals]
+    pair = [row_text(rational_pair(v)) for v in vals]
     lead = [head + p + mid for p in pair]
-    report.dump(([lead[i] + pair[j] + tails[k] for j, k in zip(js, ks)]
-                 for (i, js), ks in zip(rows, keys)), out.write)
+    dump_rows(envelope, ([lead[i] + pair[j] + tails[k] for j, k in zip(js, ks)]
+                         for (i, js), ks in zip(rows, keys)), out.write)
     out.write("\n")
     return EXIT_OK
 

@@ -123,9 +123,9 @@ def enumerate_bs_fibers(level: int, closed: bool = False) -> BSFiberSet:
     lattice (degenerate fibers), enumerated combinatorially without building
     torus parametrizations.  Everything is Fraction arithmetic -- no floats.
     """
+    indices = lattice_indices(level, closed)  # checks the level
     vals = lattice_values(level)
-    fibers = tuple(ActionCoords(vals[i], vals[j]) for i, j in lattice_indices(level, closed))
-    return BSFiberSet(level, closed, fibers)
+    return BSFiberSet(level, closed, tuple(ActionCoords(vals[i], vals[j]) for i, j in indices))
 
 
 def lattice_indices(level: int, closed: bool = False) -> list[tuple[int, int]]:
@@ -199,10 +199,11 @@ def universal_maslov_class(fiber_periods, mus) -> tuple[int, ...]:
     """Integers mu_i - 3 * p_i for a torus whose tripled periods are integral.
 
     ``mus`` holds integers or objects with an integer ``mu`` attribute (a
-    :class:`lagrtori.maslov.MaslovResult`).  Raises NotCanonicalBS when some
-    3 * p_i is farther than 1e-5 from an integer -- the class is well
-    defined exactly on that locus -- and ValueError when ``fiber_periods``
-    and ``mus`` differ in length.
+    :class:`lagrtori.maslov.MaslovResult`); a float or a string raises
+    TypeError.  Raises NotCanonicalBS when some 3 * p_i is farther than
+    1e-5 from an integer -- the class is well defined exactly on that
+    locus -- and ValueError when ``fiber_periods`` and ``mus`` differ in
+    length.
     """
     defect = canonical_bs_defect(fiber_periods)
     if defect > _BS_TOL:
@@ -211,7 +212,7 @@ def universal_maslov_class(fiber_periods, mus) -> tuple[int, ...]:
         )
     out = []
     for p, m in zip(fiber_periods, mus, strict=True):
-        val = int(getattr(m, "mu", m)) - 3.0 * float(p)
+        val = operator.index(getattr(m, "mu", m)) - 3.0 * float(p)
         nearest = round(val)
         if abs(val - nearest) > 1e-4:
             raise ArithmeticError(

@@ -18,6 +18,7 @@ that excludes 0, so the sum of the principal phase steps is the winding
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,10 +86,14 @@ def maslov_index(d: DiscWithBoundary) -> MaslovResult:
 
     With L = ``d.det_lipschitz(d.chart)``, n runs through 16, 32, ..., 4096
     until min |det| > L/n on n + 1 equispaced samples, else
-    DeterminantVanishes names n, min |det| and L.  The raw winding's distance
-    to an integer is reported and must stay below 1e-3.
+    DeterminantVanishes names n, min |det| and L.  An L that is not finite
+    and >= 0 certifies nothing and raises ValueError naming the chart and L.
+    The raw winding's distance to an integer is reported and must stay
+    below 1e-3.
     """
     lip = d.det_lipschitz(d.chart)
+    if not 0.0 <= lip < math.inf:  # False for NaN
+        raise ValueError(f"det_lipschitz({d.chart}) = {lip!r} is not a finite bound >= 0")
     for n in _SAMPLE_COUNTS:
         det = frame_determinant(d, np.linspace(0.0, 1.0, n + 1))
         low = float(np.min(np.abs(det)))

@@ -20,18 +20,17 @@ The one exception is the long list of a row-list report (``bs-count``
 ``fibers``, ``enc-report`` ``rows``): it holds one item per line, each in
 the one-line text of ``json.dumps(item, sort_keys=True)``, such as
 ``[[1, 240], [1, 120]]``.  Only whitespace differs from the indented text,
-so the parsed JSON is the same.  These reports are written through a
-:class:`Template` instead of a payload: the encoded text of a payload that
-holds named :class:`Gap` placeholders, cut at the gaps, where the encoder
-renders each gap as a quoted tag unique to the template.  The envelope is
-one indented template, with a gap in place of its long list; each row
-shape is a one-line template.  A row is the text of its template with
-the gaps filled: the caller renders each distinct value text (an [n, d]
-pair, a swap, a float's ``repr``) once and joins a row from the template's
-pieces and those texts.  :meth:`Template.dump` takes the rows in blocks,
-lists of row texts, joins each block at once and writes the envelope with
-the rows spliced in, one per line, in pieces of about ``_PIECE_CHARS``
-characters; the whole payload is never built.
+so the parsed JSON is the same.  These reports are written from
+:func:`pieces`: the encoded text of a payload that holds :data:`GAP`
+placeholders, cut at the gaps, where the encoder renders each gap as a
+quoted tag unique to the call.  The envelope is cut once, at its long
+list; each row shape is cut in one-line text at its values.  A row is the
+concatenation of its shape's pieces and the value texts between them: the
+caller renders each distinct value text (an [n, d] pair, a swap, a float's
+``repr``, by :func:`row_text`) once.  :func:`dump_rows` takes the rows in
+blocks, lists of row texts, joins each block at once and writes the
+envelope with the rows spliced in, one per line, in pieces of about
+``_PIECE_CHARS`` characters; the whole payload is never built.
 """
 
 from __future__ import annotations
@@ -47,17 +46,7 @@ _INDENT = "  "
 _PIECE = 2048
 _PIECE_CHARS = 16 * _PIECE
 _UNSUPPORTED = json.JSONEncoder().default  # raises TypeError
-
-
-class Gap:
-    """Placeholder in a :class:`Template` payload for a value written later;
-    ``name`` is an identifier, used once per template.  Only templates
-    render gaps."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
+GAP = object()  # a placeholder that pieces() cuts the text at
 
 
 def complex_pair(z) -> list[float]:
@@ -117,57 +106,42 @@ def write_pieces(texts, write) -> None:
     write("".join(buf))
 
 
-class Template:
-    """The text of ``payload`` cut at its :class:`Gap` placeholders: the
+def pieces(payload, indent=_INDENT) -> list[str]:
+    """The text of ``payload`` cut at each :data:`GAP` in it: the
     :func:`stable_dumps` text, or the one-line text when ``indent`` is None.
+    A payload with k gaps gives k + 1 pieces."""
+    gaps = []
+    mark = f"\x00gap{id(gaps)}\x00"
 
-    ``pieces`` holds the texts between the gaps, and ``fill(**texts)``
-    returns the text with each gap replaced by the text of the same name.
-    """
+    def tag(o):
+        if o is not GAP:
+            return _UNSUPPORTED(o)
+        gaps.append(o)
+        return mark
 
-    def __init__(self, payload, indent=_INDENT):
-        mark = f"\x00gap{id(self)}\x00"
-        seen: list[str] = []
+    cut = "".join(_chunks(payload, tag, indent)).split(_quote(mark))
+    if len(cut) != len(gaps) + 1:
+        raise ValueError(f"text holds {len(cut) - 1} gap tags for {len(gaps)} gaps")
+    return cut
 
-        def tag(o):
-            if not isinstance(o, Gap):
-                return _UNSUPPORTED(o)
-            seen.append(o.name)
-            return mark + o.name
 
-        # The tag is quoted as "\u0000gap<id>\u0000<name>": split at its
-        # opening and cut each name at its closing quote.
-        self.pieces = "".join(_chunks(payload, tag, indent)).split(_quote(mark)[:-1])
-        if len(self.pieces) != len(seen) + 1:
-            raise ValueError(f"template text holds {len(self.pieces) - 1} gap tags "
-                             f"for {len(seen)} gaps")
-        self.pieces[1:] = [p.split('"', 1)[1] for p in self.pieces[1:]]
-        fields = [f"{{{name}}}" for name in seen] + [""]
-        self.fill = "".join(p.replace("{", "{{").replace("}", "}}") + field
-                            for p, field in zip(self.pieces, fields)).format
+def row_text(value) -> str:
+    """The one-line text of ``value``, as it stands in a row."""
+    if type(value) is float:  # the per-row value of a report
+        return _float_text(value)
+    return stable_dumps(value, None)
 
-    @staticmethod
-    def text(value) -> str:
-        """The one-line text of ``value``, as it stands in an :meth:`item`."""
-        if type(value) is float:  # the per-row value of a report
-            return _float_text(value)
-        return stable_dumps(value, None)
 
-    @staticmethod
-    def item(payload) -> "Template":
-        """The one-line template of an item of the list that fills the gap."""
-        return Template(payload, None)
-
-    def dump(self, blocks, write) -> None:
-        """Writes the text with the only gap filled by a list of items, one
-        per line; ``blocks`` holds lists of item texts, each rendered by an
-        :meth:`item` template, and each list is joined at once.  The text
-        goes to ``write`` in pieces of about ``_PIECE_CHARS`` characters, or
-        one block when a block is longer."""
-        head, tail = self.pieces
-        line = head.rpartition("\n")[2]
-        newline = "\n" + line[:len(line) - len(line.lstrip(" "))]
-        write_pieces(chain((head,), _list_texts(blocks, newline), (tail,)), write)
+def dump_rows(envelope, blocks, write) -> None:
+    """Writes the text whose :func:`pieces` are ``envelope`` (one gap), with
+    a list of rows in place of the gap, one row per line; ``blocks`` holds
+    lists of row texts, each list joined at once.  The text goes to
+    ``write`` in pieces of about ``_PIECE_CHARS`` characters, or one block
+    when a block is longer."""
+    head, tail = envelope
+    line = head.rpartition("\n")[2]
+    newline = "\n" + line[:len(line) - len(line.lstrip(" "))]
+    write_pieces(chain((head,), _list_texts(blocks, newline), (tail,)), write)
 
 
 def _list_texts(blocks, newline: str):

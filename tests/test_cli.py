@@ -212,6 +212,13 @@ def test_quad_nodes_at_the_top_of_the_range_runs():
     assert {r["nodes"] for r in json.loads(out)["results"]["scan"]["rows"]} == {262144}
 
 
+def test_quad_nodes_default_is_the_rule_start():
+    # the parser keeps its own copy: importing geometry would load numpy
+    from lagrtori.geometry import LOOP_NODES
+    args = cli.build_parser().parse_args(GOLDEN_CASES["chekanov_scan_small.json"][:-2])
+    assert args.quad_nodes == LOOP_NODES
+
+
 def test_scan_renders_its_csv_only_when_asked(monkeypatch, tmp_path):
     import lagrtori.chekanov as chekanov
     calls = []

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -223,6 +224,11 @@ def test_bad_level_rejected(level, error):
     for periods in (fiber_periods, diagonal_period, deformed):
         with pytest.raises(error):
             periods((0.2, 0.3), level=level)
+    # the level is checked before the coordinates i/level are built
+    for count, closed in itertools.product((enumerate_bs_fibers, hilbert_dimension),
+                                           (False, True)):
+        with pytest.raises(error):
+            count(level, closed)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,34 @@ def test_covering_failure_names_samples_and_bound():
         maslov_index(rough)
 
 
+def winding_disc(lip):
+    """A chart-2 disc whose frame determinant is exp(40 pi i t): winding 20,
+    |d det/dt| = 40 pi, claimed bound ``lip``."""
+
+    def loop(t):
+        one = np.ones_like(t, dtype=complex)
+        return np.stack([0.5 * one, 0.5 * one, one], axis=-1)
+
+    def frame(t):
+        zero, one = np.zeros_like(t, dtype=complex), np.ones_like(t, dtype=complex)
+        return (np.stack([np.exp(40j * math.pi * t), zero, zero], axis=-1),
+                np.stack([zero, one, zero], axis=-1))
+
+    return DiscWithBoundary(loop, frame, chart=2, det_lipschitz=lambda chart: lip)
+
+
+def test_index_certifies_a_twenty_fold_winding():
+    assert maslov_index(winding_disc(40 * math.pi)).mu == 20
+
+
+@pytest.mark.parametrize("lip", [-1.0, math.nan, math.inf])
+def test_index_rejects_a_bound_that_is_not_finite_and_nonnegative(lip):
+    # L = -1 would pass the covering test at 16 samples and alias the
+    # winding to 4; NaN would fail it at every sample count
+    with pytest.raises(ValueError, match=rf"det_lipschitz\(2\) = {lip!r}"):
+        maslov_index(winding_disc(lip))
+
+
 def test_companion_disc_index_and_area():
     base = (0.2, 0.3)
     comp, surface = companion_disc_chart0(base)
@@ -183,6 +211,20 @@ def test_canonical_bs_defect_values():
 def test_universal_class_at_the_symmetric_fiber():
     cls = universal_maslov_class((1 / 3, 1 / 3, 2 / 3), (1, 1, 2))
     assert cls == (0, 0, 0)
+
+
+@pytest.mark.parametrize("mus", [(1.9, 1, 2), ("1", 1, 2), (1, 1, 2.0)])
+def test_universal_class_rejects_indices_that_are_not_integers(mus):
+    # int() would truncate 1.9 to 1 and call the fiber monotone
+    with pytest.raises(TypeError):
+        universal_maslov_class((1 / 3, 1 / 3, 2 / 3), mus)
+    with pytest.raises(TypeError):
+        is_monotone((1 / 3, 1 / 3, 2 / 3), mus)
+
+
+def test_universal_class_takes_numpy_and_maslov_result_indices():
+    mus = (np.int64(1), maslov.MaslovResult(1, 1.0, 0.0), np.uint8(2))
+    assert universal_maslov_class((1 / 3, 1 / 3, 2 / 3), mus) == (0, 0, 0)
 
 
 def test_universal_class_requires_integrality():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lagrtori import cli
 from lagrtori import serialize
-from lagrtori.serialize import Gap, Template, stable_dump, stable_dumps
+from lagrtori.serialize import GAP, dump_rows, pieces, row_text, stable_dump, stable_dumps
 from oracle import assert_same_text, reference_dumps, rows_dumps
 
 ROWS = {"bs-count": "fibers", "enc-report": "rows"}  # the long list of a row-list report
@@ -114,10 +114,10 @@ def test_stable_dump_leaves_no_reference_cycles():
 
 def test_template_leaves_no_reference_cycles():
     gc.collect()
-    report = Template({"d": "e", "rows": Gap("rows")})
-    row = report.item({"b": [[1, 2]], "s": Gap("s")})
-    report.dump([[row.fill(s=row.text(1.5))]], io.StringIO().write)
-    del report, row
+    envelope = pieces({"d": "e", "rows": GAP})
+    head, tail = pieces({"b": [[1, 2]], "s": GAP}, None)
+    dump_rows(envelope, [[head + row_text(1.5) + tail]], io.StringIO().write)
+    del envelope, head, tail
     assert gc.collect() == 0
 
 
@@ -161,25 +161,25 @@ keys = st.text(max_size=4)
 def test_template_fills_to_the_stable_dumps_text(head, rows, names, cut):
     # a report whose long list holds rows of one shape with two values,
     # passed in two blocks with an empty one between them
-    ka, kb = names
-    report = Template({**head, "rows": Gap("rows")})
-    row = report.item({ka: Gap("a"), kb: [Gap("b"), 1]})
-    texts = [row.fill(a=row.text(a), b=row.text(b)) for a, b in rows]
-    pieces = []
-    report.dump([texts[:cut], [], texts[cut:]], pieces.append)
+    ka, kb = sorted(names)  # the gaps come in key order
+    envelope = pieces({**head, "rows": GAP})
+    row = pieces({ka: GAP, kb: [GAP, 1]}, None)
+    texts = [row[0] + row_text(a) + row[1] + row_text(b) + row[2] for a, b in rows]
+    written = []
+    dump_rows(envelope, [texts[:cut], [], texts[cut:]], written.append)
     whole = {**head, "rows": [{ka: a, kb: [b, 1]} for a, b in rows]}
-    assert "".join(pieces) == rows_dumps(whole, "rows")
+    assert "".join(written) == rows_dumps(whole, "rows")
 
 
 @pytest.mark.parametrize("head", ["\x00", "\x00rows", "\\u0000rows"])
 def test_template_head_strings_make_no_gap(head):
-    report = Template({"h": head, head: [head], "rows": Gap("rows")})
-    row = report.item([Gap("a"), 1])
-    pieces = []
-    report.dump([[row.fill(a=row.text(1.5))]], pieces.append)
-    assert len(report.pieces) == 2
+    envelope = pieces({"h": head, head: [head], "rows": GAP})
+    row = pieces([GAP, 1], None)
+    written = []
+    dump_rows(envelope, [[row[0] + row_text(1.5) + row[1]]], written.append)
+    assert len(envelope) == 2
     whole = {"h": head, head: [head], "rows": [[1.5, 1]]}
-    assert "".join(pieces) == rows_dumps(whole, "rows")
+    assert "".join(written) == rows_dumps(whole, "rows")
 
 
 @pytest.mark.parametrize("depth", [0, 3])
@@ -192,15 +192,15 @@ def test_template_list_gap_takes_the_indent_of_its_line(depth):
             value = {key: value}
         return value
 
-    report = Template(nested(Gap("rows")))
-    row = report.item({"a": Gap("a")})
-    pieces = []
-    report.dump([[row.fill(a=row.text(v))] for v in (1.5, {"b": [1, 2]})], pieces.append)
-    assert "".join(pieces) == rows_dumps(nested([{"a": 1.5}, {"a": {"b": [1, 2]}}]), *path)
+    envelope = pieces(nested(GAP))
+    head, tail = pieces({"a": GAP}, None)
+    written = []
+    dump_rows(envelope, [[head + row_text(v) + tail] for v in (1.5, {"b": [1, 2]})],
+              written.append)
+    assert "".join(written) == rows_dumps(nested([{"a": 1.5}, {"a": {"b": [1, 2]}}]), *path)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_template_text_rejects_out_of_range_floats(bad):
-    row = Template({"rows": Gap("rows")}).item({"s": Gap("s")})
     with pytest.raises(ValueError):
-        row.text(bad)
+        row_text(bad)
